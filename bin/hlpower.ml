@@ -1338,7 +1338,7 @@ let client_cmd =
   let engine =
     Arg.(value & opt (some string) None
          & info [ "engine" ] ~docv:"ENGINE"
-             ~doc:"simulation engine (server default: bitparallel)")
+             ~doc:"simulation engine (server default: compiled)")
   in
   let seed =
     Arg.(value & opt (some int) None

@@ -307,8 +307,10 @@ let decode_circuit t obj =
   in
   (name, width, net)
 
+(* the compiled kernel: bit-identical to the interpreters (the kernel
+   differential wall), and the fastest of them per cycle *)
 let decode_engine obj =
-  let s = with_default "bitparallel" (opt_str obj "engine") in
+  let s = with_default "compiled" (opt_str obj "engine") in
   match Hlp_sim.Engine.of_string s with
   | Some e -> e
   | None -> bad "engine" ("unknown engine " ^ s)
@@ -328,8 +330,15 @@ let op_estimate t guard (ctx : Srv.ctx) obj ~rid id =
   let engine = decode_engine obj in
   let seed = with_default 47 (opt_int obj "seed") in
   let rp = with_default 0.05 (opt_float obj "relative_precision") in
-  let max_cycles = opt_int obj "max_cycles" in
-  let node_limit = opt_int obj "node_limit" in
+  (* an explicit bound must be positive: the key folds an absent bound as
+     0, so an explicit 0 would share its key with the default *)
+  let positive name =
+    let v = opt_int obj name in
+    Option.iter (fun x -> if x < 1 then bad name "must be >= 1") v;
+    v
+  in
+  let max_cycles = positive "max_cycles" in
+  let node_limit = positive "node_limit" in
   let key =
     let open Netcache in
     List.fold_left combine

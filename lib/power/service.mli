@@ -154,7 +154,7 @@ val prometheus_of_metrics : Hlp_util.Json.t -> string
 
 (** {1 Requests} — builders the CLI client and bench use, so the schema
     has one producer. Omitted optionals are omitted from the JSON and
-    take the server-side defaults (engine bitparallel, seed 47,
+    take the server-side defaults (engine compiled, seed 47,
     precision 0.05) — except [rid], which defaults to a fresh
     client-side id ({!Hlp_util.Server.fresh_rid}[ ~prefix:"c"]). *)
 

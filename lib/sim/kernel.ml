@@ -80,21 +80,46 @@ type seg = { op : int; lo : int; hi : int }
    ordered float sums: lane [l] accumulates [caps.(i)] over the nodes [i]
    that toggled in lane [l], in the chronological accounting order — and
    that order is the {e same} for every lane. So the counted step records
-   each node's delta word once, in accounting order, and this C primitive
-   (kernel_stubs.c) then sweeps the dense (delta, cap) arrays lane-major,
-   holding the lane accumulators in registers: each starts at the lane's
-   running value and folds in exactly [c] when the lane's delta bit is
-   set and [+0.0] when it is not, in node order. [x +. +0.0] is bit-exact
-   for every [x] a lane sum can hold because the caps are proven finite
-   and non-negative at compile time ([lanes_fast]) — so the result is
-   bit-identical to the scatter walk while the loop is bound by float
-   throughput instead of dependent table loads; the differential wall
-   asserts the identity on every test circuit. The [@@noalloc] mark is
-   sound: the primitive allocates nothing and never calls back into the
-   runtime. *)
+   each non-zero delta word once, with its cap, densely in accounting
+   order ([account] below), and this C primitive (kernel_stubs.c) then
+   sweeps the dense (delta, cap) arrays lane-major, holding the lane
+   accumulators in registers: each starts at the lane's running value and
+   folds in exactly [c] when the lane's delta bit is set and [+0.0] when
+   it is not, in node order. [x +. +0.0] is bit-exact for every [x] a
+   lane sum can hold because the caps are proven finite and non-negative
+   at compile time ([lanes_fast]) — so the result is bit-identical to the
+   scatter walk while the loop is bound by float throughput instead of
+   dependent table loads; the differential wall asserts the identity on
+   every test circuit. The same argument makes the zero deltas [account]
+   leaves out exact to skip: a zero delta contributes [+0.0] to every
+   lane. The [@@noalloc] mark is sound: the primitive allocates nothing
+   and never calls back into the runtime. *)
 external accumulate_lanes :
   float array -> int array -> float array -> int -> unit
   = "hlp_kernel_accumulate_lanes"
+  [@@noalloc]
+
+(* The integer half of a counted step, in C beside [accumulate_lanes]:
+   [account old nw acct_order toggles highs deltas caps_acct dcaps track]
+   adds popcount(old xor nw) to each node's toggle count and popcount(nw)
+   to its high count, and returns the number of non-zero delta words.
+   With [track] it also writes those words and their caps, densely in
+   accounting order, to [deltas] and [dcaps] for the lane sweep. The
+   popcount is the popcnt instruction where the CPU has one. Every array
+   has the node count as its length (the state's own arrays by
+   construction, [acct_order] by {!verify}); [deltas] and [dcaps] are
+   only touched with [track]. *)
+external account :
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  float array ->
+  float array ->
+  bool ->
+  int = "hlp_kernel_account_byte" "hlp_kernel_account"
   [@@noalloc]
 
 type t = {
@@ -531,7 +556,10 @@ type s = {
   plan : t;
   mutable cur : int array;  (* settled word per node, this cycle *)
   mutable prv : int array;  (* settled word per node, previous cycle *)
-  deltas : int array;  (* scratch: per-step delta word, accounting order *)
+  (* scratch for the lane sweep, empty unless lanes are tracked: the
+     step's non-zero delta words and their caps, accounting order *)
+  deltas : int array;
+  dcaps : float array;
   toggles : int array;
   highs : int array;
   lane_switched : float array;
@@ -542,30 +570,54 @@ type s = {
   mutable first : bool;  (* reset state must survive until the first input *)
 }
 
-let create ?(track_lanes = false) plan =
-  let n = plan.n in
-  let cur = Array.make n 0 in
-  Array.iteri
-    (fun j w -> cur.(w) <- plan.dff_init_words.(j))
-    plan.dff_dst;
-  Array.iter (fun (i, w) -> cur.(i) <- w) plan.const_init;
+(* Loops, not closures: resetting must not allocate, so that one state
+   can serve a whole Monte Carlo run. *)
+let reset s =
+  let p = s.plan and cur = s.cur in
+  Array.fill cur 0 p.n 0;
+  for j = 0 to Array.length p.dff_dst - 1 do
+    cur.(p.dff_dst.(j)) <- p.dff_init_words.(j)
+  done;
+  for k = 0 to Array.length p.const_init - 1 do
+    let i, w = p.const_init.(k) in
+    cur.(i) <- w
+  done;
   (* settle the reset state through the compiled schedule; nothing is
      charged for power-up, same as the interpreters *)
-  Array.iter (fun pass -> pass cur) plan.passes;
-  {
-    plan;
-    cur;
-    prv = Array.copy cur;
-    deltas = Array.make n 0;
-    toggles = Array.make n 0;
-    highs = Array.make n 0;
-    lane_switched = Array.make lanes 0.0;
-    track_lanes;
-    pops = 0;
-    ncycles = 0;
-    counting = true;
-    first = true;
-  }
+  for q = 0 to Array.length p.passes - 1 do
+    p.passes.(q) cur
+  done;
+  Array.blit cur 0 s.prv 0 p.n;
+  Array.fill s.toggles 0 p.n 0;
+  Array.fill s.highs 0 p.n 0;
+  Array.fill s.lane_switched 0 lanes 0.0;
+  s.pops <- 0;
+  s.ncycles <- 0;
+  s.counting <- true;
+  s.first <- true
+
+let create ?(track_lanes = false) plan =
+  let n = plan.n in
+  let scratch = if track_lanes then n else 0 in
+  let s =
+    {
+      plan;
+      cur = Array.make n 0;
+      prv = Array.make n 0;
+      deltas = Array.make scratch 0;
+      dcaps = Array.make scratch 0.0;
+      toggles = Array.make n 0;
+      highs = Array.make n 0;
+      lane_switched = Array.make lanes 0.0;
+      track_lanes;
+      pops = 0;
+      ncycles = 0;
+      counting = true;
+      first = true;
+    }
+  in
+  reset s;
+  s
 
 let step s inputs =
   let p = s.plan in
@@ -604,45 +656,23 @@ let step s inputs =
   done;
   if s.counting then begin
     (* delta accounting in Bitsim's chronological charge order, so the
-       per-lane float sums are bit-identical to the interpreter's *)
-    let order = p.acct_order and toggles = s.toggles in
-    if s.track_lanes && p.lanes_fast then begin
-      (* record the delta words densely, then charge lanes lane-major
-         (bit-identical to the scatter walk, see [accumulate_lanes]) *)
-      let deltas = s.deltas in
-      for k = 0 to Array.length order - 1 do
-        let i = Array.unsafe_get order k in
-        let d = Array.unsafe_get old i lxor Array.unsafe_get nw i in
-        Array.unsafe_set deltas k d;
-        if d <> 0 then begin
-          Array.unsafe_set toggles i
-            (Array.unsafe_get toggles i + Hlp_util.Bits.popcount d);
-          s.pops <- s.pops + 1
-        end
-      done;
-      accumulate_lanes s.lane_switched deltas p.caps_acct p.n
-    end
-    else begin
-      let caps = p.caps in
-      for k = 0 to Array.length order - 1 do
-        let i = Array.unsafe_get order k in
-        let d = Array.unsafe_get old i lxor Array.unsafe_get nw i in
-        if d <> 0 then begin
-          Array.unsafe_set toggles i
-            (Array.unsafe_get toggles i + Hlp_util.Bits.popcount d);
-          s.pops <- s.pops + 1;
-          if s.track_lanes then
-            Bitsim.scan_lanes s.lane_switched (Array.unsafe_get caps i) d
-        end
-      done
+       per-lane float sums are bit-identical to the interpreter's: counts
+       in C and, with lanes, the step's non-zero deltas densely in
+       [deltas]/[dcaps] (see [account]) *)
+    let m =
+      account old nw p.acct_order s.toggles s.highs s.deltas p.caps_acct
+        s.dcaps s.track_lanes
+    in
+    if s.track_lanes then begin
+      if p.lanes_fast then accumulate_lanes s.lane_switched s.deltas s.dcaps m
+      else
+        (* pathological caps: the scatter walk over the same deltas *)
+        for j = 0 to m - 1 do
+          Bitsim.scan_lanes s.lane_switched (Array.unsafe_get s.dcaps j)
+            (Array.unsafe_get s.deltas j)
+        done
     end;
-    let highs = s.highs in
-    for i = 0 to p.n - 1 do
-      Array.unsafe_set highs i
-        (Array.unsafe_get highs i
-        + Hlp_util.Bits.popcount (Array.unsafe_get nw i))
-    done;
-    s.pops <- s.pops + p.n
+    s.pops <- s.pops + m + p.n
   end;
   s.cur <- nw;
   s.prv <- old;

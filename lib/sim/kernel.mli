@@ -36,8 +36,22 @@
     are not (float addition is non-associative), so the kernel defers
     accounting to a per-step delta pass that replays Bitsim's
     chronological charge order — registers in declaration order, then
-    primary inputs, then remaining nodes in id order — and charges lanes
-    through literally the same {!Bitsim.scan_lanes} code path.
+    primary inputs, then remaining nodes in id order.
+
+    {b Accounting contract.} A counted step is one C primitive plus, with
+    lanes tracked, one lane sweep. The primitive adds popcount(old xor
+    new) to each node's toggle count and popcount(new) to its high count
+    (the [popcnt] instruction where the CPU has one, a portable count
+    otherwise) and writes only the {e non-zero} delta words, with their
+    capacitances, densely in accounting order. The lane sweep then folds
+    each of those caps into the lanes whose delta bit is set, lane by
+    lane in that order. Leaving the zero deltas out is exact: a zero delta
+    adds [+0.0] to every lane, and [x +. +0.0 = x] bit for bit for every
+    lane sum, because lane sums start at [+0.0] and the caps are proven
+    finite and non-negative when the plan is compiled. When they are not
+    (a pathological caps table), the step sweeps the same non-zero deltas
+    through {!Bitsim.scan_lanes} instead, one delta at a time; a zero
+    delta charges nothing there either.
 
     A fingerprint-keyed bounded cache ({!of_netlist}) amortizes
     compilation across the replay-many consumers (Monte Carlo campaigns,
@@ -83,6 +97,13 @@ val create : ?track_lanes:bool -> t -> s
 (** Fresh replay state in the settled reset condition (registers at
     their init values, nothing charged), evaluated through the compiled
     schedule itself. [track_lanes] as in {!Bitsim.create}. *)
+
+val reset : s -> unit
+(** Return a state to exactly what {!create} left: the settled reset
+    condition, every counter and lane sum zero, counting on, and the next
+    step latching the reset state. Allocates nothing, so one state can
+    replay any number of independent runs ({!create} allocates and then
+    resets). *)
 
 val step : s -> int array -> unit
 (** Advance one cycle: latch registers, drive one word per primary input

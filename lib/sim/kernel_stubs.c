@@ -1,8 +1,11 @@
-/* Lane-major charge accumulation for the compiled replay kernel.
+/* Counted-step accounting and lane-major charge accumulation for the
+   compiled replay kernel.
 
-   [Kernel.accumulate_lanes ls deltas caps n] folds node [k]'s capacitance
-   [caps[k]] into every lane accumulator [ls[l]] whose bit is set in the
-   delta word [deltas[k]], for k = 0 .. n-1 in order. The contract that
+   [Kernel.account], the integer half of a counted step, is documented at
+   its definition below. [Kernel.accumulate_lanes ls deltas caps n] folds
+   node [k]'s capacitance [caps[k]] into every lane accumulator [ls[l]]
+   whose bit is set in the delta word [deltas[k]], for k = 0 .. n-1 in
+   order. The contract that
    makes this a C primitive worth having (see kernel.ml): each lane's
    accumulator is a chronologically ordered IEEE-754 double sum, so the
    adds cannot be reassociated — but the 63 lanes are independent chains
@@ -206,3 +209,123 @@ CAMLprim value hlp_kernel_accumulate_lanes(value vls, value vdeltas,
   return Val_unit;
 }
 #endif
+
+/* Counted-step accounting.
+
+   [Kernel.account old nw order toggles highs deltas caps dcaps track]
+   walks the nodes in accounting order [order] (a permutation of the node
+   ids, proven at compile time) and, for node i at position k, adds
+   popcount(old[i] xor nw[i]) to toggles[i] and popcount(nw[i]) to
+   highs[i]. It returns the number of non-zero delta words. When [track]
+   is set it also writes each non-zero delta word and its capacitance
+   caps[k] densely, in accounting order, to deltas[0..m) and dcaps[0..m),
+   ready for [accumulate_lanes] over m entries. Dropping the zero deltas
+   drops only +0.0 terms from lane sums that start at +0.0 and add only
+   finite non-negative caps, so the sums keep their exact bits.
+
+   Everything is done on tagged OCaml ints, so nothing is unboxed: the tag
+   bits of old and nw cancel in the xor, the tag bit of nw adds exactly
+   one to its popcount, and adding 2p to a tagged count adds p to the
+   count (wrapping like OCaml arithmetic). Integer sums are order-free,
+   so toggles and highs equal Bitsim's for any visiting order.
+
+   On GCC and clang the popcount is __builtin_popcountll: the popcnt
+   instruction in a copy of the loop compiled for it and picked at
+   runtime when the CPU has it (like the AVX2 sweep), the compiler's own
+   count elsewhere (native on aarch64). Other compilers get a SWAR count.
+   The primitive allocates nothing and never calls back into the runtime,
+   which makes the [@@noalloc] mark sound. */
+
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
+
+static ALWAYS_INLINE uintnat pop(uint64_t x)
+{
+#if defined(__GNUC__)
+  return (uintnat)__builtin_popcountll(x);
+#else
+  x = x - ((x >> 1) & 0x5555555555555555ULL);
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  return (uintnat)((x * 0x0101010101010101ULL) >> 56);
+#endif
+}
+
+/* [track] is a constant at every call site, so each caller gets its own
+   branch-free loop */
+static ALWAYS_INLINE long account_loop(value *old, value *nw, value *order,
+                                       value *toggles, value *highs,
+                                       value *deltas, double *caps,
+                                       double *dcaps, long n, int track)
+{
+  long m = 0;
+  for (long k = 0; k < n; k++) {
+    long i = Long_val(order[k]);
+    uintnat w = (uintnat)nw[i];
+    uintnat d = (uintnat)old[i] ^ w;
+    toggles[i] = (value)((uintnat)toggles[i] + (pop(d) << 1));
+    highs[i] = (value)((uintnat)highs[i] + ((pop(w) - 1) << 1));
+    if (track) {
+      deltas[m] = (value)(d | 1);
+      dcaps[m] = caps[k];
+    }
+    m += d != 0;
+  }
+  return m;
+}
+
+static long account_generic(value *old, value *nw, value *order,
+                            value *toggles, value *highs, value *deltas,
+                            double *caps, double *dcaps, long n, int track)
+{
+  return track ? account_loop(old, nw, order, toggles, highs, deltas, caps,
+                              dcaps, n, 1)
+               : account_loop(old, nw, order, toggles, highs, deltas, caps,
+                              dcaps, n, 0);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+__attribute__((target("popcnt"))) static long
+account_popcnt(value *old, value *nw, value *order, value *toggles,
+               value *highs, value *deltas, double *caps, double *dcaps,
+               long n, int track)
+{
+  return track ? account_loop(old, nw, order, toggles, highs, deltas, caps,
+                              dcaps, n, 1)
+               : account_loop(old, nw, order, toggles, highs, deltas, caps,
+                              dcaps, n, 0);
+}
+#endif
+
+CAMLprim value hlp_kernel_account(value vold, value vnw, value vorder,
+                                  value vtoggles, value vhighs,
+                                  value vdeltas, value vcaps, value vdcaps,
+                                  value vtrack)
+{
+  long n = (long)Wosize_val(vorder);
+  int track = Bool_val(vtrack);
+#if defined(__x86_64__) && defined(__GNUC__)
+  static int have_popcnt = -1;
+  if (have_popcnt < 0) have_popcnt = __builtin_cpu_supports("popcnt");
+  if (have_popcnt)
+    return Val_long(account_popcnt(
+        Op_val(vold), Op_val(vnw), Op_val(vorder), Op_val(vtoggles),
+        Op_val(vhighs), Op_val(vdeltas), (double *)vcaps, (double *)vdcaps, n,
+        track));
+#endif
+  return Val_long(account_generic(
+      Op_val(vold), Op_val(vnw), Op_val(vorder), Op_val(vtoggles),
+      Op_val(vhighs), Op_val(vdeltas), (double *)vcaps, (double *)vdcaps, n,
+      track));
+}
+
+/* bytecode entry: more than five arguments arrive as an array */
+CAMLprim value hlp_kernel_account_byte(value *argv, int argn)
+{
+  (void)argn;
+  return hlp_kernel_account(argv[0], argv[1], argv[2], argv[3], argv[4],
+                            argv[5], argv[6], argv[7], argv[8]);
+}

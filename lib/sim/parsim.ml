@@ -399,13 +399,15 @@ let mc_unit net ~caps ~batch ~seed u =
 
 (* The compiled twin of [mc_unit]: identical PRNG stream, identical word
    sequence, and (by the kernel's accounting contract) identical integer
-   toggle counts, so the returned mean has the same float bits. *)
-let mc_unit_kernel plan ~nin ~batch ~seed u =
+   toggle counts, so the returned mean has the same float bits. The unit
+   runs on a caller-owned state and input buffer: [Kernel.reset] returns
+   the state to exactly what [Kernel.create] leaves, whatever an earlier
+   (or failed) unit did to it, and [Kernel.step] only reads [words]. *)
+let mc_unit_kernel sim words ~batch ~seed u =
   let rng = Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D)) in
-  let sim = Kernel.create plan in
+  Kernel.reset sim;
   for _ = 1 to batch do
-    let words = Array.make nin 0 in
-    for k = 0 to nin - 1 do
+    for k = 0 to Array.length words - 1 do
       words.(k) <- Int64.to_int (Hlp_util.Prng.bits64 rng)
     done;
     Kernel.step sim words
@@ -422,9 +424,12 @@ let monte_carlo_units ?jobs ?max_retries ?resume_means ?on_unit ~engine net
   let unit_of =
     match (engine : Engine.t) with
     | Engine.Compiled ->
-        let plan = Kernel.of_netlist net in
-        let nin = Array.length net.Netlist.inputs in
-        fun u -> mc_unit_kernel plan ~nin ~batch ~seed u
+        (* one state and one input buffer for the whole run: arrays this
+           size go straight to the major heap, and the compiled path runs
+           its units one at a time on this domain (jobs = 1) *)
+        let sim = Kernel.create (Kernel.of_netlist net) in
+        let words = Array.make (Array.length net.Netlist.inputs) 0 in
+        fun u -> mc_unit_kernel sim words ~batch ~seed u
     | _ ->
         let caps = Netlist.node_capacitance net in
         fun u -> mc_unit net ~caps ~batch ~seed u

@@ -2,11 +2,15 @@ type counter = { c_name : string; value : int Atomic.t }
 
 type timer = { t_name : string; calls : int Atomic.t; nanos : int Atomic.t }
 
+(* A ring of the newest [series_capacity] observations: a long-running
+   daemon records forever, so a series must not grow with uptime. *)
+let series_capacity = 4096
+
 type series = {
   s_name : string;
   lock : Mutex.t;
-  mutable items : float list;  (* reversed *)
-  mutable length : int;
+  ring : float array;  (* observation [k] lives at [k mod series_capacity] *)
+  mutable total : int;  (* observations ever appended *)
 }
 
 type histogram = { h_name : string; h : Hdr.t }
@@ -68,13 +72,16 @@ let timer_stats t = (Atomic.get t.calls, float_of_int (Atomic.get t.nanos) /. 1e
 
 let series name =
   registered series_tbl name (fun () ->
-      { s_name = name; lock = Mutex.create (); items = []; length = 0 })
+      { s_name = name;
+        lock = Mutex.create ();
+        ring = Array.make series_capacity 0.0;
+        total = 0 })
 
 let observe s x =
   if Atomic.get on then begin
     Mutex.lock s.lock;
-    s.items <- x :: s.items;
-    s.length <- s.length + 1;
+    s.ring.(s.total mod series_capacity) <- x;
+    s.total <- s.total + 1;
     Mutex.unlock s.lock
   end
 
@@ -87,10 +94,19 @@ let hist_count hg = Hdr.count hg.h
 
 let observations s =
   Mutex.lock s.lock;
-  let a = Array.make s.length 0.0 in
-  List.iteri (fun i x -> a.(s.length - 1 - i) <- x) s.items;
+  let len = min s.total series_capacity in
+  let first = s.total - len in
+  let a =
+    Array.init len (fun k -> s.ring.((first + k) mod series_capacity))
+  in
   Mutex.unlock s.lock;
   a
+
+let observed s =
+  Mutex.lock s.lock;
+  let n = s.total in
+  Mutex.unlock s.lock;
+  n
 
 let reset () =
   Mutex.lock registry_lock;
@@ -103,8 +119,7 @@ let reset () =
   Hashtbl.iter
     (fun _ s ->
       Mutex.lock s.lock;
-      s.items <- [];
-      s.length <- 0;
+      s.total <- 0;
       Mutex.unlock s.lock)
     series_tbl;
   Hashtbl.iter (fun _ hg -> Hdr.clear hg.h) histograms;
@@ -163,9 +178,7 @@ let print_report ?(oc = stdout) () =
   let p fmt = Printf.fprintf oc fmt in
   let cs = List.filter (fun c -> count c <> 0) (sorted_counters ()) in
   let ts = List.filter (fun t -> fst (timer_stats t) <> 0) (sorted_timers ()) in
-  let ss =
-    List.filter (fun s -> Array.length (observations s) > 0) (sorted_series ())
-  in
+  let ss = List.filter (fun s -> observed s > 0) (sorted_series ()) in
   let hs = List.filter (fun hg -> hist_count hg > 0) (sorted_histograms ()) in
   p "telemetry:\n";
   if cs = [] && ts = [] && ss = [] && hs = [] then p "  (no instruments fired)\n";
@@ -179,7 +192,8 @@ let print_report ?(oc = stdout) () =
     (fun s ->
       let xs = observations s in
       let n = Array.length xs in
-      p "  %-32s %12d obs   first %.4g last %.4g\n" s.s_name n xs.(0) xs.(n - 1))
+      p "  %-32s %12d obs   first %.4g last %.4g\n" s.s_name (observed s)
+        xs.(0) xs.(n - 1))
     ss;
   List.iter
     (fun hg ->

@@ -26,7 +26,10 @@ type timer
 type series
 (** A named append-only sequence of float observations, in append order —
     used for convergence diagnostics (e.g. confidence half-width after
-    each Monte Carlo batch). *)
+    each Monte Carlo batch). A series keeps its newest 4096 observations
+    (one whole Monte Carlo run's convergence trajectory) plus a count of
+    all of them, so a process that records forever holds bounded
+    memory. *)
 
 type histogram
 (** A named {!Hdr} histogram (log-bucketed, lock-free, bounded-relative-
@@ -73,10 +76,16 @@ val timer_stats : timer -> int * float
 val series : string -> series
 
 val observe : series -> float -> unit
-(** Append an observation; no-op while disabled. *)
+(** Append an observation; no-op while disabled. Past 4096
+    observations, the oldest is dropped. *)
 
 val observations : series -> float array
-(** Snapshot of the series in append order. *)
+(** Snapshot of the newest (at most 4096) observations, in append
+    order. *)
+
+val observed : series -> int
+(** Observations appended since creation or the last {!reset}, including
+    those the series no longer keeps. *)
 
 val histogram : string -> histogram
 
@@ -104,7 +113,8 @@ val to_json : unit -> string
       "timers": {name: {"calls": int, "seconds": float}, ...},
       "series": {name: [float, ...], ...},
       "histograms": {name: {"count", ..., "p50", ..., "buckets"}, ...}}]
-    (histogram objects per {!Hdr.json_of_snapshot}). Names are sorted;
+    (histogram objects per {!Hdr.json_of_snapshot}; series list the
+    observations they keep, per {!observations}). Names are sorted;
     non-finite floats are emitted as [null]. *)
 
 val print_report : ?oc:out_channel -> unit -> unit

@@ -627,6 +627,172 @@ let test_set_counting_and_reset () =
         (bits (Kernel.lane_switched_capacitance ker).(j)))
     (Bitsim.lane_switched_capacitance bit)
 
+(* --- Kernel.reset: one state, many runs --- *)
+
+(* A random sequential netlist: registers with random init values whose
+   data paths mix their own output, the inputs and earlier logic, then
+   random logic over all of it. *)
+let random_sequential seed =
+  let rng = Hlp_util.Prng.create seed in
+  let module B = Netlist.Builder in
+  let b = B.create () in
+  let pool = ref (Array.to_list (B.inputs b (1 + Hlp_util.Prng.int rng 4))) in
+  let pick () = List.nth !pool (Hlp_util.Prng.int rng (List.length !pool)) in
+  let gate () =
+    let w =
+      match Hlp_util.Prng.int rng 6 with
+      | 0 -> B.and_ b [ pick (); pick () ]
+      | 1 -> B.or_ b [ pick (); pick (); pick () ]
+      | 2 -> B.xor_ b (pick ()) (pick ())
+      | 3 -> B.not_ b (pick ())
+      | 4 -> B.mux b ~sel:(pick ()) ~a0:(pick ()) ~a1:(pick ())
+      | _ -> B.nand_ b [ pick (); pick () ]
+    in
+    pool := w :: !pool;
+    w
+  in
+  for _ = 0 to Hlp_util.Prng.int rng 4 do
+    ignore
+      (B.dff_feedback ~init:(Hlp_util.Prng.bool rng) b (fun q ->
+           pool := q :: !pool;
+           for _ = 1 to Hlp_util.Prng.int rng 4 do
+             ignore (gate ())
+           done;
+           gate ()))
+  done;
+  for _ = 1 to 5 + Hlp_util.Prng.int rng 20 do
+    ignore (gate ())
+  done;
+  List.iteri
+    (fun k w -> if k < 3 then B.output b (Printf.sprintf "o%d" k) w)
+    !pool;
+  let net = B.finish b in
+  Netlist.validate net;
+  net
+
+let arb_any_netlist =
+  QCheck.make
+    ~print:(fun (name, net) -> name ^ ": " ^ Netlist.stats_string net)
+    QCheck.Gen.(
+      oneof
+        [ Test_bitsim.gen_netlist;
+          map (fun s -> ("sequential", random_sequential (1 + s))) (int_bound 10_000) ])
+
+(* every observable of two states, floats by bits *)
+let states_equal ~track a b n =
+  let ok = ref true in
+  for i = 0 to n - 1 do
+    if Kernel.value a i <> Kernel.value b i then ok := false
+  done;
+  !ok
+  && Kernel.toggle_counts a = Kernel.toggle_counts b
+  && Kernel.high_counts a = Kernel.high_counts b
+  && Kernel.cycles a = Kernel.cycles b
+  && ((not track)
+     || Array.for_all2
+          (fun x y -> bits x = bits y)
+          (Kernel.lane_switched_capacitance a)
+          (Kernel.lane_switched_capacitance b))
+
+let qcheck_reset_equals_create =
+  QCheck.Test.make ~count:80
+    ~name:
+      "Kernel.reset equals a fresh create, then steps in lockstep with it"
+    (QCheck.triple arb_any_netlist QCheck.small_nat QCheck.bool)
+    (fun ((_, net), seed, track) ->
+      let nin = Array.length net.Netlist.inputs in
+      let n = Netlist.num_nodes net in
+      let rng = Hlp_util.Prng.create (seed + 1) in
+      let plan = Kernel.compile net in
+      let used = Kernel.create ~track_lanes:track plan in
+      (* dirty it: random steps with counting toggled in between *)
+      for _ = 0 to Hlp_util.Prng.int rng 12 do
+        Kernel.set_counting used (Hlp_util.Prng.bool rng);
+        Kernel.step used (random_words rng nin)
+      done;
+      Kernel.reset used;
+      let fresh = Kernel.create ~track_lanes:track plan in
+      let ok = ref (states_equal ~track used fresh n) in
+      for t = 1 to 8 do
+        let words = random_words rng nin in
+        (* the first step runs on the counting switch reset left *)
+        if t > 1 then begin
+          let counting = Hlp_util.Prng.bool rng in
+          Kernel.set_counting used counting;
+          Kernel.set_counting fresh counting
+        end;
+        Kernel.step used words;
+        Kernel.step fresh words;
+        ok := !ok && states_equal ~track used fresh n
+      done;
+      !ok)
+
+(* --- accounting edge words --- *)
+
+(* Kernel (both accounting paths) against Bitsim on hand-picked input
+   words: lane 62 alone (min_int, a negative OCaml int), all ones, zero,
+   and repeated words, so some counted steps toggle nothing at all. *)
+let test_accounting_edge_words () =
+  let net = Generators.alu_circuit 3 in
+  let nin = Array.length net.Netlist.inputs in
+  let n = Netlist.num_nodes net in
+  let word_seq =
+    [ 0; min_int; min_int; -1; -1; 0; 0; max_int; min_int; 1; 1; -1; 0 ]
+  in
+  let check ?caps what =
+    let bit = Bitsim.create ?caps ~track_lanes:true net in
+    let ker = Kernel.create ~track_lanes:true (Kernel.compile ?caps net) in
+    let plain = Kernel.create (Kernel.compile ?caps net) in
+    List.iteri
+      (fun t w ->
+        let words = Array.make nin w in
+        let toggles_before = Array.copy (Kernel.toggle_counts ker) in
+        let lanes_before = Kernel.lane_switched_capacitance ker in
+        Bitsim.step bit words;
+        Kernel.step ker words;
+        Kernel.step plain words;
+        let at = Printf.sprintf "%s, step %d" what t in
+        for i = 0 to n - 1 do
+          Alcotest.(check int) (at ^ ": value") (Bitsim.value bit i)
+            (Kernel.value ker i)
+        done;
+        Alcotest.(check (array int)) (at ^ ": toggles")
+          (Bitsim.toggle_counts bit) (Kernel.toggle_counts ker);
+        Alcotest.(check (array int)) (at ^ ": highs") (Bitsim.high_counts bit)
+          (Kernel.high_counts ker);
+        Alcotest.(check (array int)) (at ^ ": untracked toggles")
+          (Bitsim.toggle_counts bit) (Kernel.toggle_counts plain);
+        Alcotest.(check (array int)) (at ^ ": untracked highs")
+          (Bitsim.high_counts bit) (Kernel.high_counts plain);
+        Array.iteri
+          (fun j b ->
+            Alcotest.(check int64)
+              (Printf.sprintf "%s: lane %d" at j)
+              (bits b)
+              (bits (Kernel.lane_switched_capacitance ker).(j)))
+          (Bitsim.lane_switched_capacitance bit);
+        (* the same word twice on a combinational circuit: a counted step
+           that toggles nothing leaves toggles and lane sums unchanged *)
+        if t > 0 && List.nth word_seq (t - 1) = w then begin
+          Alcotest.(check (array int)) (at ^ ": no toggles") toggles_before
+            (Kernel.toggle_counts ker);
+          Array.iteri
+            (fun j b ->
+              Alcotest.(check int64)
+                (Printf.sprintf "%s: lane %d unchanged" at j)
+                (bits b)
+                (bits (Kernel.lane_switched_capacitance ker).(j)))
+            lanes_before
+        end)
+      word_seq;
+    (Kernel.lane_switched_capacitance ker).(62)
+  in
+  Alcotest.(check bool) "lane 62 charged" true (check "proven caps" > 0.0);
+  (* a negative cap fails the compile-time proof: the scatter walk *)
+  let caps = Netlist.node_capacitance net in
+  caps.(n - 1) <- -.caps.(n - 1) -. 1.0;
+  ignore (check ~caps "pathological caps")
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_step_differential;
@@ -681,4 +847,7 @@ let suite =
       test_validation;
     Alcotest.test_case "set_counting / reset_counters parity" `Quick
       test_set_counting_and_reset;
+    QCheck_alcotest.to_alcotest qcheck_reset_equals_create;
+    Alcotest.test_case "accounting edge words match bitsim" `Quick
+      test_accounting_edge_words;
   ]

@@ -207,6 +207,73 @@ let test_error_envelopes () =
           in
           Alcotest.(check bool) "still serving" true pong.Service.ok))
 
+let result_str r name =
+  Option.bind r.Service.result (fun j ->
+      Option.bind (Json.member name j) Json.to_str_opt)
+
+(* A node budget of 64 trips the symbolic attempt, so both requests run
+   Monte Carlo: the omitted engine is the compiled kernel, and its answer
+   has the bits of the bit-parallel interpreter's. *)
+let test_default_engine_is_compiled () =
+  with_server (fun path _service ->
+      let conn = Server.connect path in
+      Fun.protect
+        ~finally:(fun () -> Server.close conn)
+        (fun () ->
+          let ask ?engine id =
+            parse_ok "estimate"
+              (Server.request conn
+                 (Service.estimate_request ~id ?engine ~seed:13
+                    ~relative_precision:0.02 ~node_limit:64
+                    ~circuit:"multiplier" ~width:6 ()))
+          in
+          let omitted = ask 1 and explicit = ask ~engine:"bitparallel" 2 in
+          Alcotest.(check bool) "both ok" true
+            (omitted.Service.ok && explicit.Service.ok);
+          Alcotest.(check bool) "distinct keys" false explicit.Service.cached;
+          Alcotest.(check (option string)) "estimator" (Some "monte_carlo")
+            (result_str omitted "estimator");
+          Alcotest.(check (option string)) "engine" (Some "compiled")
+            (result_str omitted "engine");
+          Alcotest.(check (option string)) "engine used" (Some "compiled")
+            (result_str omitted "engine_used");
+          Alcotest.(check (option string)) "bit-parallel engine"
+            (Some "bitparallel") (result_str explicit "engine");
+          Alcotest.(check (option string)) "capacitance bits"
+            (result_str explicit "capacitance_bits")
+            (result_str omitted "capacitance_bits")))
+
+(* An omitted bound is folded into the cache key as 0, so an explicit 0
+   must be rejected: served, it would answer the omitted request from the
+   cache with a different computation's result. *)
+let test_non_positive_bounds_rejected () =
+  with_server (fun path _service ->
+      let conn = Server.connect path in
+      Fun.protect
+        ~finally:(fun () -> Server.close conn)
+        (fun () ->
+          let ask ?max_cycles ?node_limit id =
+            parse_ok "estimate"
+              (Server.request conn
+                 (Service.estimate_request ~id ~seed:5 ~relative_precision:0.001
+                    ?max_cycles ?node_limit ~circuit:"multiplier" ~width:8 ()))
+          in
+          List.iter
+            (fun (what, r) ->
+              Alcotest.(check bool) (what ^ ": not ok") false r.Service.ok;
+              match r.Service.error with
+              | Some (cls, _msg, code) ->
+                  Alcotest.(check string) (what ^ ": class") "invalid-input" cls;
+                  Alcotest.(check int) (what ^ ": exit code") 65 code
+              | None -> Alcotest.failf "%s: error field missing" what)
+            [ ("max_cycles 0", ask ~max_cycles:0 ~node_limit:64 1);
+              ("max_cycles -5", ask ~max_cycles:(-5) ~node_limit:64 2);
+              ("node_limit 0", ask ~node_limit:0 3) ];
+          let omitted = ask ~node_limit:64 4 in
+          Alcotest.(check bool) "omitted max_cycles ok" true omitted.Service.ok;
+          Alcotest.(check bool) "omitted max_cycles computed fresh" false
+            omitted.Service.cached))
+
 let test_overload_sheds_typed_frame () =
   (* one worker, admission budget one: a sleeper pins the worker, one
      connection waits in the queue, and the third must get the typed
@@ -303,6 +370,10 @@ let suite =
       `Quick test_distinct_keys_not_conflated;
     Alcotest.test_case "serve: typed error envelopes, connection survives"
       `Quick test_error_envelopes;
+    Alcotest.test_case "serve: omitted engine is compiled, same bits" `Quick
+      test_default_engine_is_compiled;
+    Alcotest.test_case "serve: non-positive max_cycles/node_limit rejected"
+      `Quick test_non_positive_bounds_rejected;
     Alcotest.test_case "serve: overload sheds a typed frame" `Quick
       test_overload_sheds_typed_frame;
     Alcotest.test_case "serve: handler exception contained to one connection"

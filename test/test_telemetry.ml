@@ -66,6 +66,24 @@ let test_reset_zeroes () =
   Alcotest.(check int) "series cleared" 0 (Array.length (Telemetry.observations s));
   Alcotest.(check bool) "switch survives reset" true (Telemetry.enabled ())
 
+let test_series_ring () =
+  (* a series keeps its newest observations, in append order, and counts
+     every one it was given *)
+  with_telemetry @@ fun () ->
+  let s = Telemetry.series "test.ring_series" in
+  for k = 0 to 9_999 do
+    Telemetry.observe s (float_of_int k)
+  done;
+  Alcotest.(check (array (float 0.0))) "newest 4096, append order"
+    (Array.init 4096 (fun k -> float_of_int (10_000 - 4096 + k)))
+    (Telemetry.observations s);
+  Alcotest.(check int) "total count" 10_000 (Telemetry.observed s);
+  Telemetry.reset ();
+  Telemetry.observe s 1.0;
+  Alcotest.(check (array (float 0.0))) "fresh after reset" [| 1.0 |]
+    (Telemetry.observations s);
+  Alcotest.(check int) "count restarts" 1 (Telemetry.observed s)
+
 let test_multidomain_adds () =
   (* the whole point of atomic counters: concurrent adds from Parsim-style
      worker domains must not lose increments *)
@@ -152,6 +170,8 @@ let suite =
     Alcotest.test_case "enabled counts" `Quick test_enabled_counts;
     Alcotest.test_case "idempotent registration" `Quick test_idempotent_registration;
     Alcotest.test_case "reset zeroes" `Quick test_reset_zeroes;
+    Alcotest.test_case "series keep the newest observations" `Quick
+      test_series_ring;
     Alcotest.test_case "multi-domain adds" `Quick test_multidomain_adds;
     Alcotest.test_case "json output" `Quick test_to_json;
     Alcotest.test_case "engine wiring" `Quick test_engine_wiring;
