@@ -874,8 +874,11 @@ let bench_json ~smoke ~n engines mc overhead tracing robustness durability
         ("flight", Exp_flight.json_obj flight);
         ("lifecycle", Exp_lifecycle.json_obj lifecycle) ]
   in
-  Json.write ~path:"BENCH_engines.json" v;
-  print_endline "wrote BENCH_engines.json"
+  (* a smoke run never overwrites the committed full snapshot, which the
+     regression gate reads as its baseline *)
+  let path = if smoke then "BENCH_smoke.json" else "BENCH_engines.json" in
+  Json.write ~path v;
+  print_endline ("wrote " ^ path)
 
 let all () =
   let n = 10_000 in

@@ -331,14 +331,20 @@ let op_estimate t guard (ctx : Srv.ctx) obj ~rid id =
   let seed = with_default 47 (opt_int obj "seed") in
   let rp = with_default 0.05 (opt_float obj "relative_precision") in
   (* an explicit bound must be positive: the key folds an absent bound as
-     0, so an explicit 0 would share its key with the default *)
-  let positive name =
+     0, so an explicit 0 would share its key with the default. It is also
+     capped, at 100x the Monte Carlo default and 10x the BDD default, so
+     one well-formed request cannot hold a worker for an unbounded run *)
+  let bounded name cap =
     let v = opt_int obj name in
-    Option.iter (fun x -> if x < 1 then bad name "must be >= 1") v;
+    Option.iter
+      (fun x ->
+        if x < 1 || x > cap then
+          bad name (Printf.sprintf "must be in 1..%d" cap))
+      v;
     v
   in
-  let max_cycles = positive "max_cycles" in
-  let node_limit = positive "node_limit" in
+  let max_cycles = bounded "max_cycles" 10_000_000 in
+  let node_limit = bounded "node_limit" (10 * Probprop.default_node_limit) in
   let key =
     let open Netcache in
     List.fold_left combine

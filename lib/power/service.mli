@@ -22,7 +22,8 @@
       the deterministic way tests and the bench provoke overload.
     - ["estimate"]: guarded estimation of a generator circuit
       (["circuit"], ["width"], ["engine"], ["seed"],
-      ["relative_precision"], optional ["max_cycles"], ["node_limit"]).
+      ["relative_precision"], optional ["max_cycles"] in
+      1..10,000,000 and ["node_limit"] in 1..2,000,000).
     - ["sampler"]: macro-model cosimulation of the circuit (census,
       gate reference, and a sampled estimate).
     - ["stats"]: cache occupancy (including in-flight and coalesced

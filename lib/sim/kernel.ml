@@ -15,31 +15,33 @@ open Hlp_logic
    - slots are topologically levelized ({!Netlist.comb_levels}) and
      grouped by opcode within each level, so the inner loop of a segment
      is a branch-free run of identical word-wide operations;
-   - each segment becomes a specialized closure over the flat arrays,
-     built once at compile time: per step the kernel makes one indirect
-     call per segment instead of one dispatch per gate, and allocates
+   - one C primitive ([settle], kernel_stubs.c) walks the segments from a
+     flat (op, lo, hi) array, switching on the opcode once per segment,
+     and on a counted step adds each node's toggles as it writes the
+     node; a step makes one call into C for the settle and allocates
      nothing;
-   - every array access in the closures and in the accounting pass is
-     [unsafe_get]/[unsafe_set], justified by a single construction-time
-     bounds proof ({!verify}): compilation fails loudly if any slot,
-     pin, or level violates its range or ordering invariant, and the
-     arrays are never mutated afterwards.
+   - every array access in the step and in the C primitives is
+     unchecked, justified by a single construction-time bounds proof
+     ({!verify}): compilation fails loudly if any slot, pin, or level
+     violates its range or ordering invariant, and the arrays are never
+     mutated afterwards.
 
    Bit-identity with {!Bitsim} (the contract the differential wall in
    [test/test_kernel.ml] pins): values are words of 63 lanes evaluated by
-   the same bitwise expressions; toggle/high counters are the same
-   integer popcounts; and the per-lane float accumulation replays
-   Bitsim's chronological charge order exactly — registers in
-   declaration order, then inputs, then combinational nodes in id order
-   ([acct_order]) — because float addition is non-associative and the
-   levelized evaluation order must not leak into the sums. *)
+   the same bitwise expressions; toggle counters are the same integer
+   popcounts, whose sums are order-free; and the per-lane float
+   accumulation replays Bitsim's chronological charge order exactly —
+   registers in declaration order, then inputs, then combinational nodes
+   in id order ([acct_order]) — because float addition is non-associative
+   and the levelized evaluation order must not leak into the sums. *)
 
 let lanes = Bitsim.lanes
 let all_ones = -1
 let broadcast b = if b then all_ones else 0
 
-(* slot opcodes: dense ints so the match in [seg_pass] is a jump table
-   resolved once per segment at compile time, not once per gate *)
+(* slot opcodes: dense ints, so the switch in the C settle is a jump
+   table taken once per segment, not once per gate (kernel_stubs.c lists
+   them in the same order) *)
 let op_buf = 0
 let op_not = 1
 let op_and2 = 2
@@ -73,8 +75,6 @@ let opcode_of = function
   | Gate.Xnor -> Some op_xnor
   | Gate.Mux -> Some op_mux
 
-type seg = { op : int; lo : int; hi : int }
-
 (* Lane-major charge accumulation, the compiled replacement for
    [Bitsim.scan_lanes]. The per-lane sums the replay consumers read are
    ordered float sums: lane [l] accumulates [caps.(i)] over the nodes [i]
@@ -99,27 +99,24 @@ external accumulate_lanes :
   = "hlp_kernel_accumulate_lanes"
   [@@noalloc]
 
-(* The integer half of a counted step, in C beside [accumulate_lanes]:
-   [account old nw acct_order toggles highs deltas caps_acct dcaps track]
-   adds popcount(old xor nw) to each node's toggle count and popcount(nw)
-   to its high count, and returns the number of non-zero delta words.
-   With [track] it also writes those words and their caps, densely in
-   accounting order, to [deltas] and [dcaps] for the lane sweep. The
-   popcount is the popcnt instruction where the CPU has one. Every array
-   has the node count as its length (the state's own arrays by
-   construction, [acct_order] by {!verify}); [deltas] and [dcaps] are
-   only touched with [track]. *)
-external account :
-  int array ->
-  int array ->
-  int array ->
-  int array ->
-  int array ->
-  int array ->
-  float array ->
-  float array ->
-  bool ->
-  int = "hlp_kernel_account_byte" "hlp_kernel_account"
+(* [settle v old segs dst fa fb fc foff fidx latched toggles count]
+   settles the schedule into [v] and, with [count], adds each written
+   node's toggles to [toggles] — the whole integer half of a counted step.
+   [gather_deltas old nw acct_order caps_acct deltas dcaps] writes a
+   tracked step's non-zero delta words and their caps densely, in
+   accounting order, and returns how many it wrote. Both are documented
+   in kernel_stubs.c; every index they read is proven in range by
+   {!verify}, and the state's arrays have the node count's length. *)
+external settle :
+  int array -> int array -> int array -> int array -> int array -> int array ->
+  int array -> int array -> int array -> int array -> int array -> bool -> unit
+  = "hlp_kernel_settle_byte" "hlp_kernel_settle"
+  [@@noalloc]
+
+external gather_deltas :
+  int array -> int array -> int array -> float array -> int array ->
+  float array -> int
+  = "hlp_kernel_gather_deltas_byte" "hlp_kernel_gather_deltas"
   [@@noalloc]
 
 type t = {
@@ -134,14 +131,15 @@ type t = {
   fc : int array;  (* pin 2 per slot (mux select is fa) *)
   foff : int array;  (* CSR offsets into [fidx], length nslots+1 *)
   fidx : int array;  (* flat fanin pool *)
-  segs : seg array;  (* same-opcode slot runs, level-major *)
-  passes : (int array -> unit) array;  (* one specialized closure per seg *)
+  segs : int array;
+      (* same-opcode slot runs, level-major: (op, lo, hi) per segment *)
   nlevels : int;
   level_off : int array;  (* seg index boundary per level, length nlevels+1 *)
   level_fanout_masks : int array;
       (* per level: bitmask of the (saturated at 62) levels its outputs
          feed — compile-time fan-out structure for diagnostics and for
          future dirty-level skipping *)
+  latched : int array;  (* register then input ids: [acct_order]'s prefix *)
   acct_order : int array;  (* Bitsim's chronological charge order *)
   caps_acct : float array;  (* caps gathered into accounting order *)
   lanes_fast : bool;
@@ -150,137 +148,29 @@ type t = {
   dff_dst : int array;  (* register node ids, declaration order *)
   dff_src : int array;  (* data-pin node id per register *)
   input_ids : int array;
-  const_init : (int * int) array;  (* (node id, broadcast word) *)
-  dff_init_words : int array;  (* broadcast init per register *)
+  reset_words : int array;
+      (* the reset image: registers and constants at their broadcast
+         words, zero elsewhere *)
 }
 
-(* --- the per-segment specialized closures --- *)
-
-let seg_pass ~dst ~fa ~fb ~fc ~foff ~fidx { op; lo; hi } =
-  let d = dst and a = fa and b = fb and c = fc in
-  match op with
-  | 0 (* buf *) ->
-      fun v ->
-        for s = lo to hi do
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (Array.unsafe_get v (Array.unsafe_get a s))
-        done
-  | 1 (* not *) ->
-      fun v ->
-        for s = lo to hi do
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (lnot (Array.unsafe_get v (Array.unsafe_get a s)))
-        done
-  | 2 (* and2 *) ->
-      fun v ->
-        for s = lo to hi do
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (Array.unsafe_get v (Array.unsafe_get a s)
-            land Array.unsafe_get v (Array.unsafe_get b s))
-        done
-  | 3 (* or2 *) ->
-      fun v ->
-        for s = lo to hi do
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (Array.unsafe_get v (Array.unsafe_get a s)
-            lor Array.unsafe_get v (Array.unsafe_get b s))
-        done
-  | 4 (* nand2 *) ->
-      fun v ->
-        for s = lo to hi do
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (lnot
-               (Array.unsafe_get v (Array.unsafe_get a s)
-               land Array.unsafe_get v (Array.unsafe_get b s)))
-        done
-  | 5 (* nor2 *) ->
-      fun v ->
-        for s = lo to hi do
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (lnot
-               (Array.unsafe_get v (Array.unsafe_get a s)
-               lor Array.unsafe_get v (Array.unsafe_get b s)))
-        done
-  | 6 (* xor *) ->
-      fun v ->
-        for s = lo to hi do
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (Array.unsafe_get v (Array.unsafe_get a s)
-            lxor Array.unsafe_get v (Array.unsafe_get b s))
-        done
-  | 7 (* xnor *) ->
-      fun v ->
-        for s = lo to hi do
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (lnot
-               (Array.unsafe_get v (Array.unsafe_get a s)
-               lxor Array.unsafe_get v (Array.unsafe_get b s)))
-        done
-  | 8 (* mux: fa = select, fb = data0, fc = data1 *) ->
-      fun v ->
-        for s = lo to hi do
-          let sel = Array.unsafe_get v (Array.unsafe_get a s) in
-          Array.unsafe_set v (Array.unsafe_get d s)
-            (lnot sel land Array.unsafe_get v (Array.unsafe_get b s)
-            lor (sel land Array.unsafe_get v (Array.unsafe_get c s)))
-        done
-  | 9 (* andn *) ->
-      fun v ->
-        for s = lo to hi do
-          let o = Array.unsafe_get foff s
-          and e = Array.unsafe_get foff (s + 1) in
-          let acc = ref (Array.unsafe_get v (Array.unsafe_get fidx o)) in
-          for k = o + 1 to e - 1 do
-            acc := !acc land Array.unsafe_get v (Array.unsafe_get fidx k)
-          done;
-          Array.unsafe_set v (Array.unsafe_get d s) !acc
-        done
-  | 10 (* orn *) ->
-      fun v ->
-        for s = lo to hi do
-          let o = Array.unsafe_get foff s
-          and e = Array.unsafe_get foff (s + 1) in
-          let acc = ref (Array.unsafe_get v (Array.unsafe_get fidx o)) in
-          for k = o + 1 to e - 1 do
-            acc := !acc lor Array.unsafe_get v (Array.unsafe_get fidx k)
-          done;
-          Array.unsafe_set v (Array.unsafe_get d s) !acc
-        done
-  | 11 (* nandn *) ->
-      fun v ->
-        for s = lo to hi do
-          let o = Array.unsafe_get foff s
-          and e = Array.unsafe_get foff (s + 1) in
-          let acc = ref (Array.unsafe_get v (Array.unsafe_get fidx o)) in
-          for k = o + 1 to e - 1 do
-            acc := !acc land Array.unsafe_get v (Array.unsafe_get fidx k)
-          done;
-          Array.unsafe_set v (Array.unsafe_get d s) (lnot !acc)
-        done
-  | 12 (* norn *) ->
-      fun v ->
-        for s = lo to hi do
-          let o = Array.unsafe_get foff s
-          and e = Array.unsafe_get foff (s + 1) in
-          let acc = ref (Array.unsafe_get v (Array.unsafe_get fidx o)) in
-          for k = o + 1 to e - 1 do
-            acc := !acc lor Array.unsafe_get v (Array.unsafe_get fidx k)
-          done;
-          Array.unsafe_set v (Array.unsafe_get d s) (lnot !acc)
-        done
-  | _ -> assert false
+let nsegs p = Array.length p.segs / 3
+let seg_op p g = p.segs.(3 * g)
+let seg_lo p g = p.segs.((3 * g) + 1)
+let seg_hi p g = p.segs.((3 * g) + 2)
 
 (* --- the construction-time bounds proof ---
 
-   Everything the hot loops access unsafely is checked here, once, after
-   the schedule is built: slot destinations and every pin index are in
-   [0, n); CSR offsets are monotone and cover exactly [fidx]; specialized
-   pins agree with the CSR pool; every pin of a slot settles strictly
-   before the slot does (lower level, or a level-0 source); segments
-   tile [0, nslots) exactly and stay inside one level; the accounting
-   order is a permutation of the node ids. A failure here is a compiler
-   bug, reported as [Failure] with a diagnostic — the run never reaches
-   an unchecked access. *)
+   Everything the C settle and the step access unchecked is checked
+   here, once, after the schedule is built: slot destinations and every
+   pin index are in [0, n); every slot has a pin; CSR offsets are
+   monotone and cover exactly [fidx]; specialized pins agree with the CSR
+   pool; every pin of a slot settles strictly before the slot does (lower
+   level, or a level-0 source); segments tile [0, nslots) exactly, stay
+   inside one level and carry their slots' opcode; the accounting order
+   is a permutation of the node ids; and every node but a constant is
+   written exactly once per step, as a latched node or a slot. A
+   failure here is a compiler bug, reported as [Failure] with a
+   diagnostic — the run never reaches an unchecked access. *)
 let verify p =
   let fail fmt = Printf.ksprintf failwith fmt in
   let check_id what i =
@@ -294,13 +184,14 @@ let verify p =
     check_id "dst" p.dst.(s);
     if p.foff.(s) > p.foff.(s + 1) then fail "Kernel.verify: CSR not monotone";
     let arity = p.foff.(s + 1) - p.foff.(s) in
+    if arity < 1 then fail "Kernel.verify: slot %d has no pins" s;
     for k = p.foff.(s) to p.foff.(s + 1) - 1 do
       check_id "fanin" p.fidx.(k);
       if levels.(p.fidx.(k)) >= levels.(p.dst.(s)) then
         fail "Kernel.verify: slot %d reads node %d of its own or a later level"
           s p.fidx.(k)
     done;
-    if arity >= 1 && p.fa.(s) <> p.fidx.(p.foff.(s)) then
+    if p.fa.(s) <> p.fidx.(p.foff.(s)) then
       fail "Kernel.verify: fa disagrees with the CSR pool at slot %d" s;
     if arity >= 2 && p.fb.(s) <> p.fidx.(p.foff.(s) + 1) then
       fail "Kernel.verify: fb disagrees with the CSR pool at slot %d" s;
@@ -311,20 +202,21 @@ let verify p =
     check_id "fc" p.fc.(s)
   done;
   (* segments tile the slots and never straddle a level boundary *)
+  if Array.length p.segs mod 3 <> 0 then fail "Kernel.verify: segs length";
   let covered = ref 0 in
-  Array.iteri
-    (fun gi g ->
-      if g.lo <> !covered then fail "Kernel.verify: segment %d leaves a gap" gi;
-      if g.hi < g.lo then fail "Kernel.verify: empty segment %d" gi;
-      if levels.(p.dst.(g.lo)) <> levels.(p.dst.(g.hi)) then
-        fail "Kernel.verify: segment %d straddles levels" gi;
-      for s = g.lo to g.hi do
-        match opcode_of p.net.Netlist.nodes.(p.dst.(s)).Netlist.kind with
-        | Some op when op = g.op -> ()
-        | _ -> fail "Kernel.verify: slot %d opcode mismatch in segment %d" s gi
-      done;
-      covered := g.hi + 1)
-    p.segs;
+  for gi = 0 to nsegs p - 1 do
+    let op = seg_op p gi and lo = seg_lo p gi and hi = seg_hi p gi in
+    if lo <> !covered then fail "Kernel.verify: segment %d leaves a gap" gi;
+    if hi < lo || hi >= p.nslots then fail "Kernel.verify: bad segment %d" gi;
+    if levels.(p.dst.(lo)) <> levels.(p.dst.(hi)) then
+      fail "Kernel.verify: segment %d straddles levels" gi;
+    for s = lo to hi do
+      match opcode_of p.net.Netlist.nodes.(p.dst.(s)).Netlist.kind with
+      | Some o when o = op -> ()
+      | _ -> fail "Kernel.verify: slot %d opcode mismatch in segment %d" s gi
+    done;
+    covered := hi + 1
+  done;
   if !covered <> p.nslots then fail "Kernel.verify: segments do not cover slots";
   if Array.length p.level_off <> p.nlevels + 1 then
     fail "Kernel.verify: level_off length";
@@ -339,7 +231,21 @@ let verify p =
       if seen.(i) then fail "Kernel.verify: node %d accounted twice" i;
       seen.(i) <- true)
     p.acct_order;
-  Array.iter (fun (i, _) -> check_id "const" i) p.const_init;
+  (* every node but a constant is written exactly once per step, so the
+     settle's counts miss no toggle *)
+  let writes = Array.make p.n 0 in
+  let write what i =
+    check_id what i;
+    writes.(i) <- writes.(i) + 1
+  in
+  Array.iter (write "latched") p.latched;
+  Array.iter (write "dst") p.dst;
+  Array.iteri
+    (fun i (node : Netlist.node) ->
+      let once = match node.Netlist.kind with Gate.Const _ -> 0 | _ -> 1 in
+      if writes.(i) <> once then
+        fail "Kernel.verify: node %d written %d times" i writes.(i))
+    p.net.Netlist.nodes;
   Array.iter (fun i -> check_id "dff_dst" i) p.dff_dst;
   Array.iter (fun i -> check_id "dff_src" i) p.dff_src;
   Array.iter (fun i -> check_id "input" i) p.input_ids
@@ -432,10 +338,11 @@ let compile ?caps net =
     do
       incr e
     done;
-    segs := { op; lo = !s; hi = !e } :: !segs;
+    segs := !e :: !s :: op :: !segs;
     s := !e + 1
   done;
   let segs = Array.of_list (List.rev !segs) in
+  let nsegs = Array.length segs / 3 in
   let nlevels =
     if nslots = 0 then 0 else levels.(dst.(nslots - 1))
   in
@@ -446,11 +353,11 @@ let compile ?caps net =
     let gi = ref 0 in
     for l = 1 to nlevels do
       level_off.(l - 1) <- !gi;
-      while !gi < Array.length segs && levels.(dst.(segs.(!gi).lo)) = l do
+      while !gi < nsegs && levels.(dst.(segs.((3 * !gi) + 1))) = l do
         incr gi
       done
     done;
-    if nlevels > 0 then level_off.(nlevels) <- Array.length segs
+    if nlevels > 0 then level_off.(nlevels) <- nsegs
   in
   (* fan-out masks: which (saturated) levels consume each level's outputs;
      register data pins count as level 0 consumers of the next cycle *)
@@ -481,17 +388,18 @@ let compile ?caps net =
   for i = n - 1 downto 0 do
     if not is_latched.(i) then rest := i :: !rest
   done;
-  let acct_order =
-    Array.concat
-      [ net.Netlist.dffs; net.Netlist.inputs; Array.of_list !rest ]
-  in
-  let const_init = ref [] in
+  let latched = Array.append net.Netlist.dffs net.Netlist.inputs in
+  let acct_order = Array.append latched (Array.of_list !rest) in
+  let reset_words = Array.make n 0 in
   Array.iteri
     (fun i (node : Netlist.node) ->
       match node.Netlist.kind with
-      | Gate.Const b -> const_init := (i, broadcast b) :: !const_init
+      | Gate.Const b -> reset_words.(i) <- broadcast b
       | _ -> ())
     nodes;
+  Array.iteri
+    (fun j w -> reset_words.(w) <- broadcast net.Netlist.dff_init.(j))
+    net.Netlist.dffs;
   let p =
     {
       net;
@@ -505,10 +413,10 @@ let compile ?caps net =
       foff;
       fidx;
       segs;
-      passes = Array.map (seg_pass ~dst ~fa ~fb ~fc ~foff ~fidx) segs;
       nlevels;
       level_off;
       level_fanout_masks;
+      latched;
       acct_order;
       caps_acct = Array.map (fun i -> caps.(i)) acct_order;
       lanes_fast =
@@ -519,9 +427,7 @@ let compile ?caps net =
           (fun w -> nodes.(w).Netlist.fanin.(0))
           net.Netlist.dffs;
       input_ids = net.Netlist.inputs;
-      const_init = Array.of_list (List.rev !const_init);
-      dff_init_words =
-        Array.map broadcast net.Netlist.dff_init;
+      reset_words;
     }
   in
   verify p;
@@ -561,37 +467,28 @@ type s = {
   deltas : int array;
   dcaps : float array;
   toggles : int array;
-  highs : int array;
   lane_switched : float array;
   track_lanes : bool;
-  mutable pops : int;
   mutable ncycles : int;
   mutable counting : bool;
   mutable first : bool;  (* reset state must survive until the first input *)
 }
 
-(* Loops, not closures: resetting must not allocate, so that one state
-   can serve a whole Monte Carlo run. *)
+let settle p v old toggles count =
+  settle v old p.segs p.dst p.fa p.fb p.fc p.foff p.fidx p.latched toggles
+    count
+
+(* Resetting must not allocate, so that one state can serve a whole Monte
+   Carlo run. *)
 let reset s =
-  let p = s.plan and cur = s.cur in
-  Array.fill cur 0 p.n 0;
-  for j = 0 to Array.length p.dff_dst - 1 do
-    cur.(p.dff_dst.(j)) <- p.dff_init_words.(j)
-  done;
-  for k = 0 to Array.length p.const_init - 1 do
-    let i, w = p.const_init.(k) in
-    cur.(i) <- w
-  done;
-  (* settle the reset state through the compiled schedule; nothing is
+  let p = s.plan in
+  Array.blit p.reset_words 0 s.cur 0 p.n;
+  (* settle the reset image through the compiled schedule; nothing is
      charged for power-up, same as the interpreters *)
-  for q = 0 to Array.length p.passes - 1 do
-    p.passes.(q) cur
-  done;
-  Array.blit cur 0 s.prv 0 p.n;
+  settle p s.cur s.prv s.toggles false;
+  Array.blit s.cur 0 s.prv 0 p.n;
   Array.fill s.toggles 0 p.n 0;
-  Array.fill s.highs 0 p.n 0;
   Array.fill s.lane_switched 0 lanes 0.0;
-  s.pops <- 0;
   s.ncycles <- 0;
   s.counting <- true;
   s.first <- true
@@ -607,10 +504,8 @@ let create ?(track_lanes = false) plan =
       deltas = Array.make scratch 0;
       dcaps = Array.make scratch 0.0;
       toggles = Array.make n 0;
-      highs = Array.make n 0;
       lane_switched = Array.make lanes 0.0;
       track_lanes;
-      pops = 0;
       ncycles = 0;
       counting = true;
       first = true;
@@ -649,30 +544,20 @@ let step s inputs =
   for k = 0 to Array.length ins - 1 do
     Array.unsafe_set nw (Array.unsafe_get ins k) (Array.unsafe_get inputs k)
   done;
-  (* settle: the compiled per-level schedule *)
-  let passes = p.passes in
-  for q = 0 to Array.length passes - 1 do
-    (Array.unsafe_get passes q) nw
-  done;
-  if s.counting then begin
-    (* delta accounting in Bitsim's chronological charge order, so the
-       per-lane float sums are bit-identical to the interpreter's: counts
-       in C and, with lanes, the step's non-zero deltas densely in
-       [deltas]/[dcaps] (see [account]) *)
-    let m =
-      account old nw p.acct_order s.toggles s.highs s.deltas p.caps_acct
-        s.dcaps s.track_lanes
-    in
-    if s.track_lanes then begin
-      if p.lanes_fast then accumulate_lanes s.lane_switched s.deltas s.dcaps m
-      else
-        (* pathological caps: the scatter walk over the same deltas *)
-        for j = 0 to m - 1 do
-          Bitsim.scan_lanes s.lane_switched (Array.unsafe_get s.dcaps j)
-            (Array.unsafe_get s.deltas j)
-        done
-    end;
-    s.pops <- s.pops + m + p.n
+  (* settle, counting the toggles of every written node when counted *)
+  settle p nw old s.toggles s.counting;
+  if s.counting && s.track_lanes then begin
+    (* the lane sums replay Bitsim's chronological charge order, so the
+       per-lane floats are bit-identical to the interpreter's: gather the
+       step's non-zero deltas densely in accounting order, then sweep *)
+    let m = gather_deltas old nw p.acct_order p.caps_acct s.deltas s.dcaps in
+    if p.lanes_fast then accumulate_lanes s.lane_switched s.deltas s.dcaps m
+    else
+      (* pathological caps: the scatter walk over the same deltas *)
+      for j = 0 to m - 1 do
+        Bitsim.scan_lanes s.lane_switched (Array.unsafe_get s.dcaps j)
+          (Array.unsafe_get s.deltas j)
+      done
   end;
   s.cur <- nw;
   s.prv <- old;
@@ -681,9 +566,9 @@ let step s inputs =
     Hlp_util.Telemetry.incr tel_steps;
     Hlp_util.Telemetry.add tel_lane_cycles lanes;
     Hlp_util.Telemetry.add tel_evals p.nslots;
-    Hlp_util.Telemetry.add tel_popcounts s.pops
-  end;
-  s.pops <- 0
+    if s.counting then
+      Hlp_util.Telemetry.add tel_popcounts (Array.length p.latched + p.nslots)
+  end
 
 let step_scalar s inputs =
   step s (Array.map (fun b -> if b then 1 else 0) inputs)
@@ -692,7 +577,6 @@ let value s w = s.cur.(w)
 let value_bool s w = s.cur.(w) land 1 <> 0
 let cycles s = s.ncycles
 let toggle_counts s = s.toggles
-let high_counts s = s.highs
 let plan s = s.plan
 
 let switched_capacitance s =
@@ -713,7 +597,6 @@ let set_counting s b = s.counting <- b
 
 let reset_counters s =
   Array.fill s.toggles 0 (Array.length s.toggles) 0;
-  Array.fill s.highs 0 (Array.length s.highs) 0;
   Array.fill s.lane_switched 0 lanes 0.0;
   s.ncycles <- 0
 
@@ -751,7 +634,7 @@ let stats p =
   for l = 0 to p.nlevels - 1 do
     let glo = p.level_off.(l) and ghi = p.level_off.(l + 1) in
     if ghi > glo then begin
-      let w = p.segs.(ghi - 1).hi - p.segs.(glo).lo + 1 in
+      let w = seg_hi p (ghi - 1) - seg_lo p glo + 1 in
       if w > !widest then widest := w
     end
   done;
@@ -759,7 +642,7 @@ let stats p =
     nodes = p.n;
     slots = p.nslots;
     levels = p.nlevels;
-    segments = Array.length p.segs;
+    segments = nsegs p;
     pool = Array.length p.fidx;
     widest_level = !widest;
   }
@@ -776,4 +659,5 @@ let stats_string p =
     st.slots st.levels st.segments st.pool st.widest_level st.nodes
 
 let segment_summary p =
-  Array.map (fun g -> (opcode_name g.op, g.hi - g.lo + 1)) p.segs
+  Array.init (nsegs p) (fun g ->
+      (opcode_name (seg_op p g), seg_hi p g - seg_lo p g + 1))

@@ -13,45 +13,50 @@
     - {b Levelized}: slots are ordered by {!Hlp_logic.Netlist.comb_levels}
       and grouped by opcode within a level; each maximal same-opcode run
       becomes one {e segment}.
-    - {b Specialized closures}: every segment compiles to one closure
-      over the flat arrays whose body is a branch-free loop of identical
-      word-wide operations — one indirect call per segment per step
-      instead of one dispatch per gate.
-    - {b Proven-then-unsafe}: the hot loops use
-      [Array.unsafe_get]/[unsafe_set]. The justification is a single
+    - {b One C settle}: a [[@@noalloc]] C primitive walks the segments
+      from a flat (op, lo, hi) array and switches on the opcode once per
+      segment, outside the segment's slot loop, so each slot is one
+      word-wide operation on tagged OCaml ints with no dispatch.
+    - {b Proven-then-unsafe}: the step and the C primitives read and
+      write their arrays unchecked. The justification is a single
       construction-time bounds proof, run at the end of {!compile}: every
       destination and pin index is checked against the node count, CSR
       offsets are checked monotone and covering, every pin is checked to
       settle on a strictly earlier level, segments are checked to tile
-      the slots, and the accounting order is checked to be a permutation
-      of the node ids. The arrays are immutable afterwards, so the proof
+      the slots, the accounting order is checked to be a permutation of
+      the node ids, and every node but a constant is checked to be
+      written exactly once per step. The arrays are immutable afterwards, so the proof
       outlives compilation. A violation fails compilation loudly
       ([Failure]); no unchecked access is ever reached.
 
     {b Bit-identity contract} (enforced by the differential wall in
     [test/test_kernel.ml]): against {!Bitsim} under identical stimuli,
-    every per-node toggle and high counter, the total switched
+    every node value, every per-node toggle counter, the total switched
     capacitance, and the per-lane switched-capacitance floats are
     byte-identical. Integer counters are order-free; the per-lane floats
-    are not (float addition is non-associative), so the kernel defers
-    accounting to a per-step delta pass that replays Bitsim's
-    chronological charge order — registers in declaration order, then
-    primary inputs, then remaining nodes in id order.
+    are not (float addition is non-associative), so the lane sums replay
+    Bitsim's chronological charge order — registers in declaration
+    order, then primary inputs, then remaining nodes in id order.
 
-    {b Accounting contract.} A counted step is one C primitive plus, with
-    lanes tracked, one lane sweep. The primitive adds popcount(old xor
-    new) to each node's toggle count and popcount(new) to its high count
-    (the [popcnt] instruction where the CPU has one, a portable count
-    otherwise) and writes only the {e non-zero} delta words, with their
-    capacitances, densely in accounting order. The lane sweep then folds
-    each of those caps into the lanes whose delta bit is set, lane by
-    lane in that order. Leaving the zero deltas out is exact: a zero delta
-    adds [+0.0] to every lane, and [x +. +0.0 = x] bit for bit for every
-    lane sum, because lane sums start at [+0.0] and the caps are proven
-    finite and non-negative when the plan is compiled. When they are not
-    (a pathological caps table), the step sweeps the same non-zero deltas
-    through {!Bitsim.scan_lanes} instead, one delta at a time; a zero
-    delta charges nothing there either.
+    {b Accounting contract.} A counted step counts toggles {e during} the
+    settle: the C primitive adds popcount(old xor new) to the toggle
+    count of each register and input, then of each slot's node as the
+    slot writes it (the [popcnt] instruction where the CPU has one, a
+    portable count otherwise). The order differs from Bitsim's, which is
+    exact because integer sums are order-free; constants never toggle.
+    Only with lanes tracked does a second pass run: it gathers the
+    {e non-zero} delta words, with their capacitances, densely in
+    accounting order, and the lane sweep folds each of those caps into
+    the lanes whose delta bit is set, lane by lane in that order. Leaving
+    the zero deltas out is exact: a zero delta adds [+0.0] to every lane,
+    and [x +. +0.0 = x] bit for bit for every lane sum, because lane sums
+    start at [+0.0] and the caps are proven finite and non-negative when
+    the plan is compiled. When they are not (a pathological caps table),
+    the step sweeps the same non-zero deltas through {!Bitsim.scan_lanes}
+    instead, one delta at a time; a zero delta charges nothing there
+    either. The kernel keeps no per-node high counts: no estimator reads
+    them, and counting them cost every counted step a popcount and a
+    read-modify-write per node.
 
     A fingerprint-keyed bounded cache ({!of_netlist}) amortizes
     compilation across the replay-many consumers (Monte Carlo campaigns,
@@ -130,7 +135,6 @@ val value_bool : s -> Hlp_logic.Netlist.wire -> bool
 
 val cycles : s -> int
 val toggle_counts : s -> int array
-val high_counts : s -> int array
 val switched_capacitance : s -> float
 val lane_switched_capacitance : s -> float array
 val output_words : s -> int array
@@ -147,7 +151,7 @@ type stats = {
   nodes : int;
   slots : int;  (** combinational gates scheduled *)
   levels : int;
-  segments : int;  (** specialized closures per step *)
+  segments : int;  (** same-opcode slot runs, one opcode switch each *)
   pool : int;  (** flat fanin pool length *)
   widest_level : int;
 }

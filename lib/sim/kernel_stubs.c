@@ -1,8 +1,9 @@
-/* Counted-step accounting and lane-major charge accumulation for the
-   compiled replay kernel.
+/* The compiled replay kernel's step in C: the settle, which counts
+   toggles as it writes each node, the lane gather, and the lane-major
+   charge accumulation.
 
-   [Kernel.account], the integer half of a counted step, is documented at
-   its definition below. [Kernel.accumulate_lanes ls deltas caps n] folds
+   [Kernel.settle] and [Kernel.gather_deltas] are documented at their
+   definitions below. [Kernel.accumulate_lanes ls deltas caps n] folds
    node [k]'s capacitance [caps[k]] into every lane accumulator [ls[l]]
    whose bit is set in the delta word [deltas[k]], for k = 0 .. n-1 in
    order. The contract that
@@ -210,31 +211,40 @@ CAMLprim value hlp_kernel_accumulate_lanes(value vls, value vdeltas,
 }
 #endif
 
-/* Counted-step accounting.
+/* Settling the compiled schedule, counting toggles as it goes.
 
-   [Kernel.account old nw order toggles highs deltas caps dcaps track]
-   walks the nodes in accounting order [order] (a permutation of the node
-   ids, proven at compile time) and, for node i at position k, adds
-   popcount(old[i] xor nw[i]) to toggles[i] and popcount(nw[i]) to
-   highs[i]. It returns the number of non-zero delta words. When [track]
-   is set it also writes each non-zero delta word and its capacitance
-   caps[k] densely, in accounting order, to deltas[0..m) and dcaps[0..m),
-   ready for [accumulate_lanes] over m entries. Dropping the zero deltas
-   drops only +0.0 terms from lane sums that start at +0.0 and add only
-   finite non-negative caps, so the sums keep their exact bits.
+   [Kernel.settle v old segs dst fa fb fc foff fidx latched toggles count]
+   evaluates the schedule into [v]. [segs] holds one (op, lo, hi) triple
+   per segment, level-major; segment g writes slots lo..hi, and slot s
+   computes node dst[s] from the pins fa[s], fb[s], fc[s] (arity <= 3; a
+   mux selects on fa) or folds fidx[foff[s] .. foff[s+1]) (the n-ary
+   opcodes). Kernel.verify proves at compile time that every index read
+   here is in range, that every pin settles on an earlier level than its
+   slot, and that the segments tile the slots, so nothing is checked here.
 
-   Everything is done on tagged OCaml ints, so nothing is unboxed: the tag
-   bits of old and nw cancel in the xor, the tag bit of nw adds exactly
-   one to its popcount, and adding 2p to a tagged count adds p to the
-   count (wrapping like OCaml arithmetic). Integer sums are order-free,
-   so toggles and highs equal Bitsim's for any visiting order.
+   With [count] set, the same pass adds popcount(old[i] xor v[i]) to
+   toggles[i]: first for each latched node (registers, then primary
+   inputs, which the caller has already written), then for each slot's
+   node as the slot writes it. Constants are never written and hold the
+   same word in both buffers, so they never toggle. Integer sums are
+   order-free, so the counts equal Bitsim's although the schedule visits
+   the nodes in a different order.
+
+   Words stay tagged OCaml ints, so nothing is unboxed: [and], [or] and
+   [mux] keep the tag bit and [buf] copies it; [not], [xor] and the
+   negated opcodes clear or may clear it, and restore it with [| 1]. The
+   tag bits of old and new cancel in the xor, and adding 2p to a tagged
+   count adds p to the count (wrapping like OCaml arithmetic).
+
+   The opcode switch runs once per segment, outside the segment's slot
+   loop, so a slot costs its loads, one word operation and a store.
 
    On GCC and clang the popcount is __builtin_popcountll: the popcnt
-   instruction in a copy of the loop compiled for it and picked at
-   runtime when the CPU has it (like the AVX2 sweep), the compiler's own
-   count elsewhere (native on aarch64). Other compilers get a SWAR count.
-   The primitive allocates nothing and never calls back into the runtime,
-   which makes the [@@noalloc] mark sound. */
+   instruction in a copy of the counted loop compiled for it and picked
+   at runtime when the CPU has it (like the AVX2 sweep), the compiler's
+   own count elsewhere (native on aarch64). Other compilers get a SWAR
+   count. The primitive allocates nothing and never calls back into the
+   runtime, which makes the [@@noalloc] mark sound. */
 
 #if defined(__GNUC__)
 #define ALWAYS_INLINE inline __attribute__((always_inline))
@@ -254,78 +264,157 @@ static ALWAYS_INLINE uintnat pop(uint64_t x)
 #endif
 }
 
-/* [track] is a constant at every call site, so each caller gets its own
-   branch-free loop */
-static ALWAYS_INLINE long account_loop(value *old, value *nw, value *order,
-                                       value *toggles, value *highs,
-                                       value *deltas, double *caps,
-                                       double *dcaps, long n, int track)
-{
-  long m = 0;
-  for (long k = 0; k < n; k++) {
-    long i = Long_val(order[k]);
-    uintnat w = (uintnat)nw[i];
-    uintnat d = (uintnat)old[i] ^ w;
-    toggles[i] = (value)((uintnat)toggles[i] + (pop(d) << 1));
-    highs[i] = (value)((uintnat)highs[i] + ((pop(w) - 1) << 1));
-    if (track) {
-      deltas[m] = (value)(d | 1);
-      dcaps[m] = caps[k];
-    }
-    m += d != 0;
-  }
-  return m;
-}
+/* the slot opcodes of kernel.ml, in the same order */
+enum {
+  OP_BUF, OP_NOT, OP_AND2, OP_OR2, OP_NAND2, OP_NOR2, OP_XOR, OP_XNOR,
+  OP_MUX, OP_ANDN, OP_ORN, OP_NANDN, OP_NORN
+};
 
-static long account_generic(value *old, value *nw, value *order,
-                            value *toggles, value *highs, value *deltas,
-                            double *caps, double *dcaps, long n, int track)
+struct sched {
+  value *segs, *dst, *fa, *fb, *fc, *foff, *fidx, *latched;
+  long nsegs, nlatched;
+};
+
+/* add the toggles of node i, whose new word is x */
+#define TOGGLE(i, x)                                                     \
+  (toggles[i] = (value)((uintnat)toggles[i] +                           \
+                        (pop((uintnat)old[i] ^ (uintnat)(x)) << 1)))
+
+/* [count] is a constant at every call site, so each caller gets its own
+   loop with no counting branch */
+static ALWAYS_INLINE void settle_loop(const struct sched *p, value *v,
+                                      const value *old, value *toggles,
+                                      int count)
 {
-  return track ? account_loop(old, nw, order, toggles, highs, deltas, caps,
-                              dcaps, n, 1)
-               : account_loop(old, nw, order, toggles, highs, deltas, caps,
-                              dcaps, n, 0);
+  const value *dst = p->dst, *fa = p->fa, *fb = p->fb, *fc = p->fc;
+  const value *foff = p->foff, *fidx = p->fidx;
+  if (count)
+    for (long k = 0; k < p->nlatched; k++) {
+      long i = Long_val(p->latched[k]);
+      TOGGLE(i, v[i]);
+    }
+#define PIN(pins) v[Long_val(pins[s])]
+  /* write expr, a word of slot s, to its node */
+#define SLOTS(expr)                                                      \
+  for (long s = lo; s <= hi; s++) {                                      \
+    long i = Long_val(dst[s]);                                           \
+    value x = (expr);                                                    \
+    if (count) TOGGLE(i, x);                                             \
+    v[i] = x;                                                            \
+  }
+  /* fold the pins of slot s with op into acc, then write tail */
+#define FOLD(op, tail)                                                   \
+  for (long s = lo; s <= hi; s++) {                                      \
+    long k = Long_val(foff[s]), e = Long_val(foff[s + 1]);               \
+    long i = Long_val(dst[s]);                                           \
+    value acc = v[Long_val(fidx[k])];                                    \
+    for (k++; k < e; k++) acc op v[Long_val(fidx[k])];                   \
+    value x = (tail);                                                    \
+    if (count) TOGGLE(i, x);                                             \
+    v[i] = x;                                                            \
+  }
+  for (long g = 0; g < p->nsegs; g++) {
+    long lo = Long_val(p->segs[3 * g + 1]), hi = Long_val(p->segs[3 * g + 2]);
+    switch (Long_val(p->segs[3 * g])) {
+    case OP_BUF: SLOTS(PIN(fa)); break;
+    case OP_NOT: SLOTS(~PIN(fa) | 1); break;
+    case OP_AND2: SLOTS(PIN(fa) & PIN(fb)); break;
+    case OP_OR2: SLOTS(PIN(fa) | PIN(fb)); break;
+    case OP_NAND2: SLOTS(~(PIN(fa) & PIN(fb)) | 1); break;
+    case OP_NOR2: SLOTS(~(PIN(fa) | PIN(fb)) | 1); break;
+    case OP_XOR: SLOTS((PIN(fa) ^ PIN(fb)) | 1); break;
+    case OP_XNOR: SLOTS(~(PIN(fa) ^ PIN(fb)) | 1); break;
+    case OP_MUX: SLOTS((~PIN(fa) & PIN(fb)) | (PIN(fa) & PIN(fc))); break;
+    case OP_ANDN: FOLD(&=, acc); break;
+    case OP_ORN: FOLD(|=, acc); break;
+    case OP_NANDN: FOLD(&=, ~acc | 1); break;
+    case OP_NORN: FOLD(|=, ~acc | 1); break;
+    }
+  }
+#undef PIN
+#undef SLOTS
+#undef FOLD
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
-__attribute__((target("popcnt"))) static long
-account_popcnt(value *old, value *nw, value *order, value *toggles,
-               value *highs, value *deltas, double *caps, double *dcaps,
-               long n, int track)
+__attribute__((target("popcnt"))) static void
+settle_counted_popcnt(const struct sched *p, value *v, const value *old,
+                      value *toggles)
 {
-  return track ? account_loop(old, nw, order, toggles, highs, deltas, caps,
-                              dcaps, n, 1)
-               : account_loop(old, nw, order, toggles, highs, deltas, caps,
-                              dcaps, n, 0);
+  settle_loop(p, v, old, toggles, 1);
 }
 #endif
 
-CAMLprim value hlp_kernel_account(value vold, value vnw, value vorder,
-                                  value vtoggles, value vhighs,
-                                  value vdeltas, value vcaps, value vdcaps,
-                                  value vtrack)
+CAMLprim value hlp_kernel_settle(value vv, value vold, value vsegs,
+                                 value vdst, value vfa, value vfb, value vfc,
+                                 value vfoff, value vfidx, value vlatched,
+                                 value vtoggles, value vcount)
 {
-  long n = (long)Wosize_val(vorder);
-  int track = Bool_val(vtrack);
+  struct sched p = {
+      Op_val(vsegs), Op_val(vdst), Op_val(vfa), Op_val(vfb), Op_val(vfc),
+      Op_val(vfoff), Op_val(vfidx), Op_val(vlatched),
+      (long)Wosize_val(vsegs) / 3, (long)Wosize_val(vlatched)};
+  value *v = Op_val(vv), *old = Op_val(vold), *toggles = Op_val(vtoggles);
+  if (!Bool_val(vcount)) {
+    settle_loop(&p, v, NULL, NULL, 0);
+    return Val_unit;
+  }
 #if defined(__x86_64__) && defined(__GNUC__)
   static int have_popcnt = -1;
   if (have_popcnt < 0) have_popcnt = __builtin_cpu_supports("popcnt");
-  if (have_popcnt)
-    return Val_long(account_popcnt(
-        Op_val(vold), Op_val(vnw), Op_val(vorder), Op_val(vtoggles),
-        Op_val(vhighs), Op_val(vdeltas), (double *)vcaps, (double *)vdcaps, n,
-        track));
+  if (have_popcnt) {
+    settle_counted_popcnt(&p, v, old, toggles);
+    return Val_unit;
+  }
 #endif
-  return Val_long(account_generic(
-      Op_val(vold), Op_val(vnw), Op_val(vorder), Op_val(vtoggles),
-      Op_val(vhighs), Op_val(vdeltas), (double *)vcaps, (double *)vdcaps, n,
-      track));
+  settle_loop(&p, v, old, toggles, 1);
+  return Val_unit;
 }
 
 /* bytecode entry: more than five arguments arrive as an array */
-CAMLprim value hlp_kernel_account_byte(value *argv, int argn)
+CAMLprim value hlp_kernel_settle_byte(value *argv, int argn)
 {
   (void)argn;
-  return hlp_kernel_account(argv[0], argv[1], argv[2], argv[3], argv[4],
-                            argv[5], argv[6], argv[7], argv[8]);
+  return hlp_kernel_settle(argv[0], argv[1], argv[2], argv[3], argv[4],
+                           argv[5], argv[6], argv[7], argv[8], argv[9],
+                           argv[10], argv[11]);
+}
+
+/* The lane gather of a counted step with lanes tracked.
+
+   [Kernel.gather_deltas old nw order caps deltas dcaps] walks the nodes
+   in accounting order [order] (a permutation of the node ids, proven at
+   compile time) and writes each non-zero delta word old[i] xor nw[i],
+   with its capacitance caps[k] (already in accounting order), densely to
+   deltas[0..m) and dcaps[0..m); it returns m, ready for
+   [accumulate_lanes] over m entries. Dropping the zero deltas drops only
+   +0.0 terms from lane sums that start at +0.0 and add only finite
+   non-negative caps, so the sums keep their exact bits. The tag bits
+   cancel in the xor and the stored word is re-tagged. Allocates nothing,
+   never calls back into the runtime. */
+CAMLprim value hlp_kernel_gather_deltas(value vold, value vnw, value vorder,
+                                        value vcaps, value vdeltas,
+                                        value vdcaps)
+{
+  const value *old = Op_val(vold), *nw = Op_val(vnw), *order = Op_val(vorder);
+  const double *caps = (const double *)vcaps;
+  value *deltas = Op_val(vdeltas);
+  double *dcaps = (double *)vdcaps;
+  long n = (long)Wosize_val(vorder), m = 0;
+  for (long k = 0; k < n; k++) {
+    long i = Long_val(order[k]);
+    uintnat d = (uintnat)old[i] ^ (uintnat)nw[i];
+    deltas[m] = (value)(d | 1);
+    dcaps[m] = caps[k];
+    m += d != 0;
+  }
+  return Val_long(m);
+}
+
+/* bytecode entry: more than five arguments arrive as an array */
+CAMLprim value hlp_kernel_gather_deltas_byte(value *argv, int argn)
+{
+  (void)argn;
+  return hlp_kernel_gather_deltas(argv[0], argv[1], argv[2], argv[3],
+                                  argv[4], argv[5]);
 }

@@ -1,8 +1,8 @@
 (* Differential test wall for the compiled struct-of-arrays replay kernel.
 
    The contract under test: Engine.Compiled is {e bit-identical} to the
-   engines it replaces — every per-node toggle and high counter, every
-   output word, the total and per-lane switched-capacitance floats, the
+   engines it replaces — every node value, every per-node toggle counter,
+   every output word, the total and per-lane switched-capacitance floats, the
    Monte Carlo estimates (including after checkpoint/resume and after a
    SIGKILL mid-run), and the sampling estimators. Plus the compile-step
    obligations: the fingerprint cache shares plans physically, the
@@ -45,7 +45,6 @@ let kernel_agrees net ~steps ~seed =
     done
   done;
   ok := !ok && Bitsim.toggle_counts bit = Kernel.toggle_counts ker;
-  ok := !ok && Bitsim.high_counts bit = Kernel.high_counts ker;
   ok :=
     !ok
     && bits (Bitsim.switched_capacitance bit)
@@ -60,8 +59,8 @@ let kernel_agrees net ~steps ~seed =
 let qcheck_step_differential =
   QCheck.Test.make ~count:60
     ~name:
-      "compiled kernel matches bitsim word-for-word (values, toggles, highs, \
-       caps, lanes)"
+      "compiled kernel matches bitsim word-for-word (values, toggles, caps, \
+       lanes)"
     (QCheck.pair Test_bitsim.arb_netlist QCheck.small_nat)
     (fun ((_, net), seed) -> kernel_agrees net ~steps:5 ~seed:(seed + 1))
 
@@ -686,7 +685,6 @@ let states_equal ~track a b n =
   done;
   !ok
   && Kernel.toggle_counts a = Kernel.toggle_counts b
-  && Kernel.high_counts a = Kernel.high_counts b
   && Kernel.cycles a = Kernel.cycles b
   && ((not track)
      || Array.for_all2
@@ -754,16 +752,14 @@ let test_accounting_edge_words () =
         let at = Printf.sprintf "%s, step %d" what t in
         for i = 0 to n - 1 do
           Alcotest.(check int) (at ^ ": value") (Bitsim.value bit i)
-            (Kernel.value ker i)
+            (Kernel.value ker i);
+          Alcotest.(check int) (at ^ ": untracked value") (Bitsim.value bit i)
+            (Kernel.value plain i)
         done;
         Alcotest.(check (array int)) (at ^ ": toggles")
           (Bitsim.toggle_counts bit) (Kernel.toggle_counts ker);
-        Alcotest.(check (array int)) (at ^ ": highs") (Bitsim.high_counts bit)
-          (Kernel.high_counts ker);
         Alcotest.(check (array int)) (at ^ ": untracked toggles")
           (Bitsim.toggle_counts bit) (Kernel.toggle_counts plain);
-        Alcotest.(check (array int)) (at ^ ": untracked highs")
-          (Bitsim.high_counts bit) (Kernel.high_counts plain);
         Array.iteri
           (fun j b ->
             Alcotest.(check int64)
@@ -792,6 +788,98 @@ let test_accounting_edge_words () =
   let caps = Netlist.node_capacitance net in
   caps.(n - 1) <- -.caps.(n - 1) -. 1.0;
   ignore (check ~caps "pathological caps")
+
+(* --- every opcode the kernel compiles --- *)
+
+(* One fixed netlist holding every slot opcode: buf, not, and/or/nand/nor
+   at 2, 3 and 5 inputs, xor, xnor and mux, over two levels, with pins
+   tied to constant 0 and 1 and a register among the sources. The random
+   generators never emit buf, or a nand or nor of three or more inputs,
+   so without this netlist a wrong case in the C settle's opcode switch
+   could pass every other wall. *)
+let every_opcode_net () =
+  let module B = Netlist.Builder in
+  let b = B.create () in
+  let x = B.inputs b 6 in
+  let one = B.const_ b true and zero = B.const_ b false in
+  let q = B.dff_feedback ~init:true b (fun q -> B.xnor_ b q x.(5)) in
+  let layer p =
+    let g kind pins = B.gate b kind (Array.map (Array.get p) pins) in
+    (* the same, with a last pin tied to a constant *)
+    let gc kind pins tie =
+      B.gate b kind (Array.append (Array.map (Array.get p) pins) [| tie |])
+    in
+    [| B.buf b p.(0);
+       B.not_ b p.(1);
+       g (Gate.And 2) [| 0; 1 |];
+       gc (Gate.And 3) [| 2; 3 |] one;
+       g (Gate.And 5) [| 0; 1; 2; 3; 4 |];
+       g (Gate.Or 2) [| 4; 5 |];
+       gc (Gate.Or 3) [| 1; 5 |] zero;
+       g (Gate.Or 5) [| 1; 2; 3; 4; 5 |];
+       g (Gate.Nand 2) [| 2; 5 |];
+       gc (Gate.Nand 3) [| 3; 4 |] one;
+       g (Gate.Nand 5) [| 0; 2; 3; 4; 5 |];
+       g (Gate.Nor 2) [| 0; 3 |];
+       gc (Gate.Nor 3) [| 1; 4 |] zero;
+       gc (Gate.Nor 5) [| 0; 1; 2; 5 |] zero;
+       B.xor_ b p.(0) p.(5);
+       B.xnor_ b p.(2) p.(3);
+       B.mux b ~sel:p.(4) ~a0:p.(1) ~a1:p.(2) |]
+  in
+  let l1 = layer [| x.(0); x.(1); x.(2); x.(3); x.(4); q |] in
+  (* the second level reads first-level outputs of every shape *)
+  let l2 = layer [| l1.(0); l1.(4); l1.(10); l1.(13); l1.(16); l1.(7) |] in
+  Array.iteri (fun k w -> B.output b (Printf.sprintf "o%d" k) w) l2;
+  B.finish b
+
+let test_every_opcode () =
+  let net = every_opcode_net () in
+  let opcodes =
+    Array.to_list (Array.map fst (Kernel.segment_summary (Kernel.compile net)))
+  in
+  Alcotest.(check (list string)) "every opcode compiled"
+    (List.sort compare
+       [ "buf"; "not"; "and2"; "or2"; "nand2"; "nor2"; "xor"; "xnor"; "mux";
+         "andn"; "orn"; "nandn"; "norn" ])
+    (List.sort_uniq compare opcodes);
+  let nin = Array.length net.Netlist.inputs in
+  let n = Netlist.num_nodes net in
+  let rng = Hlp_util.Prng.create 23 in
+  let edge = [| 0; -1; min_int |] in
+  let stimuli =
+    List.map (Array.make nin) [ 0; -1; min_int; -1; min_int; min_int; 0; 0 ]
+    (* a different edge word on each input, rotating *)
+    @ List.init 6 (fun t -> Array.init nin (fun k -> edge.((k + t) mod 3)))
+    @ List.init 20 (fun _ -> random_words rng nin)
+  in
+  let bit = Bitsim.create ~track_lanes:true net in
+  let ker = Kernel.create ~track_lanes:true (Kernel.compile net) in
+  let plain = Kernel.create (Kernel.compile net) in
+  List.iteri
+    (fun t words ->
+      Bitsim.step bit words;
+      Kernel.step ker words;
+      Kernel.step plain words;
+      let at = Printf.sprintf "step %d" t in
+      for i = 0 to n - 1 do
+        Alcotest.(check int) (at ^ ": value") (Bitsim.value bit i)
+          (Kernel.value ker i);
+        Alcotest.(check int) (at ^ ": untracked value") (Bitsim.value bit i)
+          (Kernel.value plain i)
+      done;
+      Alcotest.(check (array int)) (at ^ ": toggles")
+        (Bitsim.toggle_counts bit) (Kernel.toggle_counts ker);
+      Alcotest.(check (array int)) (at ^ ": untracked toggles")
+        (Bitsim.toggle_counts bit) (Kernel.toggle_counts plain);
+      Array.iteri
+        (fun j b ->
+          Alcotest.(check int64)
+            (Printf.sprintf "%s: lane %d" at j)
+            (bits b)
+            (bits (Kernel.lane_switched_capacitance ker).(j)))
+        (Bitsim.lane_switched_capacitance bit))
+    stimuli
 
 let suite =
   [
@@ -850,4 +938,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_reset_equals_create;
     Alcotest.test_case "accounting edge words match bitsim" `Quick
       test_accounting_edge_words;
+    Alcotest.test_case "every opcode matches bitsim on edge words" `Quick
+      test_every_opcode;
   ]

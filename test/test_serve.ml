@@ -274,6 +274,39 @@ let test_non_positive_bounds_rejected () =
           Alcotest.(check bool) "omitted max_cycles computed fresh" false
             omitted.Service.cached))
 
+(* Each bound is capped, so one well-formed request cannot hold a worker
+   for an unbounded run: the cap itself is served, one past it is a typed
+   invalid-input that names the field. *)
+let test_bounds_capped () =
+  with_server (fun path _service ->
+      let conn = Server.connect path in
+      Fun.protect
+        ~finally:(fun () -> Server.close conn)
+        (fun () ->
+          let ask ?max_cycles ?node_limit id =
+            parse_ok "estimate"
+              (Server.request conn
+                 (Service.estimate_request ~id ~seed:5 ?max_cycles ?node_limit
+                    ~circuit:"adder" ~width:4 ()))
+          in
+          let at_caps = ask ~max_cycles:10_000_000 ~node_limit:2_000_000 1 in
+          Alcotest.(check bool) "both caps served" true at_caps.Service.ok;
+          List.iter
+            (fun (field, r) ->
+              Alcotest.(check bool) (field ^ ": not ok") false r.Service.ok;
+              match r.Service.error with
+              | Some (cls, msg, code) ->
+                  Alcotest.(check string)
+                    (field ^ ": class") "invalid-input" cls;
+                  Alcotest.(check int) (field ^ ": exit code") 65 code;
+                  Alcotest.(check bool)
+                    (field ^ " named in: " ^ msg)
+                    true
+                    (Test_logic.contains msg field)
+              | None -> Alcotest.failf "%s: error field missing" field)
+            [ ("max_cycles", ask ~max_cycles:10_000_001 2);
+              ("node_limit", ask ~node_limit:2_000_001 3) ]))
+
 let test_overload_sheds_typed_frame () =
   (* one worker, admission budget one: a sleeper pins the worker, one
      connection waits in the queue, and the third must get the typed
@@ -374,6 +407,8 @@ let suite =
       test_default_engine_is_compiled;
     Alcotest.test_case "serve: non-positive max_cycles/node_limit rejected"
       `Quick test_non_positive_bounds_rejected;
+    Alcotest.test_case "serve: max_cycles/node_limit capped" `Quick
+      test_bounds_capped;
     Alcotest.test_case "serve: overload sheds a typed frame" `Quick
       test_overload_sheds_typed_frame;
     Alcotest.test_case "serve: handler exception contained to one connection"
