@@ -1,4 +1,4 @@
-(* E33: simulation-engine throughput — scalar vs bit-parallel vs multicore.
+(* E33: simulation-engine throughput — scalar vs bit-parallel vs compiled.
 
    The sampler workload of E16 (multiplier 8 DUT, bitwise macro-model
    trained on white noise, 10^4-cycle stream) is replayed through each
@@ -564,7 +564,7 @@ let e36_durability ?(units = 60) ?(batch = 500) ?(reps = 5) () =
     du_identical;
   }
 
-(* E38: compiled-kernel replay throughput across circuit sizes. The four
+(* E38: compiled-kernel replay throughput across circuit sizes. The three
    engines replay the same precomputed white-noise trace (vector generation
    outside the timed region, so the measurement is the gate-level replay
    itself) over three circuits spanning two orders of magnitude in gate
@@ -585,7 +585,6 @@ type kernel_circuit = {
   kc_compile_s : float;
   kc_scalar_s : float;
   kc_bitpar_s : float;
-  kc_parallel_s : float;
   kc_compiled_s : float;
   kc_aa_spread_pct : float;  (** bit-parallel A/A spread, noise floor *)
   kc_compiled_vs_bitpar : float;
@@ -632,7 +631,6 @@ let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
       minimum b
     in
     let kc_scalar_s = best Hlp_sim.Engine.Scalar in
-    let kc_parallel_s = best Hlp_sim.Engine.Parallel in
     (* interleaved A/B/A: bitpar, compiled, bitpar per rep *)
     ignore (replay Hlp_sim.Engine.Bitparallel ());
     ignore (replay Hlp_sim.Engine.Compiled ());
@@ -655,7 +653,6 @@ let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
       kc_compile_s;
       kc_scalar_s;
       kc_bitpar_s;
-      kc_parallel_s;
       kc_compiled_s;
       kc_aa_spread_pct = abs_float (bb -. ba) /. ba *. 100.0;
       kc_compiled_vs_bitpar = kc_bitpar_s /. kc_compiled_s;
@@ -671,7 +668,6 @@ let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
           string_of_int c.kc_depth;
           Printf.sprintf "%.0f" (kcs c.kc_scalar_s);
           Printf.sprintf "%.0f" (kcs c.kc_bitpar_s);
-          Printf.sprintf "%.0f" (kcs c.kc_parallel_s);
           Printf.sprintf "%.0f" (kcs c.kc_compiled_s);
           Printf.sprintf "%.2fx" c.kc_compiled_vs_bitpar;
           Printf.sprintf "%.2f" (c.kc_compile_s *. 1e3);
@@ -685,10 +681,10 @@ let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
          n reps)
     ~align:
       [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-        Table.Right; Table.Right; Table.Right; Table.Right; Table.Right ]
+        Table.Right; Table.Right; Table.Right; Table.Right ]
     ~header:
-      [ "circuit"; "gates"; "depth"; "scalar"; "bitpar"; "parallel";
-        "compiled"; "vs bitpar"; "compile ms"; "A/A" ]
+      [ "circuit"; "gates"; "depth"; "scalar"; "bitpar"; "compiled";
+        "vs bitpar"; "compile ms"; "A/A" ]
     rows;
   let largest =
     List.fold_left
@@ -828,7 +824,6 @@ let bench_json ~smoke ~n engines mc overhead tracing robustness durability
         ("compile_s", Float c.kc_compile_s);
         ("scalar_s", Float c.kc_scalar_s);
         ("bitparallel_s", Float c.kc_bitpar_s);
-        ("parallel_s", Float c.kc_parallel_s);
         ("compiled_s", Float c.kc_compiled_s);
         (* A/A comparison of the two interleaved bit-parallel batches:
            the noise floor the compiled ratio is judged against *)

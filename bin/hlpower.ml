@@ -44,13 +44,22 @@ let stream_enum =
      fun rng ~width ~n -> Hlp_sim.Streams.correlated_bits rng ~width ~p:0.5 ~rho:0.7 ~n);
     ("biased", fun rng ~width ~n -> Hlp_sim.Streams.biased_bits rng ~width ~p:0.25 ~n) ]
 
-let engine_enum =
-  List.map (fun e -> (Hlp_sim.Engine.to_string e, e)) Hlp_sim.Engine.all
-  (* short aliases accepted by Engine.of_string since the engines landed *)
-  @ [ ("bitpar", Hlp_sim.Engine.Bitparallel); ("par", Hlp_sim.Engine.Parallel);
-      ("kernel", Hlp_sim.Engine.Compiled) ]
-
 let enum_doc alts = String.concat "|" (List.map fst alts)
+
+let engine_doc =
+  String.concat "|" (List.map Hlp_sim.Engine.to_string Hlp_sim.Engine.all)
+
+(* every name Engine.of_string accepts, aliases included, for --engine and
+   the batch jobs file alike *)
+let engine_conv =
+  let parse s =
+    match Hlp_sim.Engine.of_string s with
+    | Some e -> Ok e
+    | None ->
+        Error (`Msg (Printf.sprintf "unknown engine %S (expected %s)" s engine_doc))
+  in
+  Arg.conv
+    (parse, fun ppf e -> Format.pp_print_string ppf (Hlp_sim.Engine.to_string e))
 
 (* a positive-int converter with a lower bound, for --cycles and friends *)
 let int_at_least lower what =
@@ -84,7 +93,7 @@ let require_at_least ~flag lower v =
            (Printf.sprintf "must be >= %d" lower))
   | _ -> v
 
-let estimate circuit width cycles stream seed engine jobs profile telemetry_json
+let estimate circuit width cycles stream seed engine profile telemetry_json
     deadline node_limit max_retries trace_out attribution run_report =
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
@@ -101,8 +110,7 @@ let estimate circuit width cycles stream seed engine jobs profile telemetry_json
   let vector i = Array.init nin (fun b -> Hlp_util.Bits.bit trace.(i) b) in
   let r =
     match
-      Hlp_sim.Parsim.replay_guarded ?jobs ?max_retries ~guard ~engine net ~vector
-        ~n:cycles
+      Hlp_sim.Parsim.replay_guarded ~guard ~engine net ~vector ~n:cycles
     with
     | Ok d ->
         if d.Hlp_sim.Parsim.fallbacks > 0 then
@@ -129,7 +137,7 @@ let estimate circuit width cycles stream seed engine jobs profile telemetry_json
     Hlp_power.Complexity.ces_switched_capacitance_estimate Hlp_power.Complexity.ces_default net
   in
   Printf.printf "%-22s %10.1f cap units/cycle\n" "gate-equivalents (CES):" ces;
-  let mc = Hlp_power.Probprop.monte_carlo ~seed ~engine ?jobs ?max_retries ~guard net in
+  let mc = Hlp_power.Probprop.monte_carlo ~seed ~engine ?max_retries ~guard net in
   Printf.printf
     "monte carlo (t-CI):     %10.1f cap units/cycle  (+/- %.1f, %d batches, %d cycles)\n"
     mc.Hlp_power.Probprop.estimate mc.Hlp_power.Probprop.half_interval
@@ -137,7 +145,7 @@ let estimate circuit width cycles stream seed engine jobs profile telemetry_json
   (* the guarded path: exact symbolic under the node budget, Monte Carlo
      sampling as the degradation target on blowup *)
   (match
-     Hlp_power.Probprop.estimate_guarded ~guard ?node_limit ~seed ~engine ?jobs
+     Hlp_power.Probprop.estimate_guarded ~guard ?node_limit ~seed ~engine
        ?max_retries net
    with
   | Ok g ->
@@ -225,21 +233,14 @@ let estimate_cmd =
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
   let engine =
-    Arg.(value & opt (enum engine_enum) Hlp_sim.Engine.Bitparallel
+    Arg.(value & opt engine_conv Hlp_sim.Engine.Bitparallel
          & info [ "engine" ]
              ~docv:"ENGINE"
              ~doc:
-               (enum_doc engine_enum
+               (engine_doc
                ^ " — simulation engine for the gate-level reference (bit \
                   engines pack 63 trace cycles per word-wide step; \
                   estimates agree to round-off)"))
-  in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ]
-             ~doc:
-               "worker domains for the parallel engine (default: all cores); \
-                results are bit-identical for any value")
   in
   let profile =
     Arg.(value & flag
@@ -274,8 +275,8 @@ let estimate_cmd =
     Arg.(value & opt (some int) None
          & info [ "max-retries" ] ~docv:"N"
              ~doc:
-               "retries per failed worker shard before the engine degrades \
-                (default 2, exponential backoff); must be >= 1")
+               "retries per failed Monte Carlo unit before the engine \
+                degrades (default 2, exponential backoff); must be >= 1")
   in
   let trace_out =
     Arg.(value & opt (some string) None
@@ -300,7 +301,7 @@ let estimate_cmd =
                 wall time) to $(docv); implies telemetry")
   in
   Cmd.v (Cmd.info "estimate" ~doc:"Power-estimate a generated RT module")
-    Term.(const estimate $ circuit $ width $ cycles $ stream $ seed $ engine $ jobs
+    Term.(const estimate $ circuit $ width $ cycles $ stream $ seed $ engine
           $ profile $ telemetry_json $ deadline $ node_limit $ max_retries
           $ trace_out $ attribution $ run_report)
 
@@ -374,12 +375,9 @@ let parse_jobs_file path =
          in
          let engine_name = str "engine" "bitparallel" in
          let engine =
-           match List.assoc_opt engine_name engine_enum with
-           | Some e -> e
-           | None ->
-               bad
-                 (where "engine" ^ " unknown: " ^ engine_name ^ " (expected "
-                 ^ enum_doc engine_enum ^ ")")
+           match Arg.conv_parser engine_conv engine_name with
+           | Ok e -> e
+           | Error (`Msg m) -> bad (where "engine" ^ ": " ^ m)
          in
          let width = Option.value (int_ "width" (Some 8)) ~default:8 in
          {
@@ -618,7 +616,7 @@ let batch_cmd =
   let max_retries =
     Arg.(value & opt (some int) None
          & info [ "max-retries" ] ~docv:"N"
-             ~doc:"retries per failed worker shard (>= 1)")
+             ~doc:"retries per failed Monte Carlo unit (>= 1)")
   in
   let breaker_threshold =
     Arg.(value & opt (some int) None

@@ -388,7 +388,7 @@ let parse_unit_records records =
   end
 
 let monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
-    ?jobs ?max_retries ?checkpoint:ck ~guard net =
+    ?max_retries ?checkpoint:ck ~guard net =
   let writer, resume_means =
     match ck with
     | None -> (None, None)
@@ -431,8 +431,8 @@ let monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
   in
   let r =
     Fun.protect ~finally (fun () ->
-        Hlp_sim.Parsim.monte_carlo_units ?jobs ?max_retries ?resume_means
-          ?on_unit ~engine net ~batch ~seed ~stop)
+        Hlp_sim.Parsim.monte_carlo_units ?max_retries ?resume_means ?on_unit
+          ~engine net ~batch ~seed ~stop)
   in
   let means = r.Hlp_sim.Parsim.unit_means in
   Hlp_util.Telemetry.add tel_batches (Array.length means);
@@ -446,17 +446,16 @@ let monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
   }
 
 let monte_carlo ?(batch = 30) ?(relative_precision = 0.05) ?(max_cycles = 100_000)
-    ?(seed = 47) ?(engine = Hlp_sim.Engine.Scalar) ?jobs ?max_retries
-    ?checkpoint:ck ?(guard = Hlp_util.Guard.unlimited) net =
+    ?(seed = 47) ?(engine = Hlp_sim.Engine.Scalar) ?max_retries ?checkpoint:ck
+    ?(guard = Hlp_util.Guard.unlimited) net =
   if batch < 2 then
     raise
       (Hlp_util.Err.invalid_input ~what:"Probprop.monte_carlo: batch"
          "must be >= 2 (batch means need at least two cycles)");
   match engine with
-  | Hlp_sim.Engine.Bitparallel | Hlp_sim.Engine.Parallel
-  | Hlp_sim.Engine.Compiled ->
+  | Hlp_sim.Engine.Bitparallel | Hlp_sim.Engine.Compiled ->
       monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
-        ?jobs ?max_retries ?checkpoint:ck ~guard net
+        ?max_retries ?checkpoint:ck ~guard net
   | Hlp_sim.Engine.Scalar ->
   let nin = Array.length net.Netlist.inputs in
   let writer, resume =
@@ -651,8 +650,8 @@ let tail_len = 8
 
 let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
     ?(node_limit = default_node_limit) ?input_prob ?batch ?relative_precision
-    ?max_cycles ?(seed = 47) ?(engine = Hlp_sim.Engine.Bitparallel) ?jobs
-    ?max_retries ?(try_symbolic = true) ?symbolic_cache ?checkpoint:ck net =
+    ?max_cycles ?(seed = 47) ?(engine = Hlp_sim.Engine.Bitparallel) ?max_retries
+    ?(try_symbolic = true) ?symbolic_cache ?checkpoint:ck net =
   (* provenance baselines: counter deltas isolate this estimate's share of
      the process-wide counters. Telemetry counters only move while the
      telemetry switch is on, so the record carries [counters_live] to say
@@ -759,12 +758,12 @@ let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
   | None -> (
       Hlp_util.Guard.check ~where:"probprop.fallback" guard;
       (* stage 2: Monte Carlo sampling behind the engine degradation
-         chain (Parallel -> Bitparallel -> Scalar from [engine] down) *)
+         chain (Compiled -> Bitparallel -> Scalar from [engine] down) *)
       match
         Hlp_sim.Parsim.with_degradation ~what:"probprop.monte_carlo" ~guard
           ~engine (fun e ->
             monte_carlo ?batch ?relative_precision ?max_cycles ~seed ~engine:e
-              ?jobs ?max_retries ?checkpoint:ck ~guard net)
+              ?max_retries ?checkpoint:ck ~guard net)
       with
       | Ok d ->
           finish ~capacitance:d.Hlp_sim.Parsim.value.estimate

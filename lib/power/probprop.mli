@@ -109,7 +109,6 @@ val monte_carlo :
   ?max_cycles:int ->
   ?seed:int ->
   ?engine:Hlp_sim.Engine.t ->
-  ?jobs:int ->
   ?max_retries:int ->
   ?checkpoint:checkpoint ->
   ?guard:Hlp_util.Guard.t ->
@@ -133,17 +132,17 @@ val monte_carlo :
     [engine] (default [Scalar]) selects the simulation engine. [Scalar]
     reproduces the seed implementation bit-for-bit. [Bitparallel] simulates
     63 independent vector streams per word-wide {!Hlp_sim.Bitsim} step, so
-    each batch covers [batch * 63] cycles; [Parallel] shards batches over
-    [jobs] domains (default [Domain.recommended_domain_count ()]) with
-    per-batch PRNG streams and a fixed reduction order, making the estimate
-    bit-identical for any [jobs]. The bit engines draw different random
-    streams than [Scalar], so their estimates agree statistically (within
-    the confidence interval), not bit-exactly.
+    each batch covers [batch * 63] cycles, from per-batch PRNG streams;
+    [Compiled] runs the same batches through the compiled kernel and
+    returns the same bits. The bit engines draw different random streams
+    than [Scalar], so their estimates agree statistically (within the
+    confidence interval), not bit-exactly.
 
-    [guard] is checked at every stopping-rule evaluation (and [max_retries]
-    is threaded to {!Hlp_sim.Parsim.map} for the parallel engine); a trip
-    raises the typed [Deadline_exceeded] / [Cancelled]. [batch < 2] raises
-    the typed [Invalid_input]. *)
+    [guard] is checked at every stopping-rule evaluation; a trip raises the
+    typed [Deadline_exceeded] / [Cancelled]. [max_retries] bounds the
+    retries of a failing batch on the bit engines (see
+    {!Hlp_sim.Parsim.monte_carlo_units}). [batch < 2] raises the typed
+    [Invalid_input]. *)
 
 (** {1 Guarded estimation: the symbolic-vs-sampling degradation chain}
 
@@ -152,7 +151,7 @@ val monte_carlo :
     is approximate but robust. [estimate_guarded] encodes it as a
     degradation chain — try exact symbolic propagation under a node
     budget, fall back to sampling on blowup, and degrade the sampling
-    engine [Parallel -> Bitparallel -> Scalar] on worker faults — so no
+    engine [Compiled -> Bitparallel -> Scalar] on worker faults — so no
     input, fault, or resource exhaustion produces an uncaught exception:
     the result is an estimate or a typed {!Hlp_util.Err.t}, always. *)
 
@@ -211,7 +210,6 @@ val estimate_guarded :
   ?max_cycles:int ->
   ?seed:int ->
   ?engine:Hlp_sim.Engine.t ->
-  ?jobs:int ->
   ?max_retries:int ->
   ?try_symbolic:bool ->
   ?symbolic_cache:float Hlp_logic.Netcache.t ->

@@ -39,7 +39,7 @@ let of_arrays ~macro_values ~gate_values =
 let of_arrays_checked ~macro_values ~gate_values =
   Hlp_util.Err.protect (fun () -> of_arrays ~macro_values ~gate_values)
 
-let prepare ?(engine = Hlp_sim.Engine.Scalar) ?jobs model dut traces =
+let prepare ?(engine = Hlp_sim.Engine.Scalar) model dut traces =
   Hlp_util.Telemetry.time tel_prepare_time @@ fun () ->
   Hlp_util.Trace.span
     ~args:(fun () ->
@@ -77,7 +77,7 @@ let prepare ?(engine = Hlp_sim.Engine.Scalar) ?jobs model dut traces =
             (List.length traces) (List.length widths)));
   let m = Array.length dut.Macromodel.net.Hlp_logic.Netlist.outputs in
   let vector i = Hlp_sim.Streams.pack ~widths traces i in
-  let r = Hlp_sim.Parsim.replay ~engine ?jobs dut.Macromodel.net ~vector ~n in
+  let r = Hlp_sim.Parsim.replay ~engine dut.Macromodel.net ~vector ~n in
   let out_words = r.Hlp_sim.Parsim.out_words in
   let gate_values = r.Hlp_sim.Parsim.transition_caps in
   (* per-transition macro-model evaluation on a two-word window *)
@@ -110,15 +110,7 @@ let prepare ?(engine = Hlp_sim.Engine.Scalar) ?jobs model dut traces =
     Hlp_util.Trace.span
       ~args:(fun () -> [ ("transitions", Hlp_util.Json.Int (n - 1)) ])
       "sampling.macro_eval"
-    @@ fun () ->
-    match engine with
-    | Hlp_sim.Engine.Parallel ->
-        (* windows are per-transition independent and slot-addressed, so
-           the parallel map is deterministic in the worker count *)
-        Hlp_sim.Parsim.map ?jobs (n - 1) predict_at
-    | Hlp_sim.Engine.Scalar | Hlp_sim.Engine.Bitparallel
-    | Hlp_sim.Engine.Compiled ->
-        Array.init (n - 1) predict_at
+      (fun () -> Array.init (n - 1) predict_at)
   in
   Hlp_util.Telemetry.add tel_macro_evals (n - 1);
   (* of_arrays validates lengths and finiteness, so a poisoned replay or
@@ -208,13 +200,12 @@ let load_cache records =
   in
   go 0 [] [] records
 
-let prepare_journaled ?(engine = Hlp_sim.Engine.Scalar) ?jobs ~path model dut
-    traces =
+let prepare_journaled ?(engine = Hlp_sim.Engine.Scalar) ~path model dut traces =
   let digest = traces_digest traces in
   let header = cache_header ~engine ~digest dut in
   let recompute () =
     Hlp_util.Telemetry.incr tel_cache_misses;
-    let t = prepare ~engine ?jobs model dut traces in
+    let t = prepare ~engine model dut traces in
     let j, _ = Hlp_util.Journal.open_ ~resume:false path in
     Fun.protect
       ~finally:(fun () -> Hlp_util.Journal.close j)
@@ -270,7 +261,7 @@ let prepare_cache : t Hlp_logic.Netcache.t =
 
 let clear_prepare_cache () = ignore (Hlp_logic.Netcache.clear prepare_cache)
 
-let prepare_cached ?(engine = Hlp_sim.Engine.Scalar) ?jobs model dut traces =
+let prepare_cached ?(engine = Hlp_sim.Engine.Scalar) model dut traces =
   let open Hlp_logic.Netcache in
   let model_key =
     Array.fold_left
@@ -287,7 +278,7 @@ let prepare_cached ?(engine = Hlp_sim.Engine.Scalar) ?jobs model dut traces =
          (hash_string (traces_digest traces)))
       model_key
   in
-  find_or_compute prepare_cache ~key (fun () -> prepare ~engine ?jobs model dut traces)
+  find_or_compute prepare_cache ~key (fun () -> prepare ~engine model dut traces)
 
 let cycles t = Array.length t.macro_values
 

@@ -34,7 +34,6 @@ val of_arrays_checked :
 
 val prepare :
   ?engine:Hlp_sim.Engine.t ->
-  ?jobs:int ->
   Macromodel.model ->
   Macromodel.dut ->
   int array list ->
@@ -46,11 +45,11 @@ val prepare :
 
     [engine] (default [Scalar]) selects the gate-level simulation engine
     (see {!Hlp_sim.Engine}): [Bitparallel] replays the trace 63 cycles per
-    word-wide step, [Parallel] additionally shards the replay and the
-    macro-model evaluations across [jobs] domains. Output words and toggle
-    counts are identical across engines; per-transition capacitances (and
-    hence {!adaptive} estimates) agree up to float round-off, and sampler /
-    census estimates are bit-identical.
+    word-wide step, and [Compiled] runs the same replay through the
+    compiled kernel. Output words and toggle counts are identical across
+    engines; per-transition capacitances (and hence {!adaptive} estimates)
+    agree up to float round-off, and sampler / census estimates are
+    bit-identical.
 
     Input validation is typed: no streams, fewer than two cycles, unequal
     stream lengths, or a stream count that does not match the DUT's input
@@ -59,7 +58,6 @@ val prepare :
 
 val prepare_journaled :
   ?engine:Hlp_sim.Engine.t ->
-  ?jobs:int ->
   path:string ->
   Macromodel.model ->
   Macromodel.dut ->
@@ -79,7 +77,6 @@ val prepare_journaled :
 
 val prepare_cached :
   ?engine:Hlp_sim.Engine.t ->
-  ?jobs:int ->
   Macromodel.model ->
   Macromodel.dut ->
   int array list ->

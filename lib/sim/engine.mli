@@ -6,9 +6,6 @@
     - [Bitparallel]: {!Bitsim} packs 63 independent vectors into one OCaml
       [int] per wire and evaluates each gate with single word-wide bitwise
       operations; toggle accounting is exact (popcount of [old lxor new]).
-    - [Parallel]: the bit-parallel engine sharded over OCaml 5 domains by
-      {!Parsim}, with per-shard PRNG streams and a deterministic reduction
-      order, so results are bit-identical regardless of the worker count.
     - [Compiled]: the netlist is first compiled by {!Kernel} into a flat
       struct-of-arrays schedule (contiguous opcode / fanin-index /
       capacitance arrays, topologically levelized, specialized per-level
@@ -19,17 +16,18 @@
 
     Rule of thumb: [Scalar] for debugging and tiny runs; [Bitparallel] for
     long single-stream cosimulation (it wins as soon as a few hundred cycles
-    are simulated); [Parallel] for Monte Carlo style workloads with many
-    independent vectors on multicore hosts; [Compiled] whenever the same
-    netlist is replayed more than a handful of times — the estimation
-    service, batch campaigns, and recipe search all live in that regime. *)
+    are simulated); [Compiled] whenever the same netlist is replayed more
+    than a handful of times — the estimation service, batch campaigns, and
+    recipe search all live in that regime. *)
 
-type t = Scalar | Bitparallel | Parallel | Compiled
+type t = Scalar | Bitparallel | Compiled
 
 val all : t list
 
 val to_string : t -> string
 
 val of_string : string -> t option
-(** Accepts ["scalar"], ["bitparallel"] (or ["bitpar"]), ["parallel"] (or
-    ["par"]), ["compiled"] (or ["kernel"]). *)
+(** Accepts ["scalar"], ["bitparallel"] (or ["bitpar"]), and ["compiled"]
+    (or ["kernel"]). The retired names ["parallel"] and ["par"] (a
+    domain-sharded bit-parallel engine) also map to [Compiled], so old job
+    files and requests keep working and get the compiled answer. *)

@@ -1,14 +1,5 @@
 open Hlp_logic
 
-let default_jobs () = max 1 (Domain.recommended_domain_count ())
-
-let tel_maps = Hlp_util.Telemetry.counter "parsim.maps"
-let tel_shards = Hlp_util.Telemetry.counter "parsim.shards"
-(* one observation per worker domain per parallel map: the number of shards
-   that worker pulled. With perfect load balance every observation of a map
-   is ~n/jobs; stragglers show up as outliers. *)
-let tel_domain_shards = Hlp_util.Telemetry.series "parsim.domain_shards"
-let tel_jobs_clamped = Hlp_util.Telemetry.counter "parsim.jobs_clamped"
 let tel_worker_failures = Hlp_util.Telemetry.counter "parsim.worker_failures"
 let tel_shard_retries = Hlp_util.Telemetry.counter "parsim.shard_retries"
 let tel_engine_fallbacks = Hlp_util.Telemetry.counter "parsim.engine_fallbacks"
@@ -19,128 +10,7 @@ let tel_mc_units = Hlp_util.Telemetry.counter "parsim.mc_units"
 let tel_replay_time = Hlp_util.Telemetry.timer "parsim.replay"
 let tel_mc_time = Hlp_util.Telemetry.timer "parsim.monte_carlo"
 
-(* An explicit worker count is clamped to both the shard count and the
-   recommended domain count: domains beyond either would sit idle (or
-   oversubscribe the cores), and the clamp is visible in telemetry instead
-   of silently spawning them. *)
-let effective_jobs ?jobs n =
-  let cap = min (max 1 n) (default_jobs ()) in
-  match jobs with
-  | None -> cap
-  | Some j ->
-      let j = max 1 j in
-      if j > cap then begin
-        Hlp_util.Telemetry.incr tel_jobs_clamped;
-        cap
-      end
-      else j
-
 let backoff_base_s = 0.001
-
-let map ?jobs ?(max_retries = 2) n f =
-  if n < 0 then
-    raise (Hlp_util.Err.invalid_input ~what:"Parsim.map: n" "must be non-negative");
-  if max_retries < 0 then
-    raise
-      (Hlp_util.Err.invalid_input ~what:"Parsim.map: max_retries"
-         "must be non-negative");
-  let jobs = effective_jobs ?jobs n in
-  if n = 0 then [||]
-  else begin
-    Hlp_util.Telemetry.incr tel_maps;
-    Hlp_util.Telemetry.add tel_shards n;
-    let results = Array.make n None in
-    let failed = Array.make n None in  (* last attempt's exception, per shard *)
-    (* One round computes the given shard subset, work-stealing over it.
-       Each shard writes only its own slot, so the result is
-       position-determined and independent of the worker count and of
-       scheduling. A raising shard is contained: its exception is recorded,
-       the worker moves on, and every other shard still completes. *)
-    let round ~attempt indices =
-      let k = Array.length indices in
-      let next = Atomic.make 0 in
-      let worker () =
-        let mine = ref 0 in
-        let rec go () =
-          let j = Atomic.fetch_and_add next 1 in
-          if j < k then begin
-            let i = indices.(j) in
-            (* span per shard attempt: in the merged trace, each worker
-               domain's track shows exactly which shards it pulled, and a
-               retried shard appears again with attempt > 1 *)
-            (match
-               Hlp_util.Trace.span
-                 ~args:(fun () ->
-                   [ ("shard", Hlp_util.Json.Int i);
-                     ("attempt", Hlp_util.Json.Int attempt) ])
-                 "parsim.shard"
-                 (fun () ->
-                   (* fault-injection point: this worker dying at pickup *)
-                   Hlp_util.Faultinject.trip Hlp_util.Faultinject.Domain_kill;
-                   f i)
-             with
-            | v ->
-                results.(i) <- Some v;
-                failed.(i) <- None;
-                Stdlib.incr mine
-            | exception e ->
-                Hlp_util.Telemetry.incr tel_worker_failures;
-                Hlp_util.Trace.instant
-                  ~args:(fun () ->
-                    [ ("shard", Hlp_util.Json.Int i);
-                      ("why", Hlp_util.Json.Str (Printexc.to_string e)) ])
-                  "parsim.shard_failed";
-                failed.(i) <- Some e);
-            go ()
-          end
-        in
-        go ();
-        if Hlp_util.Telemetry.enabled () then
-          Hlp_util.Telemetry.observe tel_domain_shards (float_of_int !mine)
-      in
-      let domains =
-        Array.init (min jobs k - 1) (fun _ -> Domain.spawn worker)
-      in
-      worker ();
-      Array.iter Domain.join domains
-    in
-    round ~attempt:1 (Array.init n Fun.id);
-    (* failed shards are retried on fresh domains with bounded exponential
-       backoff; [f] is deterministic per index, so a retried shard that
-       succeeds yields exactly the value the clean run would have *)
-    let rec retry attempt =
-      let pending =
-        Array.of_seq
-          (Seq.filter (fun i -> failed.(i) <> None) (Seq.init n Fun.id))
-      in
-      if Array.length pending > 0 && attempt <= max_retries then begin
-        Hlp_util.Telemetry.add tel_shard_retries (Array.length pending);
-        Hlp_util.Trace.span
-          ~args:(fun () ->
-            [ ("pending", Hlp_util.Json.Int (Array.length pending));
-              ("attempt", Hlp_util.Json.Int attempt) ])
-          "parsim.retry_backoff"
-          (fun () ->
-            Unix.sleepf (backoff_base_s *. float_of_int (1 lsl (attempt - 1))));
-        round ~attempt:(attempt + 1) pending;
-        retry (attempt + 1)
-      end
-    in
-    retry 1;
-    Array.iteri
-      (fun i e ->
-        match e with
-        | Some e ->
-            raise
-              (Hlp_util.Err.Error
-                 (Hlp_util.Err.Worker_failure
-                    { shard = i;
-                      attempts = max_retries + 1;
-                      why = Printexc.to_string e }))
-        | None -> ())
-      failed;
-    Array.map (function Some v -> v | None -> assert false) results
-  end
 
 type replay = {
   out_words : int array;
@@ -207,9 +77,6 @@ let replay_chunk_with sim ~vector ~n lo =
   let ntrans = min count (n - 1 - lo) in
   (outs, Array.sub lane_caps 0 (max 0 ntrans))
 
-let replay_chunk net ~caps ~vector ~n lo =
-  replay_chunk_with (Bitsim.create ~caps ~track_lanes:true net) ~vector ~n lo
-
 (* Same chunk transposition through the compiled kernel. The accounting
    contract ({!Kernel}) makes the per-lane floats bit-identical to
    [replay_chunk_with], so the two bodies must stay in lockstep. *)
@@ -235,7 +102,7 @@ let kernel_chunk_with sim ~vector ~n lo =
   let ntrans = min count (n - 1 - lo) in
   (outs, Array.sub lane_caps 0 (max 0 ntrans))
 
-let replay ?jobs ?max_retries ~engine net ~vector ~n =
+let replay ~engine net ~vector ~n =
   if n < 1 then
     raise
       (Hlp_util.Err.invalid_input ~what:"Parsim.replay: n"
@@ -251,7 +118,7 @@ let replay ?jobs ?max_retries ~engine net ~vector ~n =
   @@ fun () ->
   match (engine : Engine.t) with
   | Engine.Scalar -> replay_scalar net ~vector ~n
-  | Engine.Bitparallel | Engine.Parallel | Engine.Compiled ->
+  | Engine.Bitparallel | Engine.Compiled ->
       if Netlist.num_dffs net > 0 then
         invalid_arg
           "Parsim.replay: bit-parallel trace replay requires a combinational \
@@ -267,26 +134,10 @@ let replay ?jobs ?max_retries ~engine net ~vector ~n =
             Array.init nchunks (fun c ->
                 kernel_chunk_with sim ~vector ~n (c * Kernel.lanes))
         | _ ->
-            let jobs =
-              match engine with
-              | Engine.Parallel -> (
-                  match jobs with Some j -> max 1 j | None -> default_jobs ())
-              | _ -> 1
-            in
-            (* one capacitance table, shared read-only by every chunk
-               simulator *)
-            let caps = Netlist.node_capacitance net in
-            if jobs <= 1 then begin
-              (* sequential: one simulator reused across all chunks (the
-                 warm-up settle erases prior state), bit-identical to the
-                 per-chunk-create parallel path *)
-              let sim = Bitsim.create ~caps ~track_lanes:true net in
-              Array.init nchunks (fun c ->
-                  replay_chunk_with sim ~vector ~n (c * Bitsim.lanes))
-            end
-            else
-              map ~jobs ?max_retries nchunks (fun c ->
-                  replay_chunk net ~caps ~vector ~n (c * Bitsim.lanes))
+            (* likewise one simulator for every chunk *)
+            let sim = Bitsim.create ~track_lanes:true net in
+            Array.init nchunks (fun c ->
+                replay_chunk_with sim ~vector ~n (c * Bitsim.lanes))
       in
       let out_words = Array.concat (Array.to_list (Array.map fst chunks)) in
       let transition_caps = Array.concat (Array.to_list (Array.map snd chunks)) in
@@ -298,7 +149,6 @@ let replay ?jobs ?max_retries ~engine net ~vector ~n =
 
 let degradation_chain = function
   | Engine.Compiled -> [ Engine.Compiled; Engine.Bitparallel; Engine.Scalar ]
-  | Engine.Parallel -> [ Engine.Parallel; Engine.Bitparallel; Engine.Scalar ]
   | Engine.Bitparallel -> [ Engine.Bitparallel; Engine.Scalar ]
   | Engine.Scalar -> [ Engine.Scalar ]
 
@@ -363,15 +213,14 @@ let with_degradation ~what ~guard ~engine f =
   in
   go 0 (degradation_chain engine)
 
-let replay_guarded ?jobs ?max_retries ?(guard = Hlp_util.Guard.unlimited) ~engine
-    net ~vector ~n =
+let replay_guarded ?(guard = Hlp_util.Guard.unlimited) ~engine net ~vector ~n =
   if n < 1 then
     Error
       (Hlp_util.Err.Invalid_input
          { what = "Parsim.replay: n"; why = "need at least one cycle" })
   else
     with_degradation ~what:"parsim.replay" ~guard ~engine (fun e ->
-        replay ?jobs ?max_retries ~engine:e net ~vector ~n)
+        replay ~engine:e net ~vector ~n)
 
 (* --- Monte Carlo under uniform inputs --- *)
 
@@ -382,8 +231,8 @@ type mc = {
 }
 
 (* Each unit is an independent 63-lane batch whose PRNG stream depends only
-   on (seed, unit index) — never on the worker that ran it — which is what
-   makes the parallel reduction deterministic in the number of domains. *)
+   on (seed, unit index), so a unit's mean is the same whichever attempt or
+   engine computed it. *)
 let mc_unit net ~caps ~batch ~seed u =
   let rng = Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D)) in
   let nin = Array.length net.Netlist.inputs in
@@ -414,19 +263,60 @@ let mc_unit_kernel sim words ~batch ~seed u =
   done;
   Kernel.switched_capacitance sim /. float_of_int (batch * Kernel.lanes)
 
-let monte_carlo_units ?jobs ?max_retries ?resume_means ?on_unit ~engine net
+(* A raising unit is retried with bounded exponential backoff. Its mean is
+   deterministic per index, so a retry that succeeds yields exactly the
+   value a clean run would have; a unit still failing after [max_retries]
+   retries surfaces as the typed worker failure naming it. *)
+let contained ~max_retries f u =
+  let rec attempt k =
+    match
+      (* span per attempt: a retried unit appears again with attempt > 1 *)
+      Hlp_util.Trace.span
+        ~args:(fun () ->
+          [ ("shard", Hlp_util.Json.Int u); ("attempt", Hlp_util.Json.Int k) ])
+        "parsim.shard"
+        (fun () ->
+          (* fault-injection point: the unit dying at pickup *)
+          Hlp_util.Faultinject.trip Hlp_util.Faultinject.Domain_kill;
+          f u)
+    with
+    | v -> v
+    | exception e ->
+        Hlp_util.Telemetry.incr tel_worker_failures;
+        Hlp_util.Trace.instant
+          ~args:(fun () ->
+            [ ("shard", Hlp_util.Json.Int u);
+              ("why", Hlp_util.Json.Str (Printexc.to_string e)) ])
+          "parsim.shard_failed";
+        if k > max_retries then
+          raise
+            (Hlp_util.Err.Error
+               (Hlp_util.Err.Worker_failure
+                  { shard = u; attempts = k; why = Printexc.to_string e }))
+        else begin
+          Hlp_util.Telemetry.incr tel_shard_retries;
+          Hlp_util.Trace.span
+            ~args:(fun () -> [ ("attempt", Hlp_util.Json.Int k) ])
+            "parsim.retry_backoff"
+            (fun () ->
+              Unix.sleepf (backoff_base_s *. float_of_int (1 lsl (k - 1))));
+          attempt (k + 1)
+        end
+  in
+  attempt 1
+
+let monte_carlo_units ?(max_retries = 2) ?resume_means ?on_unit ~engine net
     ~batch ~seed ~stop =
+  if max_retries < 0 then
+    raise
+      (Hlp_util.Err.invalid_input ~what:"Parsim.monte_carlo_units: max_retries"
+         "must be non-negative");
   Hlp_util.Telemetry.time tel_mc_time @@ fun () ->
-  (* fixed round size, independent of the worker count, so the stopping
-     decisions (and therefore the estimate) do not depend on ~jobs *)
-  let round = match (engine : Engine.t) with Engine.Parallel -> 8 | _ -> 1 in
-  let jobs = match engine with Engine.Parallel -> jobs | _ -> Some 1 in
   let unit_of =
     match (engine : Engine.t) with
     | Engine.Compiled ->
         (* one state and one input buffer for the whole run: arrays this
-           size go straight to the major heap, and the compiled path runs
-           its units one at a time on this domain (jobs = 1) *)
+           size go straight to the major heap, and units run one at a time *)
         let sim = Kernel.create (Kernel.of_netlist net) in
         let words = Array.make (Array.length net.Netlist.inputs) 0 in
         fun u -> mc_unit_kernel sim words ~batch ~seed u
@@ -434,43 +324,22 @@ let monte_carlo_units ?jobs ?max_retries ?resume_means ?on_unit ~engine net
         let caps = Netlist.node_capacitance net in
         fun u -> mc_unit net ~caps ~batch ~seed u
   in
-  let rec go acc nunits =
-    let fresh =
-      Hlp_util.Trace.span
-        ~args:(fun () ->
-          [ ("units_done", Hlp_util.Json.Int nunits);
-            ("round", Hlp_util.Json.Int round) ])
-        "parsim.mc_round"
-        (fun () ->
-          map ?jobs ?max_retries round (fun r -> unit_of (nunits + r)))
-    in
-    Hlp_util.Telemetry.add tel_mc_units round;
-    (match on_unit with
-    | None -> ()
-    | Some f -> Array.iteri (fun r m -> f (nunits + r) m) fresh);
-    let acc = acc @ Array.to_list fresh in
-    let nunits = nunits + round in
-    let means = Array.of_list acc in
-    let cycles = nunits * batch * Bitsim.lanes in
-    if stop ~means ~cycles then
-      { mean = Hlp_util.Stats.mean means; unit_means = means; cycles }
-    else go acc nunits
+  let result means cycles =
+    { mean = Hlp_util.Stats.mean means; unit_means = means; cycles }
   in
-  let resumed =
-    match resume_means with
-    | None -> []
-    | Some ms ->
-        (* keep only whole rounds so stop-rule evaluation points line up
-           with the unit-index boundaries a fresh run would have used —
-           the price of a crash mid-round is re-running that round *)
-        let k = Array.length ms / round * round in
-        Array.to_list (Array.sub ms 0 k)
+  let rec go means =
+    let u = Array.length means in
+    let m = contained ~max_retries unit_of u in
+    Hlp_util.Telemetry.incr tel_mc_units;
+    Option.iter (fun f -> f u m) on_unit;
+    let means = Array.append means [| m |] in
+    let cycles = (u + 1) * batch * Bitsim.lanes in
+    if stop ~means ~cycles then result means cycles else go means
   in
-  let nunits0 = List.length resumed in
-  let means0 = Array.of_list resumed in
-  let cycles0 = nunits0 * batch * Bitsim.lanes in
+  let means0 = Option.value resume_means ~default:[||] in
+  let cycles0 = Array.length means0 * batch * Bitsim.lanes in
   (* entry stop-check: the previous run may have crashed after the stop
      rule fired but before its final snapshot landed *)
-  if nunits0 > 0 && stop ~means:means0 ~cycles:cycles0 then
-    { mean = Hlp_util.Stats.mean means0; unit_means = means0; cycles = cycles0 }
-  else go resumed nunits0
+  if Array.length means0 > 0 && stop ~means:means0 ~cycles:cycles0 then
+    result means0 cycles0
+  else go means0

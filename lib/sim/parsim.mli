@@ -1,42 +1,23 @@
-(** Multicore driver for the bit-parallel simulator.
+(** Trace replay and Monte Carlo units over the simulation engines.
 
-    [Parsim] shards independent simulation work across OCaml 5 domains. The
-    determinism contract, relied on by every consumer: {e results depend
-    only on the inputs and shard indices, never on the number of workers or
-    on scheduling}. Shards are self-describing (per-shard PRNG streams
-    derived from the seed and the shard index), each shard writes a
-    pre-assigned slot, and reductions run in shard-index order — so [jobs=1]
-    and [jobs=64] produce bit-identical floats.
+    [Parsim] drives {!Funcsim}, {!Bitsim} and the {!Kernel} over serial
+    input traces and over independent Monte Carlo units, and walks the
+    engine degradation chain when an engine fails. The determinism
+    contract, relied on by every consumer: {e results depend only on the
+    inputs and unit indices}. A Monte Carlo unit's PRNG stream is derived
+    from the seed and the unit index, so [Bitparallel] and [Compiled] units
+    carry the same bits and a resumed run equals a crash-free one.
 
-    Faults are {e contained}, not propagated: a shard whose computation
-    raises no longer takes the whole map down. Its exception is recorded,
-    every other shard still completes, and failed shards are retried on
-    fresh domains with bounded exponential backoff ([max_retries] rounds,
-    1 ms base). Because shards are deterministic per index, a retry that
-    succeeds yields exactly the value a clean run would have — containment
-    does not weaken the determinism contract. Shards that keep failing
-    surface as the typed error
-    [Hlp_util.Err.Error (Worker_failure _)]. Failure, retry, and clamp
-    counts are visible in the ["parsim.worker_failures"],
-    ["parsim.shard_retries"], ["parsim.jobs_clamped"], and
-    ["parsim.engine_fallbacks"] telemetry counters. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()], at least 1. *)
-
-val map : ?jobs:int -> ?max_retries:int -> int -> (int -> 'a) -> 'a array
-(** [map ~jobs n f] is [Array.init n f] computed by up to [jobs] domains
-    (default {!default_jobs}) pulling shard indices from a shared counter.
-    [f] must be safe to run concurrently with itself (pure, or touching
-    only shard-local state). Result slot [i] always holds [f i].
-
-    An explicit [jobs] is clamped to [min n (default_jobs ())] — domains
-    beyond the shard count or the recommended domain count would idle or
-    oversubscribe — with the clamp counted in ["parsim.jobs_clamped"].
-    Raising shards are retried up to [max_retries] (default 2) times; a
-    shard still failing afterwards raises
-    [Hlp_util.Err.Error (Worker_failure {shard; _})]. Raises
-    [Invalid_input] on negative [n] or [max_retries]. *)
+    Faults are {e contained}, not propagated: a Monte Carlo unit whose
+    computation raises is retried with bounded exponential backoff
+    ([max_retries] times, 1 ms base). Because units are deterministic per
+    index, a retry that succeeds yields exactly the value a clean run
+    would have — containment does not weaken the determinism contract.
+    Units that keep failing surface as the typed error
+    [Hlp_util.Err.Error (Worker_failure _)]. Failure, retry, and
+    degradation counts are visible in the ["parsim.worker_failures"],
+    ["parsim.shard_retries"], and ["parsim.engine_fallbacks"] telemetry
+    counters. *)
 
 (** {1 Serial-trace replay} *)
 
@@ -48,8 +29,6 @@ type replay = {
 }
 
 val replay :
-  ?jobs:int ->
-  ?max_retries:int ->
   engine:Engine.t ->
   Hlp_logic.Netlist.t ->
   vector:(int -> bool array) ->
@@ -63,23 +42,20 @@ val replay :
     the trace into chunks of 63 consecutive cycles, two {!Bitsim} steps per
     chunk (one uncounted warm-up settle, one counted transition), which is
     exact for combinational netlists because the settled state depends only
-    on the current vector. [Parallel] additionally spreads the chunks over
-    domains with {!map} ([max_retries] as in {!map}). [Compiled] runs the
-    same chunk protocol through the {!Kernel} struct-of-arrays schedule
-    (compiled once per fingerprint, one state reused across chunks) and is
-    bit-identical to [Bitparallel] on every output word and per-transition
-    float. Bit-parallel engines raise [Invalid_argument] on netlists with
-    flip-flops (sequential state cannot be chunked); [n < 1] raises the
-    typed [Invalid_input]. Toggle counts are integer-exact across engines;
-    the per-transition floats can differ from [Scalar] only by
-    summation-order round-off. *)
+    on the current vector. [Compiled] runs the same chunk protocol through
+    the {!Kernel} struct-of-arrays schedule (compiled once per fingerprint,
+    one state reused across chunks) and is bit-identical to [Bitparallel]
+    on every output word and per-transition float. Bit-parallel engines
+    raise [Invalid_argument] on netlists with flip-flops (sequential state
+    cannot be chunked); [n < 1] raises the typed [Invalid_input]. Toggle
+    counts are integer-exact across engines; the per-transition floats can
+    differ from [Scalar] only by summation-order round-off. *)
 
 (** {1 Engine degradation} *)
 
 val degradation_chain : Engine.t -> Engine.t list
 (** The fallback order {!with_degradation} walks, starting at the given
-    engine: [Compiled -> Bitparallel -> Scalar],
-    [Parallel -> Bitparallel -> Scalar], [Bitparallel -> Scalar],
+    engine: [Compiled -> Bitparallel -> Scalar], [Bitparallel -> Scalar],
     [Scalar] alone. Exposed for tests and capacity planning. *)
 
 type 'a degraded = {
@@ -99,8 +75,6 @@ val with_degradation :
     {!replay_guarded} and {!Hlp_power.Probprop}'s Monte Carlo fallback. *)
 
 val replay_guarded :
-  ?jobs:int ->
-  ?max_retries:int ->
   ?guard:Hlp_util.Guard.t ->
   engine:Engine.t ->
   Hlp_logic.Netlist.t ->
@@ -108,18 +82,18 @@ val replay_guarded :
   n:int ->
   (replay degraded, Hlp_util.Err.t) result
 (** {!replay} behind the degradation chain
-    [Parallel -> Bitparallel -> Scalar] (starting at [engine]): if an
-    engine fails — a worker failure that survived its retries, an injected
-    fault, or an engine-capability mismatch such as a sequential netlist
-    on a bit engine — the next, more conservative engine is tried, with
-    each hop counted in ["parsim.engine_fallbacks"]. [Parallel] and
-    [Bitparallel] are bit-identical, and [Scalar] differs only by
-    summation round-off, so degradation never changes the answer beyond
-    float noise. Guard trips ([Deadline_exceeded]/[Cancelled]) and
-    [Invalid_input] propagate immediately — degrading past a deadline
-    would return a late answer instead of a typed error. When the whole
-    chain fails the result is the last typed error (a raw last exception
-    is wrapped as [Worker_failure {shard = -1; _}]). *)
+    [Compiled -> Bitparallel -> Scalar] (starting at [engine]): if an
+    engine fails — an injected fault or an engine-capability mismatch
+    such as a sequential netlist on a bit engine — the next, more
+    conservative engine is tried, with each hop counted in
+    ["parsim.engine_fallbacks"]. [Compiled] and [Bitparallel] are
+    bit-identical, and [Scalar] differs only by summation round-off, so
+    degradation never changes the answer beyond float noise. Guard trips
+    ([Deadline_exceeded]/[Cancelled]) and [Invalid_input] propagate
+    immediately — degrading past a deadline would return a late answer
+    instead of a typed error. When the whole chain fails the result is
+    the last typed error (a raw last exception is wrapped as
+    [Worker_failure {shard = -1; _}]). *)
 
 (** {1 Monte Carlo batches} *)
 
@@ -130,7 +104,6 @@ type mc = {
 }
 
 val monte_carlo_units :
-  ?jobs:int ->
   ?max_retries:int ->
   ?resume_means:float array ->
   ?on_unit:(int -> float -> unit) ->
@@ -140,24 +113,26 @@ val monte_carlo_units :
   seed:int ->
   stop:(means:float array -> cycles:int -> bool) ->
   mc
-(** Evaluate independent Monte Carlo {e units} — each a fresh 63-lane
-    {!Bitsim} run of [batch] steps under uniform random inputs from a PRNG
-    stream determined by [(seed, unit index)] — until [stop] says so.
-    [stop] is consulted on unit-index boundaries that do not depend on
-    [jobs] (after every unit for [Bitparallel] and [Compiled], after every
-    fixed-size round of 8 units for [Parallel]), so the returned estimate
-    is bit-identical for any number of domains. Under [Compiled] each unit
-    replays a fresh {!Kernel} state of the once-compiled plan with the
-    identical PRNG stream, so unit means (and therefore checkpoints)
-    carry the same bits as [Bitparallel].
+(** Evaluate independent Monte Carlo {e units}, one at a time and in
+    unit order — each a fresh 63-lane {!Bitsim} run of [batch] steps under
+    uniform random inputs from a PRNG stream determined by
+    [(seed, unit index)] — until [stop] says so. [stop] is consulted after
+    every unit. Under [Compiled] each unit replays a fresh {!Kernel} state
+    of the once-compiled plan with the identical PRNG stream, so unit
+    means (and therefore checkpoints) carry the same bits as
+    [Bitparallel].
+
+    A raising unit (including the ["domain-kill"] fault point, tripped as
+    each attempt picks its unit up) is retried up to [max_retries]
+    (default 2) times with exponential backoff; a unit still failing
+    afterwards raises [Hlp_util.Err.Error (Worker_failure {shard; _})]
+    with [shard] the unit index. A negative [max_retries] raises the typed
+    [Invalid_input].
 
     Checkpoint hooks: [resume_means] seeds the run with per-unit means a
-    journal recovered — truncated to a whole number of rounds so the
-    stop rule is consulted at exactly the unit boundaries a fresh run
-    would have used (a crash mid-round re-runs that round), with an entry
-    stop-check covering a crash after the stop fired but before the final
-    snapshot. [on_unit] is called with [(unit index, unit mean)] for every
-    {e freshly computed} unit, in unit order, on the calling domain —
-    the journaling hook; resumed units are not re-reported. Because a
-    unit's mean depends only on [(seed, unit index)], a resumed run
-    returns the byte-identical [mc] a crash-free run would have. *)
+    journal recovered, with an entry stop-check covering a crash after the
+    stop fired but before the final snapshot. [on_unit] is called with
+    [(unit index, unit mean)] for every {e freshly computed} unit, in unit
+    order — the journaling hook; resumed units are not re-reported.
+    Because a unit's mean depends only on [(seed, unit index)], a resumed
+    run returns the byte-identical [mc] a crash-free run would have. *)

@@ -8,8 +8,8 @@
     the resulting uniform deviate falls under the configured rate. The
     multiset of fired draws therefore depends only on
     [(seed, rate, #draws)] — worker-domain scheduling can permute {e which
-    shard} absorbs a fault, but not {e how many} fire, and any single
-    shard's retry draws fresh sequence numbers (transient-fault model).
+    unit} absorbs a fault, but not {e how many} fire, and any single
+    unit's retry draws fresh sequence numbers (transient-fault model).
 
     Injection points and what a firing simulates:
     - [Gate_eval]: a gate-evaluation raise inside {!Hlp_sim.Funcsim} /
@@ -17,8 +17,8 @@
       arbitrary exception on the innermost path);
     - [Trace_sample]: a poisoned (non-finite) per-transition macro-model
       value inside {!Hlp_power.Sampling.prepare};
-    - [Domain_kill]: a {!Hlp_sim.Parsim} worker domain dying at shard
-      pickup;
+    - [Domain_kill]: a Monte Carlo unit dying at pickup (each attempt
+      of a {!Hlp_sim.Parsim.monte_carlo_units} unit draws once);
     - [Bdd_blowup]: artificial BDD node-budget exhaustion — {!Bdd} raises
       the same typed [Budget_exceeded] as a real blowup, exercising the
       symbolic-to-sampling degradation chain without building a large

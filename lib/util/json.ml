@@ -122,6 +122,12 @@ let write ~path v = Journal.write_atomic ~path (to_string v)
 
 exception Parse_error of string
 
+(* Each level of nesting is a stack frame of the recursive descent, and a
+   serve frame may carry 64 MiB of brackets: past this depth the input is
+   rejected instead of growing the stack. Every document the toolkit
+   writes or reads nests under 10. *)
+let max_depth = 512
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -304,7 +310,7 @@ let parse s =
           | Some f -> Float f
           | None -> fail "bad number")
   in
-  let rec parse_value () =
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -312,6 +318,7 @@ let parse s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> Str (parse_string ())
+    | Some ('[' | '{') when depth >= max_depth -> fail "nesting too deep"
     | Some '[' ->
         advance ();
         skip_ws ();
@@ -320,11 +327,11 @@ let parse s =
           List []
         end
         else begin
-          let items = ref [ parse_value () ] in
+          let items = ref [ parse_value (depth + 1) ] in
           skip_ws ();
           while peek () = Some ',' do
             advance ();
-            items := parse_value () :: !items;
+            items := parse_value (depth + 1) :: !items;
             skip_ws ()
           done;
           expect ']';
@@ -343,7 +350,7 @@ let parse s =
             let k = parse_string () in
             skip_ws ();
             expect ':';
-            let v = parse_value () in
+            let v = parse_value (depth + 1) in
             (k, v)
           in
           let fields = ref [ field () ] in
@@ -359,7 +366,7 @@ let parse s =
     | Some _ -> parse_number ()
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing characters";
     v

@@ -46,8 +46,10 @@ val parse : string -> (t, string) result
     leading zeros ([01]), a leading [+], and OCaml numeric-literal
     underscores are rejected. [\uXXXX] escapes require exactly 4 hex
     digits and decode to UTF-8 bytes, combining surrogate pairs into
-    astral code points (lone surrogates are an error). Used for reading
-    back our own artifacts and for the serve wire protocol. *)
+    astral code points (lone surrogates are an error). Arrays and objects
+    nested more than 512 deep are an error ("nesting too deep"), so a
+    hostile frame cannot grow the parser's stack. Used for reading back
+    our own artifacts and for the serve wire protocol. *)
 
 (** {1 Accessors} — tiny helpers for picking results apart in tests and
     the bench regression gate. Each returns [None] on a type or key

@@ -56,10 +56,12 @@ let write_frame fd payload =
    before a frame starts they surface as [`Timeout] so the caller can
    re-check its stop flag or deadline; once a frame has started we keep
    reading — a frame must never be split by the poll tick — unless an
-   explicit [deadline] (monotonic, absolute) has passed, in which case
-   the stalled frame is a typed error: the frame boundary is lost and
-   the connection must be dropped. *)
-let read_exact fd b len ~at_start ~deadline =
+   explicit [deadline] (monotonic, absolute) has passed or [stop] says the
+   server is draining, in which case the stalled frame is a typed error:
+   the frame boundary is lost and the connection must be dropped. A
+   half-sent request was never handled, so dropping it loses nothing in
+   flight. *)
+let read_exact fd b len ~at_start ~deadline ~stop =
   let got = ref 0 in
   let result = ref `Ok in
   while !result = `Ok && !got < len do
@@ -72,13 +74,13 @@ let read_exact fd b len ~at_start ~deadline =
         else (
           match deadline with
           | Some d when Clock.now_s () >= d -> frame_error "timeout mid-frame"
-          | _ -> ())
+          | _ -> if stop () then frame_error "drain mid-frame")
   done;
   !result
 
-let read_frame_poll ?deadline fd =
+let read_frame_poll ?deadline ?(stop = fun () -> false) fd =
   let header = Bytes.create 8 in
-  match read_exact fd header 8 ~at_start:true ~deadline with
+  match read_exact fd header 8 ~at_start:true ~deadline ~stop with
   | `Eof -> `Eof
   | `Timeout -> `Timeout
   | `Ok ->
@@ -87,7 +89,7 @@ let read_frame_poll ?deadline fd =
       if len < 0 || len > max_frame_bytes then
         frame_error (Printf.sprintf "length %d out of range" len);
       let payload = Bytes.create len in
-      (match read_exact fd payload len ~at_start:false ~deadline with
+      (match read_exact fd payload len ~at_start:false ~deadline ~stop with
       | `Ok -> ()
       | `Eof | `Timeout -> assert false);
       let payload = Bytes.unsafe_to_string payload in
@@ -386,12 +388,14 @@ let serve ?max_inflight ?(queue_budget = 64) ?deadline_s
       wait ()
     in
     (* serve one connection until the peer closes or drain begins; the
-       in-flight request always finishes — drain is between frames.
+       in-flight request always finishes — drain is between frames, and a
+       frame still arriving when drain begins is dropped unhandled.
        [queue_s] (accept-to-worker wait) is charged to the connection's
        first request; later requests on the persistent connection never
        waited in the accept queue. *)
+    let draining () = Atomic.get stopping in
     let rec conn_loop fd queue_s =
-      match read_frame_poll fd with
+      match read_frame_poll ~stop:draining fd with
       | `Eof -> close_quiet fd
       | `Timeout -> if Atomic.get stopping then close_quiet fd else conn_loop fd 0.0
       | `Frame _req when Atomic.get pressure >= 2 ->

@@ -206,7 +206,11 @@ val serve :
     socket files are unlinked, a live server is a typed refusal), binds
     it, spawns [max_inflight] worker domains (default half the
     recommended domain count, at least 1), and accepts until [token] is
-    cancelled; the socket file is unlinked again on the way out.
+    cancelled; the socket file is unlinked again on the way out. Drain
+    lets every request already being handled finish; a request whose
+    frame is still arriving when drain begins is dropped with its
+    connection on the next 50 ms receive tick, so a stalled peer cannot
+    hold the drain open.
 
     [queue_budget] (default 64) bounds connections waiting for a free
     worker; excess connections receive [overload

@@ -78,8 +78,8 @@ val run_jobs :
   ('r, Err.t) result array * stats
 (** [run_jobs f jobs] runs every admitted job on a pool of at most
     [max_inflight] worker domains (default {e half} the recommended
-    domain count, at least 1 — each job may itself shard over domains)
-    and returns one result slot per job, in job order.
+    domain count, at least 1) and returns one result slot per job, in job
+    order.
 
     {e Admission control}: with [queue_budget] set, jobs beyond the first
     [queue_budget] are shed immediately with

@@ -6,8 +6,8 @@
     simulators keep their own plain per-instance counters regardless; the
     telemetry layer only {e aggregates} them, at step or replay
     granularity, when enabled). Counters and timers are atomic and series
-    appends are mutex-protected, so {!Hlp_sim.Parsim} worker domains can
-    report concurrently.
+    appends are mutex-protected, so worker domains (the serve pool,
+    {!Supervisor.run_jobs}) can report concurrently.
 
     Typical use:
     {[

@@ -1,11 +1,10 @@
-(* Differential validation of the bit-parallel + multicore simulation
-   engine:
+(* Differential validation of the bit-parallel simulation engine:
 
    - Bitsim vs 63 independent Funcsim replicas: toggle counts, high counts,
      per-lane and total switched capacitance must match exactly (qcheck
      property over generated netlists, plus a sequential-circuit case);
-   - Parsim determinism: the Parallel engine must produce bit-identical
-     results with 1, 2, and 4 domains (the reduction-order contract);
+   - Parsim replay: the bit-parallel chunked replay must match the scalar
+     reference (outputs exactly, capacitance to round-off);
    - regression pins: Sampling.sampler / Sampling.adaptive on a fixed
      seed/DUT, so an engine swap cannot silently shift estimator results. *)
 
@@ -138,50 +137,29 @@ let test_output_words () =
         (outs.(j) land 255))
     pairs
 
-(* --- Parsim determinism: bit-identical across 1, 2, and 4 domains --- *)
+(* --- Parsim replay: bit-parallel chunks against the scalar reference --- *)
 
-let test_replay_deterministic_in_jobs () =
+let test_replay_matches_scalar () =
   let net = Generators.multiplier_circuit 6 in
   let nin = Array.length net.Netlist.inputs in
   let rng = Hlp_util.Prng.create 19 in
   let trace = Streams.uniform rng ~width:nin ~n:500 in
   let vector i = Array.init nin (fun b -> Hlp_util.Bits.bit trace.(i) b) in
-  let run jobs = Parsim.replay ~jobs ~engine:Engine.Parallel net ~vector ~n:500 in
-  let r1 = run 1 and r2 = run 2 and r4 = run 4 in
-  Alcotest.(check bool) "jobs=2 identical to jobs=1" true (r1 = r2);
-  Alcotest.(check bool) "jobs=4 identical to jobs=1" true (r1 = r4);
-  (* and identical to the single-domain bit-parallel engine *)
   let rb = Parsim.replay ~engine:Engine.Bitparallel net ~vector ~n:500 in
-  Alcotest.(check bool) "parallel identical to bitparallel" true (r1 = rb);
   (* scalar agrees exactly on outputs and within round-off on capacitance *)
   let rs = Parsim.replay ~engine:Engine.Scalar net ~vector ~n:500 in
   Alcotest.(check bool) "out words match scalar" true
-    (rs.Parsim.out_words = r1.Parsim.out_words);
+    (rs.Parsim.out_words = rb.Parsim.out_words);
   let max_rel = ref 0.0 in
   Array.iteri
     (fun i v ->
       max_rel :=
         max !max_rel
           (Hlp_util.Stats.relative_error ~actual:v
-             ~estimate:r1.Parsim.transition_caps.(i)))
+             ~estimate:rb.Parsim.transition_caps.(i)))
     rs.Parsim.transition_caps;
   Alcotest.(check bool) "transition caps match scalar to round-off" true
     (!max_rel < 1e-9)
-
-let test_monte_carlo_deterministic_in_jobs () =
-  let net = Generators.alu_circuit 6 in
-  let run jobs =
-    Hlp_power.Probprop.monte_carlo ~seed:5 ~engine:Hlp_sim.Engine.Parallel ~jobs net
-  in
-  let m1 = run 1 and m2 = run 2 and m4 = run 4 in
-  Alcotest.(check (float 0.0)) "estimate jobs=2" m1.Hlp_power.Probprop.estimate
-    m2.Hlp_power.Probprop.estimate;
-  Alcotest.(check (float 0.0)) "estimate jobs=4" m1.Hlp_power.Probprop.estimate
-    m4.Hlp_power.Probprop.estimate;
-  Alcotest.(check int) "cycles jobs=2" m1.Hlp_power.Probprop.cycles_used
-    m2.Hlp_power.Probprop.cycles_used;
-  Alcotest.(check int) "cycles jobs=4" m1.Hlp_power.Probprop.cycles_used
-    m4.Hlp_power.Probprop.cycles_used
 
 let test_monte_carlo_engines_agree () =
   (* different random streams, same physics: engines must agree within the
@@ -235,7 +213,7 @@ let test_sampling_regression_scalar () =
 let test_sampling_regression_engines () =
   let ts = pinned_cosim Hlp_sim.Engine.Scalar in
   let tb = pinned_cosim Hlp_sim.Engine.Bitparallel in
-  let tp = pinned_cosim Hlp_sim.Engine.Parallel in
+  let tc = pinned_cosim Hlp_sim.Engine.Compiled in
   List.iter
     (fun (name, t) ->
       (* sampler and census read only macro evaluations, which are derived
@@ -255,7 +233,7 @@ let test_sampling_regression_engines () =
       check_rel (name ^ " gate reference")
         (Hlp_power.Sampling.gate_reference ts)
         (Hlp_power.Sampling.gate_reference t))
-    [ ("bitparallel", tb); ("parallel", tp) ]
+    [ ("bitparallel", tb); ("compiled", tc) ]
 
 let suite =
   [
@@ -263,10 +241,8 @@ let suite =
     Alcotest.test_case "bitsim differential on sequential circuit" `Quick
       test_differential_sequential;
     Alcotest.test_case "bitsim per-lane output words" `Quick test_output_words;
-    Alcotest.test_case "parsim replay deterministic in jobs" `Quick
-      test_replay_deterministic_in_jobs;
-    Alcotest.test_case "parsim monte carlo deterministic in jobs" `Quick
-      test_monte_carlo_deterministic_in_jobs;
+    Alcotest.test_case "parsim replay matches scalar" `Quick
+      test_replay_matches_scalar;
     Alcotest.test_case "monte carlo engines agree" `Quick
       test_monte_carlo_engines_agree;
     Alcotest.test_case "sampling regression pins (scalar)" `Quick

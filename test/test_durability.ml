@@ -300,7 +300,7 @@ let test_checkpoint_validation () =
 (* fixed-budget bit-parallel workload: 10 units of batch * 63 cycles *)
 let units_mc ?(engine = Hlp_sim.Engine.Bitparallel) ?checkpoint () =
   P.monte_carlo ~batch:4 ~relative_precision:1e-6 ~max_cycles:(10 * 4 * 63)
-    ~seed:31 ~engine ~jobs:2 ?checkpoint
+    ~seed:31 ~engine ?checkpoint
     (Hlp_logic.Generators.multiplier_circuit 4)
 
 let test_units_resume_after_interrupt () =
@@ -328,26 +328,6 @@ let test_units_resume_after_interrupt () =
   ignore (units_mc ~checkpoint:(P.checkpoint path) ());
   let resumed = units_mc ~checkpoint:(P.checkpoint ~resume:true path) () in
   check_mc_identical "units resume after completion" plain resumed;
-  Sys.remove path
-
-let test_parallel_resume_after_interrupt () =
-  let engine = Hlp_sim.Engine.Parallel in
-  let plain = units_mc ~engine () in
-  let path = temp "parallel_interrupt" in
-  let count = ref 0 in
-  let ck =
-    P.checkpoint ~on_batch:(fun _ ->
-        incr count;
-        if !count = 3 then raise Crash)
-      path
-  in
-  (match units_mc ~engine ~checkpoint:ck () with
-  | _ -> Alcotest.fail "expected the interruption to fire"
-  | exception Crash -> ());
-  let resumed =
-    units_mc ~engine ~checkpoint:(P.checkpoint ~resume:true path) ()
-  in
-  check_mc_identical "parallel engine resume" plain resumed;
   Sys.remove path
 
 (* --- the real thing: SIGKILL a child mid-run, resume in the parent ---
@@ -729,8 +709,6 @@ let suite =
     Alcotest.test_case "checkpoint validation" `Quick test_checkpoint_validation;
     Alcotest.test_case "bit-parallel resume is byte-identical" `Quick
       test_units_resume_after_interrupt;
-    Alcotest.test_case "parallel-engine resume is byte-identical" `Quick
-      test_parallel_resume_after_interrupt;
     Alcotest.test_case "SIGKILLed child resumes byte-identical" `Quick
       test_sigkill_resume_byte_identical;
     Alcotest.test_case "run_jobs: order, results, bounded in-flight" `Quick

@@ -60,14 +60,20 @@ let test_json_accessors () =
   Alcotest.(check bool) "type mismatch" true
     (Option.bind (member "name" sample_json) to_int_opt = None)
 
+let nested depth = String.make depth '[' ^ String.make depth ']'
+
 let test_json_parse_errors () =
-  let bad = [ "{"; "[1, 2"; "tru"; "\"unterminated"; "{\"a\" 1}"; "" ] in
+  let bad =
+    [ "{"; "[1, 2"; "tru"; "\"unterminated"; "{\"a\" 1}"; ""; nested 513 ]
+  in
   List.iter
     (fun s ->
       match Json.parse s with
       | Ok _ -> Alcotest.failf "accepted malformed input %S" s
       | Error _ -> ())
-    bad
+    bad;
+  Alcotest.(check bool) "512 levels parse" true
+    (Result.is_ok (Json.parse (nested 512)))
 
 let expect_parse what s expected =
   match Json.parse s with
@@ -436,7 +442,13 @@ let test_injected_clock_telemetry () =
   Alcotest.(check int) "one timed call" 1 calls;
   (* start read 100.0, finish read 102.5: exactly the injected step *)
   Alcotest.(check (float 1e-9)) "duration is the injected delta" 2.5 secs;
-  Alcotest.(check bool) "real clock restored" true (Clock.now_s () > 1.0e3)
+  (* restored: a reading lies between two direct monotonic reads around
+     it (the monotonic epoch is boot, so no absolute bound holds) *)
+  let secs () = Int64.to_float (Clock.monotonic_ns ()) *. 1e-9 in
+  let before = secs () in
+  let now = Clock.now_s () in
+  let after = secs () in
+  Alcotest.(check bool) "real clock restored" true (before <= now && now <= after)
 
 let test_injected_clock_guard () =
   let t = ref 50.0 in

@@ -160,35 +160,35 @@ let test_faultinject_disarm () =
    with Exit -> ());
   Alcotest.(check bool) "disarmed after exception" false (Faultinject.enabled ())
 
-(* --- Parsim: containment, retries, clamping, degradation --- *)
+(* --- Parsim: containment, retries, degradation --- *)
 
-let test_parsim_jobs_clamp () =
-  with_telemetry @@ fun () ->
-  let r = Hlp_sim.Parsim.map ~jobs:64 4 (fun i -> i * i) in
-  Alcotest.(check (array int)) "result correct under clamp" [| 0; 1; 4; 9 |] r;
-  Alcotest.(check bool)
-    "clamp counted" true
-    (Telemetry.count (Telemetry.counter "parsim.jobs_clamped") >= 1)
+(* [n] compiled Monte Carlo units of a small adder: the stop rule fires on
+   the unit count alone, so a run's unit means are comparable bit for bit *)
+let mc_units ?max_retries n =
+  Hlp_sim.Parsim.monte_carlo_units ?max_retries ~engine:Hlp_sim.Engine.Compiled
+    (Hlp_logic.Generators.adder_circuit 4) ~batch:4 ~seed:7
+    ~stop:(fun ~means ~cycles:_ -> Array.length means >= n)
 
-let test_parsim_map_validation () =
-  check_err "invalid-input" "negative n" (fun () ->
-      Hlp_sim.Parsim.map (-1) Fun.id);
+let unit_bits (r : Hlp_sim.Parsim.mc) =
+  Array.map Int64.bits_of_float r.Hlp_sim.Parsim.unit_means
+
+let test_mc_units_validation () =
   check_err "invalid-input" "negative retries" (fun () ->
-      Hlp_sim.Parsim.map ~max_retries:(-1) 4 Fun.id)
+      mc_units ~max_retries:(-1) 4)
 
 let test_parsim_retry_recovers () =
-  (* transient faults: each retry draws fresh fault decisions, so at a
-     moderate rate the retried shards succeed and the map completes with
-     the exact values a clean run would produce *)
+  (* transient faults: each retry draws a fresh fault decision, so at a
+     moderate rate the retried units succeed and the run completes with
+     the exact unit means a clean run produces *)
   with_telemetry @@ fun () ->
-  let n = 200 in
-  let expected = Array.init n (fun i -> i * 3) in
+  let clean = unit_bits (mc_units 40) in
   let r =
     Faultinject.with_faults ~seed:(5 + seed_offset) ~rate:0.2
       [ Faultinject.Domain_kill ]
-      (fun () -> Hlp_sim.Parsim.map ~jobs:4 ~max_retries:8 n (fun i -> i * 3))
+      (fun () -> mc_units ~max_retries:8 40)
   in
-  Alcotest.(check (array int)) "deterministic despite faults" expected r;
+  Alcotest.(check (array int64)) "unit means bit-identical despite faults" clean
+    (unit_bits r);
   Alcotest.(check bool)
     "failures counted" true
     (Telemetry.count (Telemetry.counter "parsim.worker_failures") >= 1);
@@ -197,15 +197,15 @@ let test_parsim_retry_recovers () =
     (Telemetry.count (Telemetry.counter "parsim.shard_retries") >= 1)
 
 let test_parsim_persistent_failure () =
-  (* a shard that fails deterministically exhausts its retries and surfaces
-     as the typed worker failure naming the shard *)
+  (* a unit that keeps failing exhausts its retries and surfaces as the
+     typed worker failure naming the unit *)
   match
-    Hlp_sim.Parsim.map ~jobs:2 ~max_retries:1 8 (fun i ->
-        if i = 5 then failwith "persistent" else i)
+    Faultinject.with_faults ~rate:1.0 [ Faultinject.Domain_kill ] (fun () ->
+        mc_units ~max_retries:1 8)
   with
   | _ -> Alcotest.fail "expected Worker_failure"
   | exception Err.Error (Err.Worker_failure { shard; attempts; why }) ->
-      Alcotest.(check int) "failing shard named" 5 shard;
+      Alcotest.(check int) "failing unit named" 0 shard;
       Alcotest.(check int) "attempts = max_retries + 1" 2 attempts;
       Alcotest.(check bool) "original exception kept" true
         (String.length why > 0)
@@ -219,14 +219,14 @@ let adder_trace ~width ~n seed =
 
 let test_replay_guarded_degrades () =
   (* gate-eval faults at rate 1.0 kill every engine's simulation; the chain
-     must walk Parallel -> Bitparallel -> Scalar and surface a typed error,
+     must walk Compiled -> Bitparallel -> Scalar and surface a typed error,
      not an injected Failure *)
   with_telemetry @@ fun () ->
   let net, vector = adder_trace ~width:4 ~n:100 11 in
   (match
      Faultinject.with_faults ~rate:1.0 [ Faultinject.Gate_eval ] (fun () ->
-         Hlp_sim.Parsim.replay_guarded ~jobs:2 ~max_retries:0
-           ~engine:Hlp_sim.Engine.Parallel net ~vector ~n:100)
+         Hlp_sim.Parsim.replay_guarded ~engine:Hlp_sim.Engine.Compiled net
+           ~vector ~n:100)
    with
   | Ok _ -> Alcotest.fail "all engines were killed; expected an error"
   | Error e ->
@@ -236,37 +236,13 @@ let test_replay_guarded_degrades () =
     "two degradation hops counted" 2
     (Telemetry.count (Telemetry.counter "parsim.engine_fallbacks"))
 
-let test_replay_guarded_preserves_results () =
-  (* faults only on the parallel path: degradation (or retry) must yield
-     the same per-transition capacitances a clean run produces *)
-  let net, vector = adder_trace ~width:4 ~n:200 13 in
-  let clean =
-    Hlp_sim.Parsim.replay ~engine:Hlp_sim.Engine.Bitparallel net ~vector ~n:200
-  in
-  let faulty =
-    Faultinject.with_faults ~seed:3 ~rate:0.3 [ Faultinject.Domain_kill ]
-      (fun () ->
-        Hlp_sim.Parsim.replay_guarded ~jobs:4 ~max_retries:4
-          ~engine:Hlp_sim.Engine.Parallel net ~vector ~n:200)
-  in
-  match faulty with
-  | Error e -> Alcotest.fail ("unexpected error: " ^ Err.to_string e)
-  | Ok d ->
-      Array.iteri
-        (fun i c ->
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "transition %d" i)
-            c
-            d.Hlp_sim.Parsim.value.Hlp_sim.Parsim.transition_caps.(i))
-        clean.Hlp_sim.Parsim.transition_caps
-
 let test_replay_guarded_propagates_guard_trips () =
   (* a deadline must never be degraded past: the chain stops immediately *)
   let net, vector = adder_trace ~width:4 ~n:50 17 in
   match
     Hlp_sim.Parsim.replay_guarded
       ~guard:(Guard.create ~deadline_s:0.0 ())
-      ~engine:Hlp_sim.Engine.Parallel net ~vector ~n:50
+      ~engine:Hlp_sim.Engine.Compiled net ~vector ~n:50
   with
   | Ok _ -> Alcotest.fail "expected deadline error"
   | Error e ->
@@ -453,7 +429,7 @@ let qcheck_pipeline_never_crashes =
         Faultinject.with_faults ~seed:(seed + seed_offset) ~rate:0.1 points
           (fun () ->
             Hlp_power.Probprop.estimate_guarded ~seed ~node_limit:5000
-              ~engine:Hlp_sim.Engine.Parallel ~jobs:2 ~max_retries:3 net)
+              ~engine:Hlp_sim.Engine.Compiled ~max_retries:3 net)
       in
       match result with
       | Error _ -> true (* typed error: acceptable outcome *)
@@ -466,18 +442,21 @@ let qcheck_pipeline_never_crashes =
               Float.abs (mc.Hlp_power.Probprop.estimate -. Lazy.force exact)
               <= 4.0 *. mc.Hlp_power.Probprop.half_interval))
 
-let qcheck_map_deterministic_under_faults =
+let qcheck_units_deterministic_under_faults =
+  (* a unit's mean depends only on its index, so a clean 30-unit run's
+     prefix is the expected answer for any shorter run *)
+  let clean = lazy (unit_bits (mc_units 30)) in
   QCheck.Test.make
     ~name:"Parsim.map under domain kills: correct values or typed error"
     ~count:25
-    QCheck.(pair (int_bound 10_000) (int_range 1 60))
+    QCheck.(pair (int_bound 10_000) (int_range 1 30))
     (fun (seed, n) ->
       match
         Faultinject.with_faults ~seed:(seed + seed_offset) ~rate:0.3
           [ Faultinject.Domain_kill ]
-          (fun () -> Hlp_sim.Parsim.map ~jobs:3 ~max_retries:4 n (fun i -> i + 1))
+          (fun () -> mc_units ~max_retries:4 n)
       with
-      | r -> Array.to_list r = List.init n (fun i -> i + 1)
+      | r -> unit_bits r = Array.sub (Lazy.force clean) 0 n
       | exception Err.Error (Err.Worker_failure _) -> true)
 
 let suite =
@@ -492,13 +471,10 @@ let suite =
     Alcotest.test_case "faultinject rates" `Quick test_faultinject_rates;
     Alcotest.test_case "faultinject determinism" `Quick test_faultinject_determinism;
     Alcotest.test_case "faultinject disarm" `Quick test_faultinject_disarm;
-    Alcotest.test_case "parsim jobs clamp" `Quick test_parsim_jobs_clamp;
-    Alcotest.test_case "parsim map validation" `Quick test_parsim_map_validation;
+    Alcotest.test_case "parsim map validation" `Quick test_mc_units_validation;
     Alcotest.test_case "parsim retry recovers" `Quick test_parsim_retry_recovers;
     Alcotest.test_case "parsim persistent failure" `Quick test_parsim_persistent_failure;
     Alcotest.test_case "replay_guarded degrades" `Quick test_replay_guarded_degrades;
-    Alcotest.test_case "replay_guarded preserves results" `Quick
-      test_replay_guarded_preserves_results;
     Alcotest.test_case "replay_guarded propagates guard trips" `Quick
       test_replay_guarded_propagates_guard_trips;
     Alcotest.test_case "symbolic exact on reconvergence" `Quick
@@ -515,5 +491,5 @@ let suite =
       test_sampling_prepare_validation;
     Alcotest.test_case "sampling poisoned trace" `Quick test_sampling_poisoned_trace;
     QCheck_alcotest.to_alcotest qcheck_pipeline_never_crashes;
-    QCheck_alcotest.to_alcotest qcheck_map_deterministic_under_faults;
+    QCheck_alcotest.to_alcotest qcheck_units_deterministic_under_faults;
   ]

@@ -189,7 +189,8 @@ let test_error_envelopes () =
                 "invalid-input" );
               ( "bad width",
                 {|{"id":9,"op":"estimate","circuit":"adder","width":-2}|},
-                "invalid-input" ) ]
+                "invalid-input" );
+              ("nesting too deep", String.make 100_000 '[', "invalid-input") ]
           in
           List.iter
             (fun (what, req, cls) ->
@@ -211,9 +212,11 @@ let result_str r name =
   Option.bind r.Service.result (fun j ->
       Option.bind (Json.member name j) Json.to_str_opt)
 
-(* A node budget of 64 trips the symbolic attempt, so both requests run
+(* A node budget of 64 trips the symbolic attempt, so the requests run
    Monte Carlo: the omitted engine is the compiled kernel, and its answer
-   has the bits of the bit-parallel interpreter's. *)
+   has the bits of the bit-parallel interpreter's. The retired name
+   "parallel" parses to the compiled kernel, so it hits the omitted
+   request's cache entry. *)
 let test_default_engine_is_compiled () =
   with_server (fun path _service ->
       let conn = Server.connect path in
@@ -228,6 +231,7 @@ let test_default_engine_is_compiled () =
                     ~circuit:"multiplier" ~width:6 ()))
           in
           let omitted = ask 1 and explicit = ask ~engine:"bitparallel" 2 in
+          let retired = ask ~engine:"parallel" 3 in
           Alcotest.(check bool) "both ok" true
             (omitted.Service.ok && explicit.Service.ok);
           Alcotest.(check bool) "distinct keys" false explicit.Service.cached;
@@ -241,7 +245,14 @@ let test_default_engine_is_compiled () =
             (Some "bitparallel") (result_str explicit "engine");
           Alcotest.(check (option string)) "capacitance bits"
             (result_str explicit "capacitance_bits")
-            (result_str omitted "capacitance_bits")))
+            (result_str omitted "capacitance_bits");
+          Alcotest.(check bool) "parallel ok and cached" true
+            (retired.Service.ok && retired.Service.cached);
+          Alcotest.(check (option string)) "parallel runs compiled"
+            (Some "compiled") (result_str retired "engine");
+          Alcotest.(check (option string)) "parallel capacitance bits"
+            (result_str omitted "capacitance_bits")
+            (result_str retired "capacitance_bits")))
 
 (* An omitted bound is folded into the cache key as 0, so an explicit 0
    must be rejected: served, it would answer the omitted request from the
@@ -306,6 +317,53 @@ let test_bounds_capped () =
               | None -> Alcotest.failf "%s: error field missing" field)
             [ ("max_cycles", ask ~max_cycles:10_000_001 2);
               ("node_limit", ask ~node_limit:2_000_001 3) ]))
+
+(* A peer that stalls mid-frame must not hold the drain: the worker drops
+   the half-sent request (never handled, so nothing in flight is lost) on
+   its next receive-timeout tick after the token is cancelled. The stalled
+   socket is closed after 3 s either way, so a server that waits for the
+   peer fails this test instead of hanging it. *)
+let test_half_frame_does_not_block_drain () =
+  let path = fresh_socket () in
+  let token = Guard.token ~name:"test_half_frame" () in
+  let ready = Atomic.make false in
+  let returned_at = Atomic.make infinity in
+  let srv =
+    Domain.spawn (fun () ->
+        Server.serve ~max_inflight:1 ~token
+          ~on_ready:(fun () -> Atomic.set ready true)
+          ~path
+          (fun _ req -> req);
+        Atomic.set returned_at (Unix.gettimeofday ()))
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.002
+  done;
+  Alcotest.(check bool) "server came up" true (Atomic.get ready);
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  (* a header announcing 100 payload bytes, then only 10 of them *)
+  let header = Bytes.create 8 in
+  Bytes.set_int32_le header 0 100l;
+  Bytes.set_int32_le header 4 0l;
+  ignore (Unix.write fd header 0 8);
+  ignore (Unix.write_substring fd (String.make 10 'x') 0 10);
+  Unix.sleepf 0.2;
+  let cancelled_at = Unix.gettimeofday () in
+  Guard.cancel token;
+  while
+    Atomic.get returned_at = infinity
+    && Unix.gettimeofday () -. cancelled_at < 3.0
+  do
+    Unix.sleepf 0.01
+  done;
+  Unix.close fd;
+  Domain.join srv;
+  let took = Atomic.get returned_at -. cancelled_at in
+  Alcotest.(check bool)
+    (Printf.sprintf "serve returned within 1 s of cancel (took %.2f s)" took)
+    true (took < 1.0)
 
 let test_overload_sheds_typed_frame () =
   (* one worker, admission budget one: a sleeper pins the worker, one
@@ -411,6 +469,8 @@ let suite =
       test_bounds_capped;
     Alcotest.test_case "serve: overload sheds a typed frame" `Quick
       test_overload_sheds_typed_frame;
+    Alcotest.test_case "serve: half-sent frame does not block drain" `Quick
+      test_half_frame_does_not_block_drain;
     Alcotest.test_case "serve: handler exception contained to one connection"
       `Quick test_handler_exception_closes_only_that_connection;
     Alcotest.test_case "serve: sampler responses deterministic" `Quick
