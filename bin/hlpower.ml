@@ -46,6 +46,16 @@ let stream_enum =
 
 let enum_doc alts = String.concat "|" (List.map fst alts)
 
+(* An option over a table of named values. [Arg.enum] prints the default
+   by comparing values with [=], which raises on functions and kills
+   --help, so the option enumerates the names and looks the value up once
+   parsed. *)
+let named_opt alts ~default doc =
+  let names = List.map (fun (name, _) -> (name, name)) alts in
+  Term.(
+    const (fun name -> List.assoc name alts)
+    $ Arg.(value & opt (enum names) default & doc))
+
 let engine_doc =
   String.concat "|" (List.map Hlp_sim.Engine.to_string Hlp_sim.Engine.all)
 
@@ -218,8 +228,8 @@ let estimate circuit width cycles stream seed engine profile telemetry_json
 
 let estimate_cmd =
   let circuit =
-    Arg.(value & opt (enum circuit_enum) Hlp_logic.Generators.multiplier_circuit
-         & info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuit_enum))
+    named_opt circuit_enum ~default:"multiplier"
+      (Arg.info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuit_enum))
   in
   let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"operand bit width") in
   let cycles =
@@ -228,8 +238,8 @@ let estimate_cmd =
              ~doc:"simulation cycles (>= 2: the reference averages over trace transitions)")
   in
   let stream =
-    Arg.(value & opt (enum stream_enum) (List.assoc "uniform" stream_enum)
-         & info [ "stream" ] ~docv:"STREAM" ~doc:(enum_doc stream_enum))
+    named_opt stream_enum ~default:"uniform"
+      (Arg.info [ "stream" ] ~docv:"STREAM" ~doc:(enum_doc stream_enum))
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
   let engine =
@@ -394,8 +404,7 @@ let parse_jobs_file path =
        jobs)
 
 let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
-    max_retries breaker_threshold breaker_cooldown telemetry_json trace_out
-    report =
+    max_retries telemetry_json trace_out report =
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
   let max_retries = require_at_least ~flag:"--max-retries" 1 max_retries in
@@ -412,13 +421,6 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
           (Hlp_util.Err.invalid_input ~what:"--checkpoint-dir"
              (dir ^ " exists and is not a directory"))
   | None -> ());
-  (* one breaker for the symbolic BDD stage, shared by every job: repeated
-     node-budget trips open it and jobs route straight to Monte Carlo
-     until the cooldown lets one probe try symbolic again *)
-  let breaker =
-    Hlp_util.Supervisor.breaker ?failure_threshold:breaker_threshold
-      ?cooldown_s:breaker_cooldown "probprop.symbolic"
-  in
   let run_job _idx guard job =
     let ck =
       Option.map
@@ -427,28 +429,12 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
             (Filename.concat dir (job.bj_name ^ ".journal")))
         checkpoint_dir
     in
-    let combinational = Hlp_logic.Netlist.num_dffs job.bj_net = 0 in
-    let try_symbolic =
-      combinational && Hlp_util.Supervisor.breaker_allows breaker
-    in
-    let r =
-      Hlp_power.Probprop.estimate_guarded ~guard ~try_symbolic ?checkpoint:ck
+    match
+      Hlp_power.Probprop.estimate_guarded ~guard ?checkpoint:ck
         ?node_limit:job.bj_node_limit ?batch:job.bj_batch
         ?relative_precision:job.bj_rp ?max_cycles:job.bj_max_cycles
         ~seed:job.bj_seed ~engine:job.bj_engine ?max_retries job.bj_net
-    in
-    (if combinational && try_symbolic then
-       match r with
-       | Ok g ->
-           if g.Hlp_power.Probprop.symbolic_fallback then
-             Hlp_util.Supervisor.breaker_failure breaker
-           else Hlp_util.Supervisor.breaker_success breaker
-       | Error _ ->
-           (* the failure was not the symbolic stage's (budget trips are
-              contained inside estimate_guarded as symbolic_fallback);
-              release the permission/probe without a penalty *)
-           Hlp_util.Supervisor.breaker_success breaker);
-    match r with
+    with
     | Error e -> raise (Hlp_util.Err.Error e)
     | Ok g ->
         (match checkpoint_dir with
@@ -618,20 +604,6 @@ let batch_cmd =
          & info [ "max-retries" ] ~docv:"N"
              ~doc:"retries per failed Monte Carlo unit (>= 1)")
   in
-  let breaker_threshold =
-    Arg.(value & opt (some int) None
-         & info [ "breaker-threshold" ] ~docv:"N"
-             ~doc:
-               "consecutive symbolic BDD budget trips before the breaker \
-                opens and jobs route straight to Monte Carlo (default 3)")
-  in
-  let breaker_cooldown =
-    Arg.(value & opt (some float) None
-         & info [ "breaker-cooldown" ] ~docv:"SECONDS"
-             ~doc:
-               "seconds the symbolic breaker stays open before one probe \
-                job may try symbolic again (default 30)")
-  in
   let telemetry_json =
     Arg.(value & opt (some string) None
          & info [ "telemetry-json" ] ~docv:"FILE"
@@ -652,8 +624,8 @@ let batch_cmd =
        ~doc:
          "Run a supervised campaign of estimate jobs with checkpoint/resume")
     Term.(const batch $ jobs_file $ checkpoint_dir $ resume $ max_inflight
-          $ queue_budget $ deadline $ max_retries $ breaker_threshold
-          $ breaker_cooldown $ telemetry_json $ trace_out $ report)
+          $ queue_budget $ deadline $ max_retries $ telemetry_json $ trace_out
+          $ report)
 
 (* --- serve --- *)
 
@@ -707,10 +679,9 @@ let ensure_dir dir =
   | () -> ()
   | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
-let serve socket max_inflight queue_budget deadline breaker_threshold
-    breaker_cooldown telemetry_json trace_out access_log access_log_max_bytes
-    slow_threshold state_dir snapshot_interval pid_file mem_soft_mb mem_hard_mb
-    config =
+let serve socket max_inflight queue_budget deadline telemetry_json trace_out
+    access_log access_log_max_bytes slow_threshold state_dir snapshot_interval
+    pid_file mem_soft_mb mem_hard_mb config =
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
   let max_inflight = require_at_least ~flag:"--max-inflight" 1 max_inflight in
@@ -731,10 +702,7 @@ let serve socket max_inflight queue_budget deadline breaker_threshold
      off the telemetry switch: a serving daemon always records *)
   Hlp_util.Telemetry.enable ();
   if trace_out <> None then Hlp_util.Trace.enable ();
-  let service =
-    Hlp_power.Service.create ?failure_threshold:breaker_threshold
-      ?cooldown_s:breaker_cooldown ()
-  in
+  let service = Hlp_power.Service.create () in
   (* hot-reloadable knobs: CLI flags seed the record, --config (when
      given) overrides at startup and on every SIGHUP *)
   let cli_knobs =
@@ -865,18 +833,6 @@ let serve_cmd =
          & info [ "deadline" ] ~docv:"SECONDS"
              ~doc:"per-request wall-clock budget (typed deadline-exceeded)")
   in
-  let breaker_threshold =
-    Arg.(value & opt (some int) None
-         & info [ "breaker-threshold" ] ~docv:"N"
-             ~doc:
-               "consecutive symbolic BDD budget trips before estimates route \
-                straight to Monte Carlo (default 3)")
-  in
-  let breaker_cooldown =
-    Arg.(value & opt (some float) None
-         & info [ "breaker-cooldown" ] ~docv:"SECONDS"
-             ~doc:"seconds the symbolic breaker stays open (default 30)")
-  in
   let telemetry_json =
     Arg.(value & opt (some string) None
          & info [ "telemetry-json" ] ~docv:"FILE"
@@ -916,11 +872,10 @@ let serve_cmd =
     Arg.(value & opt (some string) None
          & info [ "state-dir" ] ~docv:"DIR"
              ~doc:
-               "crash-only warm restarts: rehydrate the estimate/symbolic \
-                caches from $(docv)/snapshot.hlp at startup (torn, stale, or \
-                mismatched snapshots self-heal to a counted cold start) and \
-                spill them back atomically every --snapshot-interval and at \
-                drain")
+               "crash-only warm restarts: rehydrate the estimate cache from \
+                $(docv)/snapshot.hlp at startup (torn, stale, or mismatched \
+                snapshots self-heal to a counted cold start) and spill it \
+                back atomically every --snapshot-interval and at drain")
   in
   let snapshot_interval =
     Arg.(value & opt (some float) None
@@ -969,9 +924,9 @@ let serve_cmd =
           memory-pressure-aware admission, SIGHUP knob reload, graceful \
           SIGINT/SIGTERM drain)")
     Term.(const serve $ socket $ max_inflight $ queue_budget $ deadline
-          $ breaker_threshold $ breaker_cooldown $ telemetry_json $ trace_out
-          $ access_log $ access_log_max_bytes $ slow_threshold $ state_dir
-          $ snapshot_interval $ pid_file $ mem_soft_mb $ mem_hard_mb $ config)
+          $ telemetry_json $ trace_out $ access_log $ access_log_max_bytes
+          $ slow_threshold $ state_dir $ snapshot_interval $ pid_file
+          $ mem_soft_mb $ mem_hard_mb $ config)
 
 (* --- supervise --- *)
 
@@ -1442,9 +1397,6 @@ let top socket interval count once =
   let num name v =
     Option.value ~default:0.0 (Option.bind (J.member name v) J.to_float_opt)
   in
-  let str name v =
-    Option.value ~default:"?" (Option.bind (J.member name v) J.to_str_opt)
-  in
   let obj_fields name v =
     match J.member name v with Some (J.Obj fs) -> fs | _ -> []
   in
@@ -1485,10 +1437,9 @@ let top socket interval count once =
       reqs (rate reqs prev_reqs) sheds (rate sheds prev_sheds)
       (counter snap "server.slow_requests")
       (counter snap "server.frame_errors");
-    line "estimates inflight %.0f   coalesced %.0f   breaker %s"
+    line "estimates inflight %.0f   coalesced %.0f"
       (num "estimates_inflight" snap)
-      (num "estimates_coalesced" snap)
-      (str "breaker" snap);
+      (num "estimates_coalesced" snap);
     (match op_rows snap with
     | [] -> ()
     | rows ->
@@ -1694,8 +1645,8 @@ let bus_encode trace width n seed =
 
 let bus_cmd =
   let trace =
-    Arg.(value & opt (enum trace_enum) (List.assoc "sequential" trace_enum)
-         & info [ "trace" ] ~docv:"TRACE" ~doc:(enum_doc trace_enum))
+    named_opt trace_enum ~default:"sequential"
+      (Arg.info [ "trace" ] ~docv:"TRACE" ~doc:(enum_doc trace_enum))
   in
   let width = Arg.(value & opt int 16 & info [ "width" ] ~doc:"bus width") in
   let n = Arg.(value & opt int 4000 & info [ "words" ] ~doc:"trace length") in
@@ -1759,8 +1710,8 @@ let fsm_encode machine iterations seed =
 
 let fsm_cmd =
   let machine =
-    Arg.(value & opt (enum machine_enum) (List.assoc "random" machine_enum)
-         & info [ "machine" ] ~docv:"MACHINE" ~doc:(enum_doc machine_enum))
+    named_opt machine_enum ~default:"random"
+      (Arg.info [ "machine" ] ~docv:"MACHINE" ~doc:(enum_doc machine_enum))
   in
   let iterations =
     Arg.(value & opt int 20_000 & info [ "iterations" ] ~doc:"annealing iterations")
@@ -1784,13 +1735,13 @@ let export_cmd =
   let circuit =
     (* keep the circuit's name around for the Verilog module name *)
     let named = List.map (fun (name, f) -> (name, (name, f))) circuit_enum in
-    Arg.(value & opt (enum named) (List.assoc "adder" named)
-         & info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuit_enum))
+    named_opt named ~default:"adder"
+      (Arg.info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuit_enum))
   in
   let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"operand bit width") in
   let format =
-    Arg.(value & opt (enum format_enum) (List.assoc "verilog" format_enum)
-         & info [ "format" ] ~docv:"FORMAT" ~doc:(enum_doc format_enum))
+    named_opt format_enum ~default:"verilog"
+      (Arg.info [ "format" ] ~docv:"FORMAT" ~doc:(enum_doc format_enum))
   in
   Cmd.v (Cmd.info "export" ~doc:"Emit a generated circuit as Verilog or dot")
     Term.(const export $ circuit $ width $ format)

@@ -75,10 +75,57 @@ let estimate_capacitance net stats =
 (* --- exact symbolic estimation (BDD signal probabilities) --- *)
 
 let tel_symbolic_runs = Hlp_util.Telemetry.counter "probprop.symbolic_runs"
+let tel_symbolic_builds = Hlp_util.Telemetry.counter "probprop.symbolic_builds"
 let tel_symbolic_fallbacks = Hlp_util.Telemetry.counter "probprop.symbolic_fallbacks"
 
-let symbolic ?(input_prob = fun _ -> 0.5) ?node_limit net =
+(* The memo (the interface says why one number per circuit decides every
+   node budget). Facts only get stronger and every stored fact is true,
+   so a race between domains costs a duplicate build, never a wrong
+   answer. Builds are not single-flight: an attempt under a small budget
+   must not wait for, or share, one under a large budget. *)
+type fact = Fits of int * node_stats | Exceeds of int
+type symbolic_fact = fact option Atomic.t
+
+let symbolic_memo : symbolic_fact Netcache.t =
+  Netcache.create ~capacity:64 ~name:"probprop.symbolic" ()
+
+let rec learn cell fact =
+  let old = Atomic.get cell in
+  let stronger =
+    match (old, fact) with
+    | None, _ | Some (Exceeds _), Fits _ -> true
+    | Some (Exceeds l), Exceeds l' -> l' > l
+    | Some (Fits _), _ -> false
+  in
+  if stronger && not (Atomic.compare_and_set cell old (Some fact)) then
+    learn cell fact
+
+(* a fresh manager, so the same netlist makes the same node creations *)
+let build ?node_limit net =
+  let m = Hlp_bdd.Bdd.manager ?node_limit () in
+  let order = Hlp_bdd.Bdd.first_use_order net in
+  (* the budgeted part: global BDDs for every node (exponential worst case) *)
+  let funcs = Hlp_bdd.Bdd.of_netlist_all ~order m net in
+  let n = Netlist.num_nodes net in
+  let prob = Array.make n 0.0 and activity = Array.make n 0.0 in
+  Array.iteri
+    (fun i f ->
+      let pi = Hlp_bdd.Bdd.probability m ~p:(fun _ -> 0.5) f in
+      prob.(i) <- pi;
+      (* consecutive vectors independent: a node toggles iff its settled
+         value differs between two independent draws *)
+      activity.(i) <- 2.0 *. pi *. (1.0 -. pi))
+    funcs;
+  (Hlp_bdd.Bdd.node_count m, { prob; activity })
+
+let symbolic ?node_limit net =
   require_combinational ~what:"Probprop.symbolic: netlist" net;
+  (match node_limit with
+  | Some l when l < 1 ->
+      raise
+        (Hlp_util.Err.invalid_input ~what:"Probprop.symbolic: node_limit"
+           "must be positive")
+  | _ -> ());
   Hlp_util.Telemetry.incr tel_symbolic_runs;
   Hlp_util.Trace.span
     ~args:(fun () ->
@@ -89,27 +136,31 @@ let symbolic ?(input_prob = fun _ -> 0.5) ?node_limit net =
          | None -> Hlp_util.Json.Null) ])
     "probprop.symbolic"
   @@ fun () ->
-  let m = Hlp_bdd.Bdd.manager ?node_limit () in
-  let order = Hlp_bdd.Bdd.first_use_order net in
-  (* the budgeted part: global BDDs for every node (exponential worst case) *)
-  let funcs = Hlp_bdd.Bdd.of_netlist_all ~order m net in
-  let nin = Array.length net.Netlist.inputs in
-  let inv = Array.make nin 0 in
-  for k = 0 to nin - 1 do
-    inv.(order k) <- k
-  done;
-  let p v = input_prob inv.(v) in
-  let n = Netlist.num_nodes net in
-  let prob = Array.make n 0.0 and activity = Array.make n 0.0 in
-  Array.iteri
-    (fun i f ->
-      let pi = Hlp_bdd.Bdd.probability m ~p f in
-      prob.(i) <- pi;
-      (* consecutive vectors independent: a node toggles iff its settled
-         value differs between two independent draws *)
-      activity.(i) <- 2.0 *. pi *. (1.0 -. pi))
-    funcs;
-  { prob; activity }
+  let cell =
+    Netcache.find_or_compute symbolic_memo ~key:(Netlist.fingerprint net)
+      (fun () -> Atomic.make None)
+  in
+  (* the typed error a build under [l] raises when it needs more *)
+  let trip l =
+    raise (Hlp_util.Err.budget_exceeded ~budget:"bdd.nodes" ~limit:l ~used:l)
+  in
+  match (Atomic.get cell, node_limit) with
+  | Some (Fits (n, _)), Some l when n > l -> trip l
+  | Some (Exceeds e), Some l when l <= e -> trip l
+  | Some (Fits (_, stats)), _ -> stats
+  | (None | Some (Exceeds _)), _ -> (
+      Hlp_util.Telemetry.incr tel_symbolic_builds;
+      match build ?node_limit net with
+      | n, stats ->
+          learn cell (Fits (n, stats));
+          stats
+      | exception
+          (Hlp_util.Err.Error
+             (Hlp_util.Err.Budget_exceeded { budget = "bdd.nodes"; limit; _ })
+           as e) ->
+          (* an injected trip ("bdd.nodes(injected)") proves nothing *)
+          learn cell (Exceeds limit);
+          raise e)
 
 type monte_carlo = {
   estimate : float;
@@ -649,9 +700,9 @@ let default_node_limit = 200_000
 let tail_len = 8
 
 let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
-    ?(node_limit = default_node_limit) ?input_prob ?batch ?relative_precision
-    ?max_cycles ?(seed = 47) ?(engine = Hlp_sim.Engine.Bitparallel) ?max_retries
-    ?(try_symbolic = true) ?symbolic_cache ?checkpoint:ck net =
+    ?(node_limit = default_node_limit) ?batch ?relative_precision ?max_cycles
+    ?(seed = 47) ?(engine = Hlp_sim.Engine.Bitparallel) ?max_retries
+    ?(try_symbolic = true) ?checkpoint:ck net =
   (* provenance baselines: counter deltas isolate this estimate's share of
      the process-wide counters. Telemetry counters only move while the
      telemetry switch is on, so the record carries [counters_live] to say
@@ -718,38 +769,18 @@ let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
      a combinational cone); a budget trip is the paper's symbolic blowup,
      counted and degraded, never fatal. *)
   let symbolic_cap, symbolic_fallback =
-    (* [try_symbolic = false] is the supervisor's circuit breaker saying
-       the BDD stage has been tripping: route straight to sampling *)
+    (* [try_symbolic = false] is perfbench's batch breaker saying the BDD
+       stage has been tripping: route straight to sampling *)
     if Netlist.num_dffs net > 0 || not try_symbolic then (None, false)
-    else begin
-      let budget_trip () =
-        Hlp_util.Telemetry.incr tel_symbolic_fallbacks;
-        Hlp_util.Trace.instant
-          ~args:(fun () -> [ ("node_limit", Hlp_util.Json.Int node_limit) ])
-          "probprop.symbolic_budget_trip";
-        (None, true)
-      in
-      match (input_prob, symbolic_cache) with
-      | None, Some cache -> (
-          (* the exact symbolic answer is pure in the netlist structure
-             (under the default input distribution), so the serve daemon
-             caches it by fingerprint. Only successes are inserted: a
-             budget trip raises out of the compute thunk before the
-             insert, so a later call with a larger budget still tries. *)
-          match
-            Netcache.find_or_compute cache ~key:(Netlist.fingerprint net)
-              (fun () ->
-                estimate_capacitance net (symbolic ~node_limit net))
-          with
-          | cap -> (Some cap, false)
-          | exception Hlp_util.Err.Error (Hlp_util.Err.Budget_exceeded _) ->
-              budget_trip ())
-      | _ -> (
-          match symbolic ?input_prob ~node_limit net with
-          | stats -> (Some (estimate_capacitance net stats), false)
-          | exception Hlp_util.Err.Error (Hlp_util.Err.Budget_exceeded _) ->
-              budget_trip ())
-    end
+    else
+      match symbolic ~node_limit net with
+      | stats -> (Some (estimate_capacitance net stats), false)
+      | exception Hlp_util.Err.Error (Hlp_util.Err.Budget_exceeded _) ->
+          Hlp_util.Telemetry.incr tel_symbolic_fallbacks;
+          Hlp_util.Trace.instant
+            ~args:(fun () -> [ ("node_limit", Hlp_util.Json.Int node_limit) ])
+            "probprop.symbolic_budget_trip";
+          (None, true)
   in
   match symbolic_cap with
   | Some cap ->

@@ -30,20 +30,40 @@ val propagate :
 val estimate_capacitance : Hlp_logic.Netlist.t -> node_stats -> float
 (** Switched capacitance per cycle implied by the propagated activities. *)
 
-val symbolic :
-  ?input_prob:(int -> float) -> ?node_limit:int -> Hlp_logic.Netlist.t -> node_stats
-(** {e Exact} signal probabilities: every node's global function is built
-    as a BDD ({!Hlp_bdd.Bdd.of_netlist_all} under the first-use variable
-    order) and evaluated with {!Hlp_bdd.Bdd.probability} — no independence
-    assumption, so reconvergent fanout is handled exactly, which is
-    precisely where {!propagate} is optimistic. Activity assumes temporally
-    independent consecutive vectors: [2 p (1-p)] per node. Combinational
-    netlists only ([Invalid_input] otherwise).
+val symbolic : ?node_limit:int -> Hlp_logic.Netlist.t -> node_stats
+(** {e Exact} signal probabilities under uniform inputs: every node's
+    global function is built as a BDD ({!Hlp_bdd.Bdd.of_netlist_all} under
+    the first-use variable order) and evaluated with
+    {!Hlp_bdd.Bdd.probability} — no independence assumption, so
+    reconvergent fanout is handled exactly, which is precisely where
+    {!propagate} is optimistic. Activity assumes temporally independent
+    consecutive vectors: [2 p (1-p)] per node. A sequential netlist or a
+    [node_limit] below 1 is [Invalid_input].
 
     This is the precise-but-explosive side of the paper's tradeoff:
     [node_limit] bounds the BDD manager, and a blowup raises the typed
-    [Budget_exceeded] — the signal {!estimate_guarded} uses to degrade to
-    Monte Carlo sampling. *)
+    [Budget_exceeded {budget = "bdd.nodes"; limit; used = limit}] — the
+    signal {!estimate_guarded} uses to degrade to Monte Carlo sampling.
+
+    A build makes the same node creations for the same netlist every time
+    and a manager never frees a node, so if an unbudgeted build needs N
+    nodes, a build under L succeeds exactly when N <= L. {!symbolic_memo}
+    keeps, per {!Hlp_logic.Netlist.fingerprint}, the strongest fact
+    proved so far — "fits in N nodes, with these stats" or "needs more
+    than L nodes" — and answers every attempt it decides as a fresh build
+    would; other attempts build and record what they proved (an injected
+    ["bdd.nodes(injected)"] trip proves nothing). So the result depends
+    only on the netlist and [node_limit]. ["probprop.symbolic_runs"]
+    counts attempts, ["probprop.symbolic_builds"] the ones that built.
+    The returned arrays are shared by every caller: do not mutate them. *)
+
+type symbolic_fact
+
+val symbolic_memo : symbolic_fact Hlp_logic.Netcache.t
+(** The process-wide memo behind {!symbolic} (["probprop.symbolic"],
+    capacity 64). Evicting or clearing an entry costs a rebuild, never a
+    different answer: the serve daemon trims it under memory pressure, and
+    tests clear it to force builds. *)
 
 type monte_carlo = {
   estimate : float;  (** mean switched capacitance per cycle *)
@@ -204,7 +224,6 @@ val default_node_limit : int
 val estimate_guarded :
   ?guard:Hlp_util.Guard.t ->
   ?node_limit:int ->
-  ?input_prob:(int -> float) ->
   ?batch:int ->
   ?relative_precision:float ->
   ?max_cycles:int ->
@@ -212,15 +231,14 @@ val estimate_guarded :
   ?engine:Hlp_sim.Engine.t ->
   ?max_retries:int ->
   ?try_symbolic:bool ->
-  ?symbolic_cache:float Hlp_logic.Netcache.t ->
   ?checkpoint:checkpoint ->
   Hlp_logic.Netlist.t ->
   (guarded, Hlp_util.Err.t) result
 (** Estimate switched capacitance per cycle, degrading instead of
     crashing. Stage 1 runs {!symbolic} under [node_limit] (skipped for
-    sequential netlists, or when [try_symbolic] is [false] — the batch
-    supervisor's circuit breaker routes jobs straight to sampling that
-    way once the BDD stage has tripped repeatedly); a [Budget_exceeded]
+    sequential netlists, or when [try_symbolic] is [false] — perfbench's
+    batch body, its only user, passes its own
+    {!Hlp_util.Supervisor.breaker}'s verdict there); a [Budget_exceeded]
     trip is counted in ["probprop.symbolic_fallbacks"] and degrades to
     stage 2, Monte Carlo sampling starting at [engine] (default
     [Bitparallel]) behind {!Hlp_sim.Parsim.with_degradation}.
@@ -228,13 +246,4 @@ val estimate_guarded :
     hop rewrites the journal header, so the journal self-heals rather
     than resuming across engines). Guard trips and invalid input
     surface as [Error]; no exception escapes except programming errors.
-
-    [symbolic_cache] (opt-in — the serve daemon's hot BDD cache) memoizes
-    {e successful} symbolic capacitances by {!Hlp_logic.Netlist.fingerprint}.
-    It is consulted only under the default input distribution ([input_prob]
-    omitted), since a caller-supplied distribution cannot participate in the
-    key. A budget trip is never cached, so a later call with a larger
-    [node_limit] still gets its attempt; conversely a hit can answer under a
-    [node_limit] that would have tripped, which is sound — the cached value
-    is the exact answer — and exactly the work-skipping the cache exists
-    for. *)
+    The estimate depends only on the arguments, never on earlier calls. *)

@@ -22,47 +22,44 @@ let widths_of name w =
   | "alu" -> [ 2; w; w ]
   | _ -> [ w; w ]
 
+(* The exact symbolic results live in Probprop.symbolic_memo, which is
+   process-wide: this service reports and trims it but does not own it. *)
 type t = {
   netlists : Netlist.t Netcache.t;
-  symbolic : float Netcache.t;
   models : (Macromodel.model * Macromodel.dut) Netcache.t;
   estimates : string Netcache.t;  (* serialized result objects *)
-  breaker : Hlp_util.Supervisor.breaker;
   started : float;  (* Clock.now_s at create, for metrics uptime *)
 }
 
-let create ?(netlist_capacity = 64) ?(estimate_capacity = 256)
-    ?(failure_threshold = 3) ?(cooldown_s = 30.0) () =
-  { netlists = Netcache.create ~capacity:netlist_capacity ~name:"server.netlists" ();
-    symbolic = Netcache.create ~capacity:netlist_capacity ~name:"server.symbolic" ();
-    models = Netcache.create ~capacity:netlist_capacity ~name:"server.models" ();
-    estimates =
-      Netcache.create ~capacity:estimate_capacity ~name:"server.estimates" ();
-    breaker =
-      Hlp_util.Supervisor.breaker ~failure_threshold ~cooldown_s "server.symbolic";
+let create () =
+  { netlists = Netcache.create ~capacity:64 ~name:"server.netlists" ();
+    models = Netcache.create ~capacity:64 ~name:"server.models" ();
+    estimates = Netcache.create ~capacity:256 ~name:"server.estimates" ();
     started = Hlp_util.Clock.now_s () }
 
 (* --- cache snapshot / restore ---
 
-   The crash-only lifecycle: the daemon periodically spills the caches
+   The crash-only lifecycle: the daemon periodically spills the cache
    whose loss is expensive — finished estimates (serialized response
-   objects, so a restored hit is byte-identical by construction) and
-   symbolic probability results — to one atomically-written file of
-   CRC-framed records. Restore trusts nothing: the header must carry the
-   exact snapshot version AND the cache-key recipe string (any PR that
-   changes how estimate keys are derived must bump the recipe, or
-   restored entries would be served under wrong keys), the trailer must
-   count exactly the entries read, and every record sits behind the
-   journal CRC. Any violation — torn tail, bit flip, version skew,
-   recipe skew — degrades to a counted cold start; restore never raises
-   and never installs a questionable byte.
+   objects, so a restored hit is byte-identical by construction) — to
+   one atomically-written file of CRC-framed records. Restore trusts
+   nothing: the header must carry the exact snapshot version AND the
+   cache-key recipe string (any change to how estimate keys are
+   derived must bump the recipe, or restored entries would be served
+   under wrong keys), the trailer must count exactly the entries read,
+   and every record sits behind the journal CRC. Any violation — torn
+   tail, bit flip, version skew, recipe skew — degrades to a counted
+   cold start; restore never raises and never installs a questionable
+   byte.
 
-   Netlists and prepared models are deliberately not spilled: their
-   values are live closures/BDD structures with no serial form, and they
-   rebuild on demand behind single-flight misses — cheap compared to the
-   estimates they feed. *)
+   Netlists, prepared models and Probprop's symbolic memo are
+   deliberately not spilled: their values are live structures with no
+   serial form (a memo entry holds per-node stats arrays), and they
+   rebuild on demand — cheap compared to the estimates they feed.
+   Version 2 dropped version 1's budget-blind symbolic records, so a
+   version-1 file is a counted cold start. *)
 
-let snapshot_version = 1
+let snapshot_version = 2
 
 (* the estimate cache-key derivation, spelled out; change op_estimate's
    key fold => change this string *)
@@ -101,16 +98,6 @@ let save_snapshot t ~path =
                 ("key", J.Str (key_hex k));
                 ("value", J.Str v) ])))
     (Netcache.items t.estimates);
-  List.iter
-    (fun (k, v) ->
-      incr entries;
-      Buffer.add_string buf
-        (record
-           (J.Obj
-              [ ("cache", J.Str "symbolic");
-                ("key", J.Str (key_hex k));
-                ("bits", J.Str (key_hex (Int64.bits_of_float v))) ])))
-    (Netcache.items t.symbolic);
   Buffer.add_string buf (record (J.Obj [ ("entries", J.Int !entries) ]));
   Hlp_util.Journal.write_atomic ~path (Buffer.contents buf);
   Hlp_util.Telemetry.incr tel_snap_saves;
@@ -175,13 +162,6 @@ let load_snapshot t ~path =
                                       v;
                                     incr restored
                                 | None -> raise Exit)
-                            | Some "symbolic", Some k -> (
-                                match s "bits" with
-                                | Some b ->
-                                    Netcache.put t.symbolic ~key:(key_of_hex k)
-                                      (Int64.float_of_bits (key_of_hex b));
-                                    incr restored
-                                | None -> raise Exit)
                             | _ -> raise Exit)
                       in
                       (match List.iter install entries with
@@ -195,7 +175,6 @@ let load_snapshot t ~path =
                           (* a record decoded but made no sense: drop the
                              whole restore — partial trust is no trust *)
                           ignore (Netcache.clear t.estimates);
-                          ignore (Netcache.clear t.symbolic);
                           cold ~counter:tel_snap_torn "malformed")
                   | _ -> cold ~counter:tel_snap_torn "truncated"))
           | _ -> cold ~counter:tel_snap_torn "malformed"))
@@ -205,8 +184,8 @@ let load_snapshot t ~path =
    Wired as Server's [on_memory_soft] callback: every soft-budget sample
    sheds a fixed fraction of each cache (second-chance order, so the hot
    working set survives longest). Repeated pressure shrinks the caches
-   geometrically toward empty; the estimates/symbolic evictions are the
-   ones that actually return memory at scale. *)
+   geometrically toward empty; the estimate and symbolic-memo evictions
+   are the ones that actually return memory at scale. *)
 
 let trim ?(fraction = 0.25) t =
   let f = if Float.is_finite fraction then Float.max 0.0 (Float.min 1.0 fraction) else 0.25 in
@@ -214,7 +193,7 @@ let trim ?(fraction = 0.25) t =
     let n = int_of_float (ceil (float_of_int (Netcache.length c) *. f)) in
     if n > 0 then Netcache.evict c n else 0
   in
-  one t.estimates + one t.symbolic + one t.models + one t.netlists
+  one t.estimates + one Probprop.symbolic_memo + one t.models + one t.netlists
 
 (* --- envelopes ---
 
@@ -358,17 +337,12 @@ let op_estimate t guard (ctx : Srv.ctx) obj ~rid id =
   ctx.Srv.key <- Printf.sprintf "%016Lx" key;
   let result, outcome =
     Netcache.find_or_compute_outcome t.estimates ~key (fun () ->
-        let try_symbolic = Hlp_util.Supervisor.breaker_allows t.breaker in
         match
           Probprop.estimate_guarded ~guard ~seed ~engine ~relative_precision:rp
-            ?max_cycles ?node_limit ~try_symbolic ~symbolic_cache:t.symbolic net
+            ?max_cycles ?node_limit net
         with
         | Error e -> raise (Err.Error e)  (* never cache failures *)
         | Ok g ->
-            if try_symbolic then
-              if g.Probprop.symbolic_fallback then
-                Hlp_util.Supervisor.breaker_failure t.breaker
-              else Hlp_util.Supervisor.breaker_success t.breaker;
             let p = g.Probprop.provenance in
             J.to_string ~compact:true
               (J.Obj
@@ -454,14 +428,8 @@ let op_sampler t obj ~rid id =
    serving exactly these fields; [metrics] serves them plus the full
    flight-recorder snapshot. *)
 let stats_fields t =
-  let breaker =
-    match Hlp_util.Supervisor.breaker_state t.breaker with
-    | Hlp_util.Supervisor.Closed -> "closed"
-    | Hlp_util.Supervisor.Open -> "open"
-    | Hlp_util.Supervisor.Half_open -> "half-open"
-  in
   [ ("netlists", J.Int (Netcache.length t.netlists));
-    ("symbolic", J.Int (Netcache.length t.symbolic));
+    ("symbolic", J.Int (Netcache.length Probprop.symbolic_memo));
     ("models", J.Int (Netcache.length t.models));
     ("estimates", J.Int (Netcache.length t.estimates));
     ("estimates_inflight", J.Int (Netcache.inflight t.estimates));
@@ -469,8 +437,7 @@ let stats_fields t =
       J.Int
         (Hlp_util.Telemetry.count
            (Hlp_util.Telemetry.counter "server.estimates.coalesced")) );
-    ("kernel_plans", J.Int (Hlp_sim.Kernel.cache_length ()));
-    ("breaker", J.Str breaker) ]
+    ("kernel_plans", J.Int (Hlp_sim.Kernel.cache_length ())) ]
 
 let op_stats t ~rid id =
   ok_envelope ~rid id (J.Obj (("op", J.Str "stats") :: stats_fields t))
@@ -514,7 +481,7 @@ let op_metrics t ~rid id =
            ( "caches",
              J.Obj
                [ cache_json t.netlists;
-                 cache_json t.symbolic;
+                 cache_json Probprop.symbolic_memo;
                  cache_json t.models;
                  cache_json t.estimates ] ) ]))
 

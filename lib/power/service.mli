@@ -27,8 +27,8 @@
     - ["sampler"]: macro-model cosimulation of the circuit (census,
       gate reference, and a sampled estimate).
     - ["stats"]: cache occupancy (including in-flight and coalesced
-      estimate counts) and breaker state — a thin alias for the same
-      fields [metrics] serves.
+      estimate counts, and the entries of {!Probprop.symbolic_memo} as
+      ["symbolic"]) — a thin alias for the same fields [metrics] serves.
     - ["metrics"]: the full flight-recorder snapshot — the [stats]
       fields plus uptime, every {!Hlp_util.Telemetry} counter and
       histogram (buckets + p50/p90/p99/p999), and per-cache
@@ -37,12 +37,13 @@
 
     {b Idempotency.} Every op is pure by construction and therefore safe
     to retry ({!Hlp_util.Server.Client} retries them freely): [estimate]
-    is deterministic in (netlist, engine, seed, precision, budgets) and
+    is a function of (netlist, engine, seed, precision, budgets) alone —
+    whatever the service answered before, including budget trips — and
     served from a cache of serialized results; [sampler] is
     deterministic in (circuit, width, engine, seed, cycles); [ping] and
     [stats] only read. No op mutates state a replay could double-apply —
-    the caches are memoization, so recomputation changes occupancy, not
-    answers.
+    the caches and the symbolic memo are exact memoization, so
+    recomputation or eviction changes occupancy, not answers.
 
     {b Coalescing.} Concurrent identical [estimate] requests are
     single-flight: the estimate cache's in-flight table lets the first
@@ -53,32 +54,22 @@
     caches nothing.
 
     {b Hot caches} (all {!Hlp_logic.Netcache}, telemetry under
-    [server.*]): constructed netlists (["server.netlists"]), successful
-    symbolic capacitances (["server.symbolic"], shared with
-    {!Probprop.estimate_guarded}'s [symbolic_cache]), fitted macro-models
-    (["server.models"]), and finished estimates (["server.estimates"],
-    keyed by fingerprint + engine + seed + precision + cycle budget +
-    node limit). The estimate cache stores the {e serialized} result
-    object, so a warm answer is byte-identical to the cold one by
-    construction; compiled kernel plans share {!Hlp_sim.Kernel}'s
-    process-wide cache. Failed estimates are never cached.
-
-    {b Breaker.} One {!Hlp_util.Supervisor.breaker} guards the symbolic
-    BDD stage: repeated budget trips open it and estimates route
-    straight to Monte Carlo ([try_symbolic:false]) until the cooldown
-    probe succeeds. *)
+    [server.*]): constructed netlists (["server.netlists"]), fitted
+    macro-models (["server.models"]), and finished estimates
+    (["server.estimates"], keyed by fingerprint + engine + seed +
+    precision + cycle budget + node limit). The estimate cache stores
+    the {e serialized} result object, so a warm answer is byte-identical
+    to the cold one by construction. Two process-wide caches serve it
+    too: {!Probprop.symbolic_memo} (["probprop.symbolic"]), which
+    attempts each circuit's BDD once per budget range, and
+    {!Hlp_sim.Kernel}'s compiled plans. Failed estimates are never
+    cached. *)
 
 type t
 
-val create :
-  ?netlist_capacity:int ->
-  ?estimate_capacity:int ->
-  ?failure_threshold:int ->
-  ?cooldown_s:float ->
-  unit ->
-  t
-(** A fresh service: empty caches (default capacities 64 netlists, 256
-    estimates) and a closed breaker (default threshold 3, cooldown 30s). *)
+val create : unit -> t
+(** A fresh service with empty caches (capacities 64 netlists, 64
+    models, 256 estimates). *)
 
 val handle : t -> Hlp_util.Server.ctx -> string -> string
 (** The {!Hlp_util.Server.handler}: request payload to response payload.
@@ -92,10 +83,9 @@ val handle : t -> Hlp_util.Server.ctx -> string -> string
 
     The daemon's warm state is rebuildable but expensive (the warm/cold
     ratio E39 pins is ~40×), so the serve loop periodically spills the
-    two caches whose values have a serial form — finished estimates
-    (stored serialized, so a restored hit is byte-identical by
-    construction) and symbolic capacitances — to one snapshot file, and
-    a restarted daemon rehydrates from it. The format is a stream of
+    finished estimates (stored serialized, so a restored hit is
+    byte-identical by construction) to one snapshot file, and a restarted
+    daemon rehydrates from it. The format is a stream of
     {!Hlp_util.Journal} CRC-framed records written with
     {!Hlp_util.Journal.write_atomic}: a header binding
     {!snapshot_version} and {!snapshot_recipe} (the estimate cache-key
@@ -108,9 +98,11 @@ val handle : t -> Hlp_util.Server.ctx -> string -> string
     ["server.snapshot.*"]: [saves], [restores], [restored_entries],
     [cold_starts], [torn], [version_mismatch], [recipe_mismatch].
 
-    Netlists and prepared models are not spilled: their values are live
-    structures with no serial form, and they rebuild on demand behind
-    single-flight misses. *)
+    Netlists, prepared models and {!Probprop.symbolic_memo} are not
+    spilled: their values are live structures with no serial form, and
+    they rebuild on demand. Version 2 dropped version 1's symbolic
+    records, so a version-1 file is a counted ["version-mismatch"] cold
+    start. *)
 
 val snapshot_version : int
 
@@ -119,21 +111,22 @@ val snapshot_recipe : string
     how [op_estimate] folds its key {b must} change this string. *)
 
 val save_snapshot : t -> path:string -> int
-(** Spill the estimate and symbolic caches to [path] atomically,
+(** Spill the estimate cache to [path] atomically,
     returning the number of entries written. Raises [Sys_error] on an
     unwritable path (the serve loop catches and counts, never dies). *)
 
 val load_snapshot : t -> path:string -> [ `Restored of int | `Cold of string ]
-(** Rehydrate the caches from [path]. [`Restored n] installed [n]
+(** Rehydrate the estimate cache from [path]. [`Restored n] installed [n]
     entries; [`Cold reason] ([reason] one of ["absent"], ["torn"],
     ["unreadable"], ["malformed"], ["truncated"], ["version-mismatch"],
-    ["recipe-mismatch"]) means the caches were left (or wiped back to)
+    ["recipe-mismatch"]) means the cache was left (or wiped back to)
     empty. Never raises. *)
 
 val trim : ?fraction:float -> t -> int
-(** Evict [fraction] (default 0.25, clamped to [0,1]) of each cache in
-    second-chance order, returning entries evicted — the memory-pressure
-    relief valve {!Hlp_util.Server}'s soft budget invokes. *)
+(** Evict [fraction] (default 0.25, clamped to [0,1]) of each cache,
+    {!Probprop.symbolic_memo} included, in second-chance order, returning
+    entries evicted — the memory-pressure relief valve
+    {!Hlp_util.Server}'s soft budget invokes. *)
 
 val overload_response : Hlp_util.Err.t -> string
 (** The shed frame ([serve ~overload]): an error envelope (id -1)

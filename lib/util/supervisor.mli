@@ -19,12 +19,15 @@
 (** {1 Circuit breaker}
 
     A named three-state breaker (closed -> open -> half-open) guarding a
-    fallible-but-preferred path. The batch runner uses one per estimator:
-    repeated [Budget_exceeded] trips from the symbolic BDD stage open the
-    breaker, jobs route straight to Monte Carlo sampling (skipping the
-    doomed BDD build entirely), and after a cooldown one probe job is
-    allowed to try symbolic again — success closes the breaker, failure
-    re-opens it for another cooldown. *)
+    fallible-but-preferred path: repeated failures open it, callers skip
+    the path, and after a cooldown one probe may try it again — success
+    closes the breaker, failure re-opens it for another cooldown.
+
+    Its only user is perfbench's batch body, which guards the symbolic BDD
+    stage with one. [hlpower batch] and the serve daemon must not:
+    [Hlp_power.Probprop.symbolic]'s memo already attempts each circuit's
+    BDD once per budget range, and a breaker would make an answer depend
+    on the jobs before it. *)
 
 type breaker
 

@@ -503,12 +503,14 @@ let test_metrics_op_and_stats_alias () =
       let sv = Option.get s.Service.result in
       List.iter
         (fun field ->
+          Alcotest.(check bool) (field ^ " present in stats") true
+            (Json.member field sv <> None);
           Alcotest.(check bool)
             (field ^ " agrees between stats and metrics")
             true
             (Json.member field sv = Json.member field mv))
         [ "netlists"; "symbolic"; "models"; "estimates"; "estimates_inflight";
-          "kernel_plans"; "breaker" ];
+          "kernel_plans" ];
       (* prometheus rendering of the same snapshot *)
       let prom = Service.prometheus_of_metrics mv in
       let contains needle =

@@ -103,7 +103,7 @@ let est_req =
 (* pristine snapshot bytes plus the cold-computed reference result the
    whole corruption property compares against; computed once *)
 let pristine = lazy (
-  let svc = Service.create ~cooldown_s:0.01 () in
+  let svc = Service.create () in
   let r = parse_ok "cold reference" (Service.handle svc (mk_ctx ()) est_req) in
   let reference = result_bytes "cold reference" r in
   let path = temp "pristine" in
@@ -117,7 +117,7 @@ let test_snapshot_roundtrip () =
   Alcotest.(check bool) "snapshot holds at least the estimate" true (saved >= 1);
   let path = temp "roundtrip" in
   write_file path bytes;
-  let svc = Service.create ~cooldown_s:0.01 () in
+  let svc = Service.create () in
   (match Service.load_snapshot svc ~path with
   | `Restored k -> Alcotest.(check int) "every entry restored" saved k
   | `Cold why -> Alcotest.failf "pristine snapshot went cold: %s" why);
@@ -159,6 +159,14 @@ let test_snapshot_version_and_recipe_wall () =
   | `Cold "version-mismatch" -> ()
   | `Cold why -> Alcotest.failf "wrong cold reason: %s" why
   | `Restored _ -> Alcotest.fail "restored under version skew");
+  (* version 1 carried budget-blind symbolic records: an upgrade is one
+     counted cold start, never a restore *)
+  write_file path
+    (header ~version:1 ~recipe:Service.snapshot_recipe ^ trailer 0);
+  (match Service.load_snapshot svc ~path with
+  | `Cold "version-mismatch" -> ()
+  | `Cold why -> Alcotest.failf "version 1: wrong cold reason: %s" why
+  | `Restored _ -> Alcotest.fail "restored a version-1 snapshot");
   write_file path
     (header ~version:Service.snapshot_version ~recipe:"fnv64:not-this-recipe"
     ^ trailer 0);
@@ -174,9 +182,9 @@ let test_snapshot_version_and_recipe_wall () =
   | `Restored 0 -> ()
   | `Restored n -> Alcotest.failf "phantom entries: %d" n
   | `Cold why -> Alcotest.failf "empty snapshot went cold: %s" why);
-  Alcotest.(check int) "version skew counted" 1 (Telemetry.count vc - v0);
+  Alcotest.(check int) "version skew counted" 2 (Telemetry.count vc - v0);
   Alcotest.(check int) "recipe skew counted" 1 (Telemetry.count rc - r0);
-  Alcotest.(check int) "both walls were cold starts" 2
+  Alcotest.(check int) "every wall was a cold start" 3
     (Telemetry.count cold - c0);
   Sys.remove path
 
@@ -215,7 +223,7 @@ let qcheck_snapshot_corruption =
       in
       let path = temp "corrupt" in
       write_file path corrupted;
-      let svc = Service.create ~cooldown_s:0.01 () in
+      let svc = Service.create () in
       (* must never raise, whatever the damage *)
       let outcome = Service.load_snapshot svc ~path in
       (* whatever was (not) restored, serving must produce the same
@@ -227,6 +235,159 @@ let qcheck_snapshot_corruption =
       Sys.remove path;
       (match outcome with `Cold _ | `Restored _ -> ());
       String.equal served reference)
+
+(* --- purity: an answer depends only on its request ---
+
+   Each reference is what a fresh service, with an empty symbolic memo,
+   answers to that request alone. The memo is cleared once more before a
+   sequence and then left alone, so it carries the sequence's history the
+   way a long-lived daemon's does. *)
+
+let clear_memo () = ignore (Netcache.clear Probprop.symbolic_memo)
+
+(* the result bytes of [svc]'s answer to [req], or its typed error *)
+let answer svc req =
+  let r = parse_ok "answer" (Service.handle svc (mk_ctx ()) req) in
+  match (Service.result_string r, r.Service.error) with
+  | Some s, _ -> s
+  | None, Some (cls, msg, _) -> Printf.sprintf "error %s: %s" cls msg
+  | None, None -> Alcotest.fail "response with neither result nor error"
+
+let fresh_answer req =
+  clear_memo ();
+  answer (Service.create ()) req
+
+let result_field name s =
+  match Json.parse s with
+  | Ok v -> Json.member name v
+  | Error e -> Alcotest.failf "unparseable result %s: %s" s e
+
+let estimate ?node_limit ?(max_cycles = 2000) ~seed circuit width =
+  Service.estimate_request ~seed ?node_limit ~max_cycles ~circuit ~width ()
+
+(* multiplier 8 trips this budget in microseconds *)
+let doomed seed = estimate ~node_limit:64 ~seed "multiplier" 8
+
+(* spill [svc] and restart into a fresh service restored from the spill *)
+let round_trip svc =
+  let path = temp "purity" in
+  ignore (Service.save_snapshot !svc ~path);
+  let next = Service.create () in
+  (match Service.load_snapshot next ~path with
+  | `Restored _ -> ()
+  | `Cold why -> Alcotest.failf "round trip went cold: %s" why);
+  Sys.remove path;
+  svc := next
+
+let purity_circuits =
+  [| ("adder", 4); ("multiplier", 4); ("parity", 6); ("comparator", 4);
+     ("alu", 4); ("max", 4) |]
+
+(* nine budgets, two of them multiplier 4's exact threshold N and N - 1 *)
+let purity_limits =
+  lazy
+    (let m = Hlp_bdd.Bdd.manager () in
+     let net = Hlp_logic.Generators.multiplier_circuit 4 in
+     ignore
+       (Hlp_bdd.Bdd.of_netlist_all ~order:(Hlp_bdd.Bdd.first_use_order net) m
+          net);
+     let n = Hlp_bdd.Bdd.node_count m in
+     [| None; Some 10; Some 64; Some 200; Some (n - 1); Some n; Some 2000;
+        Some 20_000; Some 2_000_000 |])
+
+(* an op is (c, l, seed): c < 6 estimates circuit c under budget l, c = 6
+   is a doomed request, c = 7 a snapshot round trip *)
+let purity_op (c, l, seed) =
+  if c = 7 then None
+  else if c = 6 then Some (doomed seed)
+  else
+    let circuit, width = purity_circuits.(c) in
+    Some
+      (estimate ?node_limit:(Lazy.force purity_limits).(l) ~seed circuit width)
+
+let qcheck_purity_wall =
+  QCheck.Test.make ~count:60
+    ~name:"purity: every answer equals a fresh service's answer to it alone"
+    QCheck.(
+      list_of_size
+        Gen.(2 -- 7)
+        (triple (int_bound 7) (int_bound 8) (int_range 1 3)))
+    (fun ops ->
+      let ops = List.map purity_op ops in
+      let refs = List.map (Option.map fresh_answer) ops in
+      clear_memo ();
+      let svc = ref (Service.create ()) in
+      List.for_all2
+        (fun op want ->
+          match (op, want) with
+          | Some req, Some want -> String.equal (answer !svc req) want
+          | _ ->
+              round_trip svc;
+              true)
+        ops refs)
+
+(* a symbolic success under a large budget must not answer a small one *)
+let test_purity_small_budget_after_success () =
+  let req =
+    estimate ~node_limit:10 ~max_cycles:20_000 ~seed:5 "multiplier" 4
+  in
+  let want = fresh_answer req in
+  Alcotest.(check bool) "the fresh answer sampled" true
+    (result_field "estimator" want = Some (Json.Str "monte_carlo"));
+  clear_memo ();
+  let svc = Service.create () in
+  ignore (answer svc (estimate ~node_limit:2_000_000 ~seed:1 "multiplier" 4));
+  Alcotest.(check string) "same bytes as a fresh service" want (answer svc req)
+
+(* doomed requests before a request must not change its answer *)
+let test_purity_after_doomed_requests () =
+  List.iter
+    (fun (what, req) ->
+      let want = fresh_answer req in
+      clear_memo ();
+      let svc = Service.create () in
+      List.iter (fun seed -> ignore (answer svc (doomed seed))) [ 1; 2; 3 ];
+      Alcotest.(check string) what want (answer svc req))
+    [ ("the same doomed shape still reports its fallback", doomed 9);
+      ("a friendly circuit is still symbolic", estimate ~seed:5 "adder" 8) ];
+  Alcotest.(check bool) "a tripped request reports the fallback" true
+    (result_field "symbolic_fallback" (fresh_answer (doomed 9))
+    = Some (Json.Bool true))
+
+(* A small-budget request must not join, or wait for, a large-budget
+   build of the same circuit running in another worker. The large request
+   takes a fraction of a second; the small one's answer is checked, so a
+   service that shares the build answers wrongly instead of hanging. *)
+let test_purity_concurrent_budgets () =
+  let small = estimate ~node_limit:10 ~seed:2 "comparator" 13 in
+  let want = fresh_answer small in
+  clear_memo ();
+  let svc = Service.create () in
+  let large_done = Atomic.make false in
+  let large =
+    Domain.spawn (fun () ->
+        let a =
+          answer svc (estimate ~node_limit:2_000_000 ~seed:1 "comparator" 13)
+        in
+        Atomic.set large_done true;
+        a)
+  in
+  let inflight () =
+    let r =
+      parse_ok "stats"
+        (Service.handle svc (mk_ctx ()) (Service.stats_request ()))
+    in
+    Option.bind r.Service.result (fun v ->
+        Option.bind (Json.member "estimates_inflight" v) Json.to_int_opt)
+  in
+  eventually "the large build in flight" (fun () ->
+      inflight () = Some 1 || Atomic.get large_done);
+  Unix.sleepf 0.05;
+  let got = answer svc small in
+  let large_answer = Domain.join large in
+  Alcotest.(check string) "same bytes as a fresh service" want got;
+  Alcotest.(check bool) "the large budget fits" true
+    (result_field "estimator" large_answer = Some (Json.Str "symbolic"))
 
 (* --- watchdog: real children via /bin/sh --- *)
 
@@ -363,7 +524,7 @@ let test_memory_pressure_policy () =
       let path = fresh_socket () in
       let token = Guard.token ~name:"test_mem_pressure" () in
       let ready = Atomic.make false in
-      let service = Service.create ~cooldown_s:0.05 () in
+      let service = Service.create () in
       let soft_calls = Atomic.make 0 in
       let trimmed = Atomic.make 0 in
       let srv =
@@ -498,7 +659,7 @@ let test_client_rides_restart () =
   let path = fresh_socket () in
   let token = Guard.token ~name:"test_restart_ride" () in
   let ready = Atomic.make false in
-  let service = Service.create ~cooldown_s:0.05 () in
+  let service = Service.create () in
   (* the daemon comes up only after a delay — to the client this is
      exactly what a supervised restart looks like: no socket, refused
      connects, then a fresh listener *)
@@ -544,6 +705,13 @@ let suite =
     Alcotest.test_case "snapshot: trailer count wall" `Quick
       test_snapshot_trailer_count_wall;
     QCheck_alcotest.to_alcotest qcheck_snapshot_corruption;
+    QCheck_alcotest.to_alcotest qcheck_purity_wall;
+    Alcotest.test_case "purity: a success does not answer a smaller budget"
+      `Quick test_purity_small_budget_after_success;
+    Alcotest.test_case "purity: doomed requests change no later answer" `Quick
+      test_purity_after_doomed_requests;
+    Alcotest.test_case "purity: budgets never share an in-flight build" `Quick
+      test_purity_concurrent_budgets;
     Alcotest.test_case "watchdog: restarts crashes, flap breaker gives up"
       `Quick test_watchdog_flap_breaker;
     Alcotest.test_case "watchdog: wedged child detected and terminated" `Quick

@@ -281,6 +281,109 @@ let test_symbolic_budget_trips () =
   check_err "budget-exceeded" "tiny node limit trips" (fun () ->
       Hlp_power.Probprop.symbolic ~node_limit:20 net)
 
+(* --- Probprop: the symbolic memo answers as a fresh build would --- *)
+
+let clear_memo () =
+  ignore (Hlp_logic.Netcache.clear Hlp_power.Probprop.symbolic_memo)
+
+(* the nodes an unbudgeted build creates, counted on a manager of our own:
+   the one number that decides every node budget *)
+let bdd_nodes net =
+  let m = Hlp_bdd.Bdd.manager () in
+  ignore
+    (Hlp_bdd.Bdd.of_netlist_all ~order:(Hlp_bdd.Bdd.first_use_order net) m net);
+  Hlp_bdd.Bdd.node_count m
+
+let stats_bits (s : Hlp_power.Probprop.node_stats) =
+  Array.map Int64.bits_of_float
+    (Array.append s.Hlp_power.Probprop.prob s.Hlp_power.Probprop.activity)
+
+let trip_of f =
+  match f () with
+  | _ -> None
+  | exception Err.Error (Err.Budget_exceeded { budget; limit; used }) ->
+      Some (budget, limit, used)
+
+let symbolic_builds () =
+  Telemetry.count (Telemetry.counter "probprop.symbolic_builds")
+
+let test_symbolic_memo_threshold () =
+  with_telemetry @@ fun () ->
+  List.iter
+    (fun (name, net) ->
+      let n = bdd_nodes net in
+      let sym limit () = Hlp_power.Probprop.symbolic ~node_limit:limit net in
+      let fits what limit want =
+        Alcotest.(check (array int64)) (name ^ ": " ^ what) want
+          (stats_bits (sym limit ()))
+      in
+      let trips what =
+        Alcotest.(check (option (triple string int int)))
+          (name ^ ": " ^ what)
+          (Some ("bdd.nodes", n - 1, n - 1))
+          (trip_of (sym (n - 1)))
+      in
+      let builds what k0 want =
+        Alcotest.(check int) (name ^ ": " ^ what) want (symbolic_builds () - k0)
+      in
+      clear_memo ();
+      let fresh = stats_bits (Hlp_power.Probprop.symbolic net) in
+      (* fit first: the trip below the fit is answered from it *)
+      clear_memo ();
+      let k0 = symbolic_builds () in
+      fits "fits at N" n fresh;
+      trips "trips at N-1 after the fit";
+      builds "one build decides both" k0 1;
+      (* trip first: it does not decide N, so N builds and fits *)
+      clear_memo ();
+      let k0 = symbolic_builds () in
+      trips "trips at N-1";
+      fits "fits at N after the trip" n fresh;
+      trips "trip answered again";
+      fits "fit answered again" n fresh;
+      builds "two builds, then answers" k0 2)
+    [ ("parity 8", Hlp_logic.Generators.parity_circuit 8);
+      ("adder 8", Hlp_logic.Generators.adder_circuit 8);
+      ("multiplier 4", Hlp_logic.Generators.multiplier_circuit 4);
+      ("comparator 4", Hlp_logic.Generators.comparator_circuit 4) ]
+
+let test_symbolic_memo_ignores_injected_trips () =
+  let net = Hlp_logic.Generators.adder_circuit 8 in
+  let limit = Hlp_power.Probprop.default_node_limit in
+  let sym () = Hlp_power.Probprop.symbolic ~node_limit:limit net in
+  clear_memo ();
+  let fresh = stats_bits (sym ()) in
+  clear_memo ();
+  (match
+     Faultinject.with_faults ~rate:1.0 [ Faultinject.Bdd_blowup ] (fun () ->
+         trip_of sym)
+   with
+  | Some ("bdd.nodes(injected)", l, _) ->
+      Alcotest.(check int) "injected at the call's limit" limit l
+  | _ -> Alcotest.fail "expected an injected budget trip");
+  Alcotest.(check (array int64)) "a clean call at the same limit fits" fresh
+    (stats_bits (sym ()))
+
+let test_symbolic_memo_builds_doomed_once () =
+  with_telemetry @@ fun () ->
+  let net = Hlp_logic.Generators.multiplier_circuit 8 in
+  let doomed limit () = Hlp_power.Probprop.symbolic ~node_limit:limit net in
+  clear_memo ();
+  let k0 = symbolic_builds () in
+  for _ = 1 to 3 do
+    check_err "budget-exceeded" "doomed attempt trips" (doomed 64)
+  done;
+  Alcotest.(check int) "three doomed attempts, one build" 1
+    (symbolic_builds () - k0);
+  check_err "budget-exceeded" "smaller budget trips" (doomed 10);
+  Alcotest.(check int) "a smaller budget is answered from the trip" 1
+    (symbolic_builds () - k0);
+  check_err "budget-exceeded" "larger budget trips" (doomed 128);
+  Alcotest.(check int) "a larger budget builds again" 2
+    (symbolic_builds () - k0);
+  Alcotest.(check int) "every attempt counted as a run" 5
+    (Telemetry.count (Telemetry.counter "probprop.symbolic_runs"))
+
 let test_estimate_guarded_symbolic_path () =
   with_telemetry @@ fun () ->
   let net = Hlp_logic.Generators.adder_circuit 4 in
@@ -425,6 +528,8 @@ let qcheck_pipeline_never_crashes =
           [ Faultinject.Gate_eval; Faultinject.Domain_kill;
             Faultinject.Bdd_blowup ]
       in
+      (* an empty symbolic memo, so an injected trip can reach the BDD *)
+      ignore (Hlp_logic.Netcache.clear Hlp_power.Probprop.symbolic_memo);
       let result =
         Faultinject.with_faults ~seed:(seed + seed_offset) ~rate:0.1 points
           (fun () ->
@@ -480,6 +585,12 @@ let suite =
     Alcotest.test_case "symbolic exact on reconvergence" `Quick
       test_symbolic_exact_on_reconvergence;
     Alcotest.test_case "symbolic budget trips" `Quick test_symbolic_budget_trips;
+    Alcotest.test_case "symbolic memo: fits at N, trips at N-1, either order"
+      `Quick test_symbolic_memo_threshold;
+    Alcotest.test_case "symbolic memo: injected trips are not recorded" `Quick
+      test_symbolic_memo_ignores_injected_trips;
+    Alcotest.test_case "symbolic memo: a doomed budget builds once" `Quick
+      test_symbolic_memo_builds_doomed_once;
     Alcotest.test_case "estimate_guarded symbolic path" `Quick
       test_estimate_guarded_symbolic_path;
     Alcotest.test_case "estimate_guarded falls back to sampling" `Quick

@@ -104,7 +104,7 @@ let with_server ?max_inflight ?queue_budget ?(handler : Server.handler option)
   let path = fresh_socket () in
   let token = Guard.token ~name:"test_serve" () in
   let ready = Atomic.make false in
-  let service = Service.create ~cooldown_s:0.05 () in
+  let service = Service.create () in
   let handler =
     match handler with Some h -> h | None -> Service.handle service
   in
