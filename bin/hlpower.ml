@@ -383,7 +383,7 @@ let parse_jobs_file path =
                  (where "circuit" ^ " unknown: " ^ circuit_name ^ " (expected "
                  ^ enum_doc circuit_enum ^ ")")
          in
-         let engine_name = str "engine" "bitparallel" in
+         let engine_name = str "engine" "compiled" in
          let engine =
            match Arg.conv_parser engine_conv engine_name with
            | Ok e -> e
@@ -556,9 +556,9 @@ let batch_cmd =
          & info [] ~docv:"JOBS.json"
              ~doc:
                "JSON array of estimate jobs; each object may set $(b,name), \
-                $(b,circuit), $(b,width), $(b,seed), $(b,engine), \
-                $(b,relative_precision), $(b,max_cycles), $(b,batch), \
-                $(b,node_limit)")
+                $(b,circuit), $(b,width), $(b,seed), $(b,engine) (default \
+                $(b,compiled)), $(b,relative_precision), $(b,max_cycles), \
+                $(b,batch), $(b,node_limit)")
   in
   let checkpoint_dir =
     Arg.(value & opt (some string) None

@@ -119,6 +119,20 @@ external gather_deltas :
   = "hlp_kernel_gather_deltas_byte" "hlp_kernel_gather_deltas"
   [@@noalloc]
 
+(* [settle_wide v old segs dst fa fb fc foff fidx latched toggles] is the
+   counted [settle] over four units at once, node [i]'s unit-[u] word at
+   index [4i + u] of [v], [old] and [toggles] (kernel_stubs.c). It exists
+   only where [wide_available ()] holds: x86-64 built by GCC or clang, on
+   a CPU with AVX2. *)
+external settle_wide :
+  int array -> int array -> int array -> int array -> int array -> int array ->
+  int array -> int array -> int array -> int array -> int array -> unit
+  = "hlp_kernel_settle_wide_byte" "hlp_kernel_settle_wide"
+  [@@noalloc]
+
+external wide_available : unit -> bool = "hlp_kernel_wide_available"
+  [@@noalloc]
+
 type t = {
   net : Netlist.t;
   caps : float array;
@@ -135,10 +149,6 @@ type t = {
       (* same-opcode slot runs, level-major: (op, lo, hi) per segment *)
   nlevels : int;
   level_off : int array;  (* seg index boundary per level, length nlevels+1 *)
-  level_fanout_masks : int array;
-      (* per level: bitmask of the (saturated at 62) levels its outputs
-         feed — compile-time fan-out structure for diagnostics and for
-         future dirty-level skipping *)
   latched : int array;  (* register then input ids: [acct_order]'s prefix *)
   acct_order : int array;  (* Bitsim's chronological charge order *)
   caps_acct : float array;  (* caps gathered into accounting order *)
@@ -148,9 +158,9 @@ type t = {
   dff_dst : int array;  (* register node ids, declaration order *)
   dff_src : int array;  (* data-pin node id per register *)
   input_ids : int array;
-  reset_words : int array;
-      (* the reset image: registers and constants at their broadcast
-         words, zero elsewhere *)
+  reset_state : int array;
+      (* the settled reset condition: registers and constants at their
+         broadcast words, inputs zero, every slot settled from those *)
 }
 
 let nsegs p = Array.length p.segs / 3
@@ -359,25 +369,6 @@ let compile ?caps net =
     done;
     if nlevels > 0 then level_off.(nlevels) <- nsegs
   in
-  (* fan-out masks: which (saturated) levels consume each level's outputs;
-     register data pins count as level 0 consumers of the next cycle *)
-  let level_fanout_masks = Array.make (nlevels + 1) 0 in
-  Array.iteri
-    (fun i (node : Netlist.node) ->
-      let consumer_level =
-        match node.Netlist.kind with
-        | Gate.Input | Gate.Const _ -> -1
-        | Gate.Dff -> 0
-        | _ -> levels.(i)
-      in
-      if consumer_level >= 0 then
-        Array.iter
-          (fun w ->
-            let src = min levels.(w) nlevels in
-            level_fanout_masks.(src) <-
-              level_fanout_masks.(src) lor (1 lsl min consumer_level 62))
-          node.Netlist.fanin)
-    nodes;
   (* chronological accounting order: registers (declaration order), then
      primary inputs, then every other node in id order — exactly the
      order Bitsim's [set] charges lanes in *)
@@ -390,15 +381,15 @@ let compile ?caps net =
   done;
   let latched = Array.append net.Netlist.dffs net.Netlist.inputs in
   let acct_order = Array.append latched (Array.of_list !rest) in
-  let reset_words = Array.make n 0 in
+  let reset_state = Array.make n 0 in
   Array.iteri
     (fun i (node : Netlist.node) ->
       match node.Netlist.kind with
-      | Gate.Const b -> reset_words.(i) <- broadcast b
+      | Gate.Const b -> reset_state.(i) <- broadcast b
       | _ -> ())
     nodes;
   Array.iteri
-    (fun j w -> reset_words.(w) <- broadcast net.Netlist.dff_init.(j))
+    (fun j w -> reset_state.(w) <- broadcast net.Netlist.dff_init.(j))
     net.Netlist.dffs;
   let p =
     {
@@ -415,7 +406,6 @@ let compile ?caps net =
       segs;
       nlevels;
       level_off;
-      level_fanout_masks;
       latched;
       acct_order;
       caps_acct = Array.map (fun i -> caps.(i)) acct_order;
@@ -427,10 +417,15 @@ let compile ?caps net =
           (fun w -> nodes.(w).Netlist.fanin.(0))
           net.Netlist.dffs;
       input_ids = net.Netlist.inputs;
-      reset_words;
+      reset_state;
     }
   in
   verify p;
+  (* settle the reset image through the compiled schedule, once: every
+     state resets to this, and nothing is charged for power-up, same as
+     the interpreters *)
+  settle p.reset_state p.reset_state p.segs p.dst p.fa p.fb p.fc p.foff p.fidx
+    p.latched [||] false;
   p
 
 (* --- fingerprint-keyed kernel cache ---
@@ -479,14 +474,12 @@ let settle p v old toggles count =
     count
 
 (* Resetting must not allocate, so that one state can serve a whole Monte
-   Carlo run. *)
+   Carlo run. Both buffers take the settled reset image: constants are
+   never written, so the buffer a step overwrites must hold them too. *)
 let reset s =
   let p = s.plan in
-  Array.blit p.reset_words 0 s.cur 0 p.n;
-  (* settle the reset image through the compiled schedule; nothing is
-     charged for power-up, same as the interpreters *)
-  settle p s.cur s.prv s.toggles false;
-  Array.blit s.cur 0 s.prv 0 p.n;
+  Array.blit p.reset_state 0 s.cur 0 p.n;
+  Array.blit p.reset_state 0 s.prv 0 p.n;
   Array.fill s.toggles 0 p.n 0;
   Array.fill s.lane_switched 0 lanes 0.0;
   s.ncycles <- 0;
@@ -618,6 +611,102 @@ let run s input_at n =
     step s (input_at i)
   done
 
+(* --- four Monte Carlo units per pass ---
+
+   A Monte Carlo unit is a counted, untracked run from the reset state,
+   and units do not depend on each other, so [Wide] settles four of them
+   in one pass of the schedule: node [i]'s words for units 0..3 sit at
+   [4i .. 4i+3] of ordinary int arrays, one 256-bit register in the C
+   settle. Latching, driving and the telemetry mirror [step]; each unit's
+   toggle counts are the ones a one-unit state would reach on that unit's
+   words, so [switched_capacitance] (the same float sum in the same node
+   order as the one-unit function) keeps the bits. *)
+module Wide = struct
+  type plan = t
+
+  type t = {
+    plan : plan;
+    mutable cur : int array;
+    mutable prv : int array;
+    toggles : int array;
+    mutable first : bool;
+  }
+
+  let width = 4
+  let available = wide_available ()
+  let plan w = w.plan
+
+  let reset w =
+    let p = w.plan in
+    for i = 0 to p.n - 1 do
+      let x = Array.unsafe_get p.reset_state i in
+      for u = width * i to (width * i) + width - 1 do
+        Array.unsafe_set w.cur u x;
+        Array.unsafe_set w.prv u x
+      done
+    done;
+    Array.fill w.toggles 0 (width * p.n) 0;
+    w.first <- true
+
+  let create plan =
+    if not available then
+      invalid_arg "Kernel.Wide.create: needs an x86-64 CPU with AVX2";
+    let words () = Array.make (width * plan.n) 0 in
+    let w = { plan; cur = words (); prv = words (); toggles = words ();
+              first = true } in
+    reset w;
+    w
+
+  let step w inputs =
+    let p = w.plan in
+    assert (Array.length inputs = width * Array.length p.input_ids);
+    Hlp_util.Faultinject.trip Hlp_util.Faultinject.Gate_eval;
+    let old = w.cur and nw = w.prv in
+    let dd = p.dff_dst in
+    (* the first edge re-captures the reset state, later ones latch the
+       data pins as they settled last cycle *)
+    let ds = if w.first then dd else p.dff_src in
+    w.first <- false;
+    for j = 0 to Array.length dd - 1 do
+      let d = width * Array.unsafe_get dd j
+      and src = width * Array.unsafe_get ds j in
+      for u = 0 to width - 1 do
+        Array.unsafe_set nw (d + u) (Array.unsafe_get old (src + u))
+      done
+    done;
+    let ins = p.input_ids in
+    for k = 0 to Array.length ins - 1 do
+      let d = width * Array.unsafe_get ins k in
+      for u = 0 to width - 1 do
+        Array.unsafe_set nw (d + u) (Array.unsafe_get inputs ((width * k) + u))
+      done
+    done;
+    settle_wide nw old p.segs p.dst p.fa p.fb p.fc p.foff p.fidx p.latched
+      w.toggles;
+    w.cur <- nw;
+    w.prv <- old;
+    if Hlp_util.Telemetry.enabled () then begin
+      Hlp_util.Telemetry.add tel_steps width;
+      Hlp_util.Telemetry.add tel_lane_cycles (width * lanes);
+      Hlp_util.Telemetry.add tel_evals (width * p.nslots);
+      Hlp_util.Telemetry.add tel_popcounts
+        (width * (Array.length p.latched + p.nslots))
+    end
+
+  let value w ~unit i = w.cur.((width * i) + unit)
+
+  let toggle_counts w ~unit =
+    Array.init w.plan.n (fun i -> w.toggles.((width * i) + unit))
+
+  let switched_capacitance w ~unit =
+    let caps = w.plan.caps in
+    let acc = ref 0.0 in
+    for i = 0 to Array.length caps - 1 do
+      acc := !acc +. (caps.(i) *. float_of_int w.toggles.((width * i) + unit))
+    done;
+    !acc
+end
+
 (* --- compile-time structure, for tests, stats, and the design docs --- *)
 
 type stats = {
@@ -646,11 +735,6 @@ let stats p =
     pool = Array.length p.fidx;
     widest_level = !widest;
   }
-
-let level_fanout_mask p l =
-  if l < 0 || l >= Array.length p.level_fanout_masks then
-    invalid_arg "Kernel.level_fanout_mask";
-  p.level_fanout_masks.(l)
 
 let stats_string p =
   let st = stats p in

@@ -100,8 +100,9 @@ val lanes : int
 
 val create : ?track_lanes:bool -> t -> s
 (** Fresh replay state in the settled reset condition (registers at
-    their init values, nothing charged), evaluated through the compiled
-    schedule itself. [track_lanes] as in {!Bitsim.create}. *)
+    their init values, nothing charged), which {!compile} evaluates once
+    through the compiled schedule itself. [track_lanes] as in
+    {!Bitsim.create}. *)
 
 val reset : s -> unit
 (** Return a state to exactly what {!create} left: the settled reset
@@ -126,6 +127,68 @@ val step_scalar : s -> bool array -> unit
 
 val run : s -> (int -> int array) -> int -> unit
 (** [run s input_at n] steps [n] times with the given word source. *)
+
+(** {1 Four units per pass}
+
+    A Monte Carlo unit is a counted run from the reset state with lanes
+    untracked, and units are independent, so a wide state settles
+    {!Wide.width} (four) of them in one pass of the schedule. Node [i]'s
+    word for unit [u] sits at index [4i + u] of ordinary tagged [int]
+    arrays, so one unaligned 256-bit load fetches a pin for all four
+    units: a [[@@noalloc]] C settle beside the one-unit one applies each
+    opcode as one AVX2 instruction and adds each unit's toggles with a
+    vector popcount ([vpshufb] nibble table, [vpsadbw] lane sums), in the
+    same pass and order as the one-unit settle. It reads the same schedule
+    arrays, under the same construction-time bounds proof.
+
+    {b Runtime dispatch.} The wide settle is compiled for AVX2 only, on
+    x86-64 with GCC or clang, and {!Wide.available} asks the CPU
+    ([__builtin_cpu_supports]) once at start-up, like the AVX2 lane sweep.
+    There is no portable wide loop: without AVX2, {!Wide.create} raises
+    and Monte Carlo runs on the one-unit state, which is also the
+    differential oracle. No option chooses between the two.
+
+    {b Bits.} Each unit's toggle counts, and so its
+    {!Wide.switched_capacitance}, equal those of a one-unit state
+    stepped on that unit's words (the kernel wall checks it over the
+    qcheck netlists). *)
+
+module Wide : sig
+  type plan := t
+
+  type t
+  (** Four replay states, one per unit, always counting, lanes untracked. *)
+
+  val width : int
+  (** 4: units per pass. *)
+
+  val available : bool
+  (** The CPU runs the wide settle (x86-64 with AVX2). *)
+
+  val create : plan -> t
+  (** A wide state in the settled reset condition. Raises
+      [Invalid_argument] unless {!available}. *)
+
+  val reset : t -> unit
+  (** Return every unit to exactly what {!create} left, like {!reset} for
+      one unit; allocates nothing, so one wide state serves any number of
+      passes. *)
+
+  val step : t -> int array -> unit
+  (** Advance all four units one counted cycle. [inputs.(4k + u)] drives
+      input [k] of unit [u] (length four times the netlist's input count).
+      Trips the [Gate_eval] fault-injection point once per call. Counts
+      four steps, each of {!lanes} lanes, in the [kernel.*] telemetry. *)
+
+  val value : t -> unit:int -> Hlp_logic.Netlist.wire -> int
+  val toggle_counts : t -> unit:int -> int array
+  val switched_capacitance : t -> unit:int -> float
+  (** Unit [unit]'s node word, toggle counts and switched capacitance:
+      the one-unit {!value}, {!toggle_counts} and {!switched_capacitance}
+      of that unit's run. *)
+
+  val plan : t -> plan
+end
 
 (** {1 Observation} — same meanings as the {!Bitsim} accessors. *)
 
@@ -158,13 +221,6 @@ type stats = {
 
 val stats : t -> stats
 val stats_string : t -> string
-
-val level_fanout_mask : t -> int -> int
-(** [level_fanout_mask p l] is a bitmask of the levels consuming level
-    [l]'s outputs (saturated at bit 62; register data pins appear as
-    level 0, the next cycle's sources). Compile-time fan-out structure,
-    exposed for diagnostics and as the hook for future dirty-level
-    skipping. *)
 
 val segment_summary : t -> (string * int) array
 (** Opcode name and slot count of each segment, in schedule order. *)

@@ -1,9 +1,9 @@
 /* The compiled replay kernel's step in C: the settle, which counts
-   toggles as it writes each node, the lane gather, and the lane-major
-   charge accumulation.
+   toggles as it writes each node, the lane gather, the lane-major
+   charge accumulation, and the wide settle of four Monte Carlo units.
 
-   [Kernel.settle] and [Kernel.gather_deltas] are documented at their
-   definitions below. [Kernel.accumulate_lanes ls deltas caps n] folds
+   [Kernel.settle], [Kernel.gather_deltas] and [Kernel.settle_wide] are
+   documented at their definitions below. [Kernel.accumulate_lanes ls deltas caps n] folds
    node [k]'s capacitance [caps[k]] into every lane accumulator [ls[l]]
    whose bit is set in the delta word [deltas[k]], for k = 0 .. n-1 in
    order. The contract that
@@ -34,6 +34,7 @@
 
 #include <caml/mlvalues.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define LANES 63 /* Bitsim.lanes: one OCaml int of payload per node */
@@ -378,6 +379,160 @@ CAMLprim value hlp_kernel_settle_byte(value *argv, int argn)
   return hlp_kernel_settle(argv[0], argv[1], argv[2], argv[3], argv[4],
                            argv[5], argv[6], argv[7], argv[8], argv[9],
                            argv[10], argv[11]);
+}
+
+/* The wide settle: four Monte Carlo units in one pass.
+
+   [Kernel.settle_wide v old segs dst fa fb fc foff fidx latched toggles]
+   is the counted [settle] above over four independent states at once.
+   Node i's four words, one per unit, sit at v[4i .. 4i+3] (likewise in
+   [old] and [toggles]), so one unaligned 256-bit load fetches a pin for
+   every unit and each opcode is one vector instruction. The schedule
+   arrays, the proof that makes them safe to read unchecked, the order
+   (latched nodes, then slots as they are written) and the tag handling
+   are the one-unit settle's: the words stay tagged OCaml ints, [not],
+   [xor] and the negated opcodes restore the tag with [| 1], and each
+   unit's toggle count gains twice its popcount. The popcount of each
+   64-bit lane of old xor new is a [vpshufb] nibble table lookup summed
+   per lane by [vpsadbw]. Integer sums are exact, so each unit's counts
+   equal a one-unit settle's on that unit's words.
+
+   Only x86-64 with AVX2 has this path, compiled under target("avx2")
+   and taken only when [Kernel.Wide.available] (__builtin_cpu_supports)
+   says the CPU runs it; elsewhere [Kernel.Wide.create] refuses, and Monte
+   Carlo runs one unit at a time. Allocates nothing and never calls back
+   into the runtime. */
+
+#if defined(__x86_64__) && defined(__GNUC__)
+
+/* per 64-bit lane: twice popcount(x), the tagged increment */
+__attribute__((target("avx2"))) static ALWAYS_INLINE __m256i
+pop2_lanes(__m256i x, __m256i nibbles, __m256i low)
+{
+  __m256i lo = _mm256_shuffle_epi8(nibbles, _mm256_and_si256(x, low));
+  __m256i hi = _mm256_shuffle_epi8(
+      nibbles, _mm256_and_si256(_mm256_srli_epi16(x, 4), low));
+  __m256i bytes = _mm256_add_epi8(lo, hi);
+  return _mm256_slli_epi64(_mm256_sad_epu8(bytes, _mm256_setzero_si256()), 1);
+}
+
+__attribute__((target("avx2"))) static void
+settle_wide_avx2(const struct sched *p, value *v, const value *old,
+                 value *toggles)
+{
+  const value *dst = p->dst, *fa = p->fa, *fb = p->fb, *fc = p->fc;
+  const value *foff = p->foff, *fidx = p->fidx;
+  const __m256i one = _mm256_set1_epi64x(1), ones = _mm256_set1_epi64x(-1);
+  const __m256i low = _mm256_set1_epi8(0x0f);
+  const __m256i nibbles =
+      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
+                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
+#define LD(a, i) _mm256_loadu_si256((const __m256i *)((a) + 4 * (i)))
+#define ST(a, i, x) _mm256_storeu_si256((__m256i *)((a) + 4 * (i)), (x))
+#define NOT(x) _mm256_or_si256(_mm256_xor_si256((x), ones), one)
+#define TOGGLE4(i, x)                                                    \
+  ST(toggles, i,                                                         \
+     _mm256_add_epi64(LD(toggles, i),                                    \
+                      pop2_lanes(_mm256_xor_si256(LD(old, i), (x)),      \
+                                 nibbles, low)))
+  for (long k = 0; k < p->nlatched; k++) {
+    long i = Long_val(p->latched[k]);
+    TOGGLE4(i, LD(v, i));
+  }
+#define PIN(pins) LD(v, Long_val(pins[s]))
+#define SLOTS(expr)                                                      \
+  for (long s = lo; s <= hi; s++) {                                      \
+    long i = Long_val(dst[s]);                                           \
+    __m256i x = (expr);                                                  \
+    TOGGLE4(i, x);                                                       \
+    ST(v, i, x);                                                         \
+  }
+#define FOLD(op, tail)                                                   \
+  for (long s = lo; s <= hi; s++) {                                      \
+    long k = Long_val(foff[s]), e = Long_val(foff[s + 1]);               \
+    long i = Long_val(dst[s]);                                           \
+    __m256i acc = LD(v, Long_val(fidx[k]));                              \
+    for (k++; k < e; k++) acc = op(acc, LD(v, Long_val(fidx[k])));       \
+    __m256i x = (tail);                                                  \
+    TOGGLE4(i, x);                                                       \
+    ST(v, i, x);                                                         \
+  }
+  for (long g = 0; g < p->nsegs; g++) {
+    long lo = Long_val(p->segs[3 * g + 1]), hi = Long_val(p->segs[3 * g + 2]);
+    switch (Long_val(p->segs[3 * g])) {
+    case OP_BUF: SLOTS(PIN(fa)); break;
+    case OP_NOT: SLOTS(NOT(PIN(fa))); break;
+    case OP_AND2: SLOTS(_mm256_and_si256(PIN(fa), PIN(fb))); break;
+    case OP_OR2: SLOTS(_mm256_or_si256(PIN(fa), PIN(fb))); break;
+    case OP_NAND2: SLOTS(NOT(_mm256_and_si256(PIN(fa), PIN(fb)))); break;
+    case OP_NOR2: SLOTS(NOT(_mm256_or_si256(PIN(fa), PIN(fb)))); break;
+    case OP_XOR:
+      SLOTS(_mm256_or_si256(_mm256_xor_si256(PIN(fa), PIN(fb)), one));
+      break;
+    case OP_XNOR: SLOTS(NOT(_mm256_xor_si256(PIN(fa), PIN(fb)))); break;
+    case OP_MUX:
+      SLOTS(_mm256_or_si256(_mm256_andnot_si256(PIN(fa), PIN(fb)),
+                            _mm256_and_si256(PIN(fa), PIN(fc))));
+      break;
+    case OP_ANDN: FOLD(_mm256_and_si256, acc); break;
+    case OP_ORN: FOLD(_mm256_or_si256, acc); break;
+    case OP_NANDN: FOLD(_mm256_and_si256, NOT(acc)); break;
+    case OP_NORN: FOLD(_mm256_or_si256, NOT(acc)); break;
+    }
+  }
+#undef LD
+#undef ST
+#undef NOT
+#undef TOGGLE4
+#undef PIN
+#undef SLOTS
+#undef FOLD
+}
+
+CAMLprim value hlp_kernel_wide_available(value unit)
+{
+  (void)unit;
+  return Val_bool(__builtin_cpu_supports("avx2"));
+}
+
+CAMLprim value hlp_kernel_settle_wide(value vv, value vold, value vsegs,
+                                      value vdst, value vfa, value vfb,
+                                      value vfc, value vfoff, value vfidx,
+                                      value vlatched, value vtoggles)
+{
+  struct sched p = {
+      Op_val(vsegs), Op_val(vdst), Op_val(vfa), Op_val(vfb), Op_val(vfc),
+      Op_val(vfoff), Op_val(vfidx), Op_val(vlatched),
+      (long)Wosize_val(vsegs) / 3, (long)Wosize_val(vlatched)};
+  settle_wide_avx2(&p, Op_val(vv), Op_val(vold), Op_val(vtoggles));
+  return Val_unit;
+}
+#else
+CAMLprim value hlp_kernel_wide_available(value unit)
+{
+  (void)unit;
+  return Val_false;
+}
+
+/* unreachable: Kernel.Wide.create refuses to build a state here */
+CAMLprim value hlp_kernel_settle_wide(value vv, value vold, value vsegs,
+                                      value vdst, value vfa, value vfb,
+                                      value vfc, value vfoff, value vfidx,
+                                      value vlatched, value vtoggles)
+{
+  (void)vv, (void)vold, (void)vsegs, (void)vdst, (void)vfa, (void)vfb;
+  (void)vfc, (void)vfoff, (void)vfidx, (void)vlatched, (void)vtoggles;
+  abort();
+}
+#endif
+
+/* bytecode entry: more than five arguments arrive as an array */
+CAMLprim value hlp_kernel_settle_wide_byte(value *argv, int argn)
+{
+  (void)argn;
+  return hlp_kernel_settle_wide(argv[0], argv[1], argv[2], argv[3],
+                                argv[4], argv[5], argv[6], argv[7],
+                                argv[8], argv[9], argv[10]);
 }
 
 /* The lane gather of a counted step with lanes tracked.

@@ -7,6 +7,8 @@ let tel_replays = Hlp_util.Telemetry.counter "parsim.replays"
 let tel_replay_cycles = Hlp_util.Telemetry.counter "parsim.replay_cycles"
 let tel_chunks = Hlp_util.Telemetry.counter "parsim.chunks"
 let tel_mc_units = Hlp_util.Telemetry.counter "parsim.mc_units"
+let tel_mc_passes = Hlp_util.Telemetry.counter "parsim.mc_passes"
+let tel_mc_dropped = Hlp_util.Telemetry.counter "parsim.mc_units_dropped"
 let tel_replay_time = Hlp_util.Telemetry.timer "parsim.replay"
 let tel_mc_time = Hlp_util.Telemetry.timer "parsim.monte_carlo"
 
@@ -233,8 +235,11 @@ type mc = {
 (* Each unit is an independent 63-lane batch whose PRNG stream depends only
    on (seed, unit index), so a unit's mean is the same whichever attempt or
    engine computed it. *)
+let unit_rng ~seed u =
+  Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D))
+
 let mc_unit net ~caps ~batch ~seed u =
-  let rng = Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D)) in
+  let rng = unit_rng ~seed u in
   let nin = Array.length net.Netlist.inputs in
   let sim = Bitsim.create ~caps net in
   for _ = 1 to batch do
@@ -253,15 +258,55 @@ let mc_unit net ~caps ~batch ~seed u =
    the state to exactly what [Kernel.create] leaves, whatever an earlier
    (or failed) unit did to it, and [Kernel.step] only reads [words]. *)
 let mc_unit_kernel sim words ~batch ~seed u =
-  let rng = Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D)) in
+  let rng = unit_rng ~seed u in
   Kernel.reset sim;
   for _ = 1 to batch do
-    for k = 0 to Array.length words - 1 do
-      words.(k) <- Int64.to_int (Hlp_util.Prng.bits64 rng)
-    done;
+    Hlp_util.Prng.fill_words rng words ~pos:0 ~stride:1
+      ~count:(Array.length words);
     Kernel.step sim words
   done;
   Kernel.switched_capacitance sim /. float_of_int (batch * Kernel.lanes)
+
+(* Units [u0 .. u0 + width - 1] in one wide pass: unit [u0 + j] draws its
+   words from its own stream, in [mc_unit_kernel]'s order, into slot [j]
+   of each input's group of [width], so every unit's mean carries the
+   bits the one-unit path gives it. The wide state is reset first, so
+   whatever an earlier pass or estimate left in it cannot reach the
+   answer. *)
+let mc_pass w words ~batch ~seed u0 =
+  let width = Kernel.Wide.width in
+  let nin = Array.length words / width in
+  let rngs = Array.init width (fun j -> unit_rng ~seed (u0 + j)) in
+  Kernel.Wide.reset w;
+  for _ = 1 to batch do
+    for j = 0 to width - 1 do
+      Hlp_util.Prng.fill_words rngs.(j) words ~pos:j ~stride:width ~count:nin
+    done;
+    Kernel.Wide.step w words
+  done;
+  Array.init width (fun j ->
+      Kernel.Wide.switched_capacitance w ~unit:j
+      /. float_of_int (batch * Kernel.lanes))
+
+(* One wide state and input buffer per domain, kept across estimates: the
+   state's three node arrays go straight to the major heap, so one per
+   estimate cost major collections. It is reused while the estimate's
+   plan is physically the one it was built for and replaced otherwise;
+   [mc_pass] resets it, so reuse cannot change an answer, and calls no
+   caller code, so a run nested in an [on_unit] or [stop] callback on the
+   same domain cannot interleave with a pass. *)
+let wide_slot : (Kernel.Wide.t * int array) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let wide_state plan ~nin =
+  match Domain.DLS.get wide_slot with
+  | Some ((w, _) as ws) when Kernel.Wide.plan w == plan -> ws
+  | _ ->
+      let ws =
+        (Kernel.Wide.create plan, Array.make (Kernel.Wide.width * nin) 0)
+      in
+      Domain.DLS.set wide_slot (Some ws);
+      ws
 
 (* A raising unit is retried with bounded exponential backoff. Its mean is
    deterministic per index, so a retry that succeeds yields exactly the
@@ -305,6 +350,55 @@ let contained ~max_retries f u =
   in
   attempt 1
 
+(* The compiled units in passes of [Kernel.Wide.width]. [next u] is unit
+   [u]'s mean: from the current pass when [u] lies in it, else from a new
+   pass starting at [u]. Units are asked for in order, so a pass covers
+   the next [width] units. A pass that raises (the ["domain-kill"] point
+   trips as it starts) is abandoned and its units run one at a time under
+   [contained], so retries and [Worker_failure] still name a unit.
+   [ahead u] counts the units the current pass computed past [u]. *)
+let wide_units ~max_retries ~single pass =
+  (* units [lo, hi) belong to the current pass; [means] holds them, or is
+     [None] when the pass failed *)
+  let lo = ref 0 and hi = ref 0 and means = ref None in
+  let try_pass u =
+    match
+      Hlp_util.Trace.span
+        ~args:(fun () -> [ ("first_unit", Hlp_util.Json.Int u) ])
+        "parsim.pass"
+        (fun () ->
+          Hlp_util.Faultinject.trip Hlp_util.Faultinject.Domain_kill;
+          pass u)
+    with
+    | ms ->
+        Hlp_util.Telemetry.incr tel_mc_passes;
+        Some ms
+    | exception e ->
+        Hlp_util.Telemetry.incr tel_worker_failures;
+        Hlp_util.Trace.instant
+          ~args:(fun () ->
+            [ ("first_unit", Hlp_util.Json.Int u);
+              ("why", Hlp_util.Json.Str (Printexc.to_string e)) ])
+          "parsim.pass_failed";
+        None
+  in
+  let next u =
+    if u < !lo || u >= !hi then begin
+      lo := u;
+      hi := u + Kernel.Wide.width;
+      means := try_pass u
+    end;
+    match !means with
+    | Some ms -> ms.(u - !lo)
+    | None -> contained ~max_retries single u
+  in
+  let ahead u =
+    match !means with
+    | Some _ when u >= !lo && u < !hi -> !hi - 1 - u
+    | _ -> 0
+  in
+  (next, ahead)
+
 let monte_carlo_units ?(max_retries = 2) ?resume_means ?on_unit ~engine net
     ~batch ~seed ~stop =
   if max_retries < 0 then
@@ -312,29 +406,43 @@ let monte_carlo_units ?(max_retries = 2) ?resume_means ?on_unit ~engine net
       (Hlp_util.Err.invalid_input ~what:"Parsim.monte_carlo_units: max_retries"
          "must be non-negative");
   Hlp_util.Telemetry.time tel_mc_time @@ fun () ->
-  let unit_of =
+  let next, ahead =
     match (engine : Engine.t) with
     | Engine.Compiled ->
-        (* one state and one input buffer for the whole run: arrays this
-           size go straight to the major heap, and units run one at a time *)
-        let sim = Kernel.create (Kernel.of_netlist net) in
-        let words = Array.make (Array.length net.Netlist.inputs) 0 in
-        fun u -> mc_unit_kernel sim words ~batch ~seed u
+        let plan = Kernel.of_netlist net in
+        let nin = Array.length net.Netlist.inputs in
+        (* the one-unit state: every unit without AVX2, and the units of a
+           failed pass; arrays this size go straight to the major heap,
+           so one per run, made on first use *)
+        let one = lazy (Kernel.create plan, Array.make nin 0) in
+        let single u =
+          let sim, words = Lazy.force one in
+          mc_unit_kernel sim words ~batch ~seed u
+        in
+        if Kernel.Wide.available then
+          let w, words = wide_state plan ~nin in
+          wide_units ~max_retries ~single (mc_pass w words ~batch ~seed)
+        else (contained ~max_retries single, fun _ -> 0)
     | _ ->
         let caps = Netlist.node_capacitance net in
-        fun u -> mc_unit net ~caps ~batch ~seed u
+        (contained ~max_retries (mc_unit net ~caps ~batch ~seed), fun _ -> 0)
   in
   let result means cycles =
     { mean = Hlp_util.Stats.mean means; unit_means = means; cycles }
   in
   let rec go means =
     let u = Array.length means in
-    let m = contained ~max_retries unit_of u in
+    let m = next u in
     Hlp_util.Telemetry.incr tel_mc_units;
     Option.iter (fun f -> f u m) on_unit;
     let means = Array.append means [| m |] in
     let cycles = (u + 1) * batch * Bitsim.lanes in
-    if stop ~means ~cycles then result means cycles else go means
+    if stop ~means ~cycles then begin
+      (* the rest of the pass is speculative work past the stop *)
+      Hlp_util.Telemetry.add tel_mc_dropped (ahead u);
+      result means cycles
+    end
+    else go means
   in
   let means0 = Option.value resume_means ~default:[||] in
   let cycles0 = Array.length means0 * batch * Bitsim.lanes in

@@ -113,21 +113,44 @@ val monte_carlo_units :
   seed:int ->
   stop:(means:float array -> cycles:int -> bool) ->
   mc
-(** Evaluate independent Monte Carlo {e units}, one at a time and in
-    unit order — each a fresh 63-lane {!Bitsim} run of [batch] steps under
-    uniform random inputs from a PRNG stream determined by
-    [(seed, unit index)] — until [stop] says so. [stop] is consulted after
-    every unit. Under [Compiled] each unit replays a fresh {!Kernel} state
-    of the once-compiled plan with the identical PRNG stream, so unit
-    means (and therefore checkpoints) carry the same bits as
-    [Bitparallel].
+(** Evaluate independent Monte Carlo {e units} in unit order — each a
+    fresh 63-lane run of [batch] steps under uniform random inputs from a
+    PRNG stream determined by [(seed, unit index)] — until [stop] says so.
+    [stop] is consulted after every unit, with the means of the units so
+    far. [Bitparallel] runs each unit on a fresh {!Bitsim}.
+
+    {b Four units per pass.} [Compiled] runs units [u .. u+3] in one pass
+    of a {!Kernel.Wide} state when the CPU has AVX2 ({!Kernel.Wide.available};
+    no option chooses), each unit with its own PRNG stream drawn in the
+    one-unit order, so every unit mean carries the bits a one-unit
+    {!Kernel} run (and [Bitparallel]) gives it. The run then takes the
+    pass's units one at a time — [on_unit], then [stop] — and drops the
+    units of the pass past the one where [stop] fired. So the returned
+    means, [cycles], the [on_unit] sequence and every checkpoint equal a
+    one-unit run's at every stopping point; at most three units per run
+    are computed and dropped (["parsim.mc_units_dropped"], against
+    ["parsim.mc_units"] kept and ["parsim.mc_passes"] computed). A resumed
+    run starts its first pass at the first missing unit. Without AVX2,
+    [Compiled] runs one unit at a time on one {!Kernel} state. Each domain
+    keeps one wide state, reused across runs of the same cached plan and
+    reset at the start of every pass, so no earlier run reaches an answer.
 
     A raising unit (including the ["domain-kill"] fault point, tripped as
     each attempt picks its unit up) is retried up to [max_retries]
     (default 2) times with exponential backoff; a unit still failing
     afterwards raises [Hlp_util.Err.Error (Worker_failure {shard; _})]
-    with [shard] the unit index. A negative [max_retries] raises the typed
+    with [shard] the unit index. A pass that raises (the ["domain-kill"]
+    point also trips as a pass starts, and ["gate-eval"] once per wide
+    step) is abandoned, counted in ["parsim.worker_failures"], and its
+    units run one at a time under that containment, so retries and
+    [shard] still name a unit. A negative [max_retries] raises the typed
     [Invalid_input].
+
+    {b Deadline granularity.} A guard checked inside [stop] is seen at
+    every unit's stop evaluation, but a pass computes four units before
+    the first of them is evaluated: a run can overshoot a deadline by up
+    to four units' work under [Compiled] with AVX2, against one unit
+    otherwise.
 
     Checkpoint hooks: [resume_means] seeds the run with per-unit means a
     journal recovered, with an entry stop-check covering a crash after the

@@ -18,7 +18,8 @@
     - [Trace_sample]: a poisoned (non-finite) per-transition macro-model
       value inside {!Hlp_power.Sampling.prepare};
     - [Domain_kill]: a Monte Carlo unit dying at pickup (each attempt
-      of a {!Hlp_sim.Parsim.monte_carlo_units} unit draws once);
+      of a {!Hlp_sim.Parsim.monte_carlo_units} unit, and each four-unit
+      pass, draws once);
     - [Bdd_blowup]: artificial BDD node-budget exhaustion — {!Bdd} raises
       the same typed [Budget_exceeded] as a real blowup, exercising the
       symbolic-to-sampling degradation chain without building a large

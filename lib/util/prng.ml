@@ -4,12 +4,32 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let bits64 t =
-  let z = Int64.add t.state golden in
-  t.state <- z;
+(* the splitmix64 output function; inlined, so a caller that only
+   converts the result keeps it unboxed *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
+
+let bits64 t =
+  let z = Int64.add t.state golden in
+  t.state <- z;
+  mix z
+
+(* The state lives in a local ref for the loop, which the compiler keeps
+   unboxed; storing to [t.state] once at the end boxes one [Int64]
+   instead of one per word. *)
+let fill_words t words ~pos ~stride ~count =
+  if count < 0 || pos < 0 || stride < 1
+     || (count > 0 && pos + ((count - 1) * stride) >= Array.length words)
+  then invalid_arg "Prng.fill_words";
+  let s = ref t.state in
+  for i = 0 to count - 1 do
+    let z = Int64.add !s golden in
+    s := z;
+    Array.unsafe_set words (pos + (i * stride)) (Int64.to_int (mix z))
+  done;
+  t.state <- !s
 
 let split t =
   let s = bits64 t in

@@ -27,6 +27,15 @@ val of_state : int64 -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val fill_words : t -> int array -> pos:int -> stride:int -> count:int -> unit
+(** [fill_words t words ~pos ~stride ~count] draws [count] outputs and
+    stores the [i]-th as [Int64.to_int (bits64 t)] at
+    [words.(pos + i * stride)], leaving [t] where [count] calls of
+    {!bits64} leave it. The bulk draw the Monte Carlo units use for their
+    input words: it allocates nothing per word, where each {!bits64}
+    boxes an [int64]. Raises [Invalid_argument] unless [count >= 0],
+    [pos >= 0], [stride >= 1] and every index is in bounds. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
 

@@ -558,13 +558,6 @@ let test_plan_stats () =
   Alcotest.(check bool) "pool holds every pin" true
     (st.Kernel.pool >= 2 * st.Kernel.slots);
   Alcotest.(check bool) "widest level is positive" true (st.Kernel.widest_level >= 1);
-  (* the fan-out masks describe real structure: level 0 (inputs) feeds
-     level 1 somewhere in any adder *)
-  Alcotest.(check bool) "level 0 feeds level 1" true
-    (Kernel.level_fanout_mask plan 0 land 2 <> 0);
-  (match Kernel.level_fanout_mask plan (st.Kernel.levels + 1) with
-  | _ -> Alcotest.fail "expected Invalid_argument out of range"
-  | exception Invalid_argument _ -> ());
   let contains hay needle =
     let nh = String.length hay and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -881,6 +874,153 @@ let test_every_opcode () =
         (Bitsim.lane_switched_capacitance bit))
     stimuli
 
+(* --- four units per pass: the wide state against four one-unit states --- *)
+
+let random_word rng = Int64.to_int (Hlp_util.Prng.bits64 rng)
+
+(* Step a wide state and four one-unit states of the same plan on the same
+   words, unit [u] driven by slot [u] of each input's group: every node
+   word, every unit's toggle counts and every unit's capacitance bits must
+   agree. The wide state runs twice, the second time after a reset from
+   the first run's dirty state, as a reused per-domain state does. *)
+let wide_agrees ?(word = random_word) net ~steps ~seed =
+  let width = Kernel.Wide.width in
+  let nin = Array.length net.Netlist.inputs and n = Netlist.num_nodes net in
+  let plan = Kernel.compile net in
+  let wide = Kernel.Wide.create plan in
+  let rng = Hlp_util.Prng.create seed in
+  let run () =
+    Kernel.Wide.reset wide;
+    let units = Array.init width (fun _ -> Kernel.create plan) in
+    let ok = ref true in
+    for _ = 1 to steps do
+      let words = Array.init (width * nin) (fun _ -> word rng) in
+      Kernel.Wide.step wide words;
+      Array.iteri
+        (fun u s ->
+          Kernel.step s (Array.init nin (fun k -> words.((width * k) + u)));
+          for i = 0 to n - 1 do
+            if Kernel.Wide.value wide ~unit:u i <> Kernel.value s i then
+              ok := false
+          done)
+        units
+    done;
+    Array.iteri
+      (fun u s ->
+        ok :=
+          !ok
+          && Kernel.Wide.toggle_counts wide ~unit:u = Kernel.toggle_counts s
+          && bits (Kernel.Wide.switched_capacitance wide ~unit:u)
+             = bits (Kernel.switched_capacitance s))
+      units;
+    !ok
+  in
+  let first = run () in
+  first && run ()
+
+(* without AVX2 there is no wide state to compare, and Monte Carlo runs
+   one unit at a time *)
+let qcheck_wide_differential =
+  QCheck.Test.make ~count:60
+    ~name:"wide state matches four one-unit states (values, toggles, caps)"
+    (QCheck.pair arb_any_netlist QCheck.small_nat)
+    (fun ((_, net), seed) ->
+      (not Kernel.Wide.available) || wide_agrees net ~steps:5 ~seed:(seed + 1))
+
+let test_wide_fixed_nets () =
+  if not Kernel.Wide.available then begin
+    (match Kernel.Wide.create (Kernel.compile (Test_bitsim.sequential_net ())) with
+    | _ -> Alcotest.fail "expected Invalid_argument without AVX2"
+    | exception Invalid_argument _ -> ());
+    Alcotest.skip ()
+  end;
+  Alcotest.(check bool) "sequential counter" true
+    (wide_agrees (Test_bitsim.sequential_net ()) ~steps:50 ~seed:7);
+  (* every opcode of the wide switch, on words that set the sign and tag
+     neighbours: a wrong case or a lost tag bit shows here *)
+  let edge = [| 0; -1; min_int; max_int; 1 |] in
+  Alcotest.(check bool) "every opcode, edge words" true
+    (wide_agrees (every_opcode_net ()) ~steps:40 ~seed:3 ~word:(fun rng ->
+         edge.(Hlp_util.Prng.int rng (Array.length edge))));
+  Alcotest.(check bool) "every opcode, random words" true
+    (wide_agrees (every_opcode_net ()) ~steps:20 ~seed:5);
+  (* a wide step is four unit-steps in the kernel counters *)
+  Test_durability.with_telemetry @@ fun () ->
+  let net = Generators.adder_circuit 4 in
+  let wide = Kernel.Wide.create (Kernel.compile net) in
+  Kernel.Wide.step wide
+    (Array.make (Kernel.Wide.width * Array.length net.Netlist.inputs) 0);
+  let count name = Hlp_util.Telemetry.(count (counter name)) in
+  Alcotest.(check int) "kernel.steps" Kernel.Wide.width (count "kernel.steps");
+  Alcotest.(check int) "kernel.lane_cycles" (Kernel.Wide.width * lanes)
+    (count "kernel.lane_cycles")
+
+(* --- Monte Carlo in passes: the stop rule per unit --- *)
+
+(* [n] units of a small adder, stopping on the unit count, optionally
+   resumed from a prefix of unit means: everything a caller can observe,
+   floats as bits *)
+let mc_observed ~engine ?resume_means n =
+  let seen = ref [] in
+  let r =
+    Parsim.monte_carlo_units ?resume_means
+      ~on_unit:(fun u m -> seen := (u, bits m) :: !seen)
+      ~engine (Generators.adder_circuit 4) ~batch:4 ~seed:19
+      ~stop:(fun ~means ~cycles:_ -> Array.length means >= n)
+  in
+  ( Array.map bits r.Parsim.unit_means,
+    r.Parsim.cycles,
+    bits r.Parsim.mean,
+    List.rev !seen )
+
+let test_mc_pass_stop_offsets () =
+  (* 1..13 units put the stop at every offset within a pass, over three
+     passes; the resumed runs start their first pass mid-sequence *)
+  let reference =
+    (Parsim.monte_carlo_units ~engine:Engine.Bitparallel
+       (Generators.adder_circuit 4) ~batch:4 ~seed:19
+       ~stop:(fun ~means ~cycles:_ -> Array.length means >= 13))
+      .Parsim.unit_means
+  in
+  for n = 1 to 13 do
+    List.iter
+      (fun r ->
+        if r <= n then begin
+          let resume_means =
+            if r = 0 then None else Some (Array.sub reference 0 r)
+          in
+          let at = Printf.sprintf "%d units, %d resumed" n r in
+          let um_b, cy_b, mean_b, seen_b =
+            mc_observed ~engine:Engine.Bitparallel ?resume_means n
+          and um_c, cy_c, mean_c, seen_c =
+            mc_observed ~engine:Engine.Compiled ?resume_means n
+          in
+          Alcotest.(check (array int64)) (at ^ ": unit means") um_b um_c;
+          Alcotest.(check int) (at ^ ": cycles") cy_b cy_c;
+          Alcotest.(check int64) (at ^ ": mean") mean_b mean_c;
+          Alcotest.(check (list (pair int int64))) (at ^ ": on_unit") seen_b
+            seen_c
+        end)
+      [ 0; 1; 2; 3; 5 ]
+  done
+
+let test_mc_pass_counters () =
+  if not Kernel.Wide.available then Alcotest.skip ();
+  let width = Kernel.Wide.width in
+  for n = 1 to 9 do
+    Test_durability.with_telemetry @@ fun () ->
+    ignore (mc_observed ~engine:Engine.Compiled n);
+    let count name = Hlp_util.Telemetry.(count (counter name)) in
+    let passes = (n + width - 1) / width in
+    let at = Printf.sprintf "%d units" n in
+    Alcotest.(check int) (at ^ ": passes") passes (count "parsim.mc_passes");
+    Alcotest.(check int) (at ^ ": kept") n (count "parsim.mc_units");
+    Alcotest.(check int) (at ^ ": dropped") ((passes * width) - n)
+      (count "parsim.mc_units_dropped");
+    Alcotest.(check int) (at ^ ": unit-steps") (passes * width * 4)
+      (count "kernel.steps")
+  done
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_step_differential;
@@ -930,7 +1070,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_compiled_resume_any_truncation;
     Alcotest.test_case "sampling estimators under the compiled engine" `Quick
       test_sampling_compiled_engine;
-    Alcotest.test_case "plan stats and fan-out masks" `Quick test_plan_stats;
+    Alcotest.test_case "plan stats and segment summary" `Quick test_plan_stats;
     Alcotest.test_case "compile and accessor validation" `Quick
       test_validation;
     Alcotest.test_case "set_counting / reset_counters parity" `Quick
@@ -940,4 +1080,11 @@ let suite =
       test_accounting_edge_words;
     Alcotest.test_case "every opcode matches bitsim on edge words" `Quick
       test_every_opcode;
+    QCheck_alcotest.to_alcotest qcheck_wide_differential;
+    Alcotest.test_case "wide state on fixed nets and edge words" `Quick
+      test_wide_fixed_nets;
+    Alcotest.test_case "monte carlo passes stop at every unit" `Quick
+      test_mc_pass_stop_offsets;
+    Alcotest.test_case "monte carlo pass and dropped-unit counters" `Quick
+      test_mc_pass_counters;
   ]

@@ -9,6 +9,39 @@ let test_prng_determinism () =
     Alcotest.(check int64) "same stream" (Prng.bits64 a) (Prng.bits64 b)
   done
 
+let test_prng_fill_words () =
+  (* the bulk draw is successive [bits64] calls, stored strided, and
+     leaves the state where those calls leave it *)
+  List.iter
+    (fun stride ->
+      let a = Prng.create 99 and b = Prng.create 99 in
+      let count = 17 and pos = 2 in
+      let words = Array.make (pos + (count * stride)) (-7) in
+      Prng.fill_words a words ~pos ~stride ~count;
+      let expect = Array.make (Array.length words) (-7) in
+      for i = 0 to count - 1 do
+        expect.(pos + (i * stride)) <- Int64.to_int (Prng.bits64 b)
+      done;
+      Alcotest.(check (array int))
+        (Printf.sprintf "stride %d words" stride)
+        expect words;
+      Alcotest.(check int64)
+        (Printf.sprintf "stride %d state" stride)
+        (Prng.state b) (Prng.state a))
+    [ 1; 4 ];
+  let t = Prng.create 1 in
+  let s0 = Prng.state t in
+  Prng.fill_words t [||] ~pos:0 ~stride:1 ~count:0;
+  Alcotest.(check int64) "count 0 draws nothing" s0 (Prng.state t);
+  List.iter
+    (fun (what, pos, stride, count) ->
+      match Prng.fill_words t (Array.make 8 0) ~pos ~stride ~count with
+      | () -> Alcotest.fail ("expected Invalid_argument: " ^ what)
+      | exception Invalid_argument _ ->
+          Alcotest.(check int64) (what ^ ": state untouched") s0 (Prng.state t))
+    [ ("past the end", 0, 4, 3); ("negative pos", -1, 1, 1);
+      ("zero stride", 0, 0, 2); ("negative count", 0, 1, -1) ]
+
 let test_prng_ranges () =
   let r = Prng.create 1 in
   for _ = 1 to 1000 do
@@ -301,6 +334,7 @@ let qcheck_solve_roundtrip =
 let suite =
   [
     Alcotest.test_case "prng determinism" `Quick test_prng_determinism;
+    Alcotest.test_case "prng bulk draw" `Quick test_prng_fill_words;
     Alcotest.test_case "prng ranges" `Quick test_prng_ranges;
     Alcotest.test_case "prng uniformity" `Quick test_prng_uniformity;
     Alcotest.test_case "prng bernoulli" `Quick test_prng_bernoulli;
