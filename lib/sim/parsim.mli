@@ -42,14 +42,38 @@ val replay :
     the trace into chunks of 63 consecutive cycles, two {!Bitsim} steps per
     chunk (one uncounted warm-up settle, one counted transition), which is
     exact for combinational netlists because the settled state depends only
-    on the current vector. [Compiled] runs the same chunk protocol through
-    the {!Kernel} struct-of-arrays schedule (compiled once per fingerprint,
+    on the current vector. Chunk [c] reads vectors [63c .. 63c+63], the
+    last of which starts the next chunk, and lanes past the trace repeat
+    vector [n-1]. [Compiled] runs the same chunk protocol through the
+    {!Kernel} struct-of-arrays schedule (compiled once per fingerprint,
     one state reused across chunks) and is bit-identical to [Bitparallel]
-    on every output word and per-transition float. Bit-parallel engines
-    raise [Invalid_argument] on netlists with flip-flops (sequential state
-    cannot be chunked); [n < 1] raises the typed [Invalid_input]. Toggle
-    counts are integer-exact across engines; the per-transition floats can
-    differ from [Scalar] only by summation-order round-off. *)
+    on every output word and per-transition float.
+
+    {b Vector calls.} [Scalar] and [Compiled] call [vector] once per
+    cycle, in cycle order; [Bitparallel] calls it 64 times per chunk, so
+    it asks for each chunk's first vector twice and for [n-1] again in
+    the lanes past the trace.
+
+    {b Idle chunks.} [Compiled] skips both steps of a chunk whose 64
+    vectors are all equal, and counts it in ["parsim.idle_chunks"]
+    (["parsim.chunks"] counts every chunk). The skip is exact: the
+    counted step would settle the warm-up state again, so every delta
+    word is zero and every lane charge stays [+0.0]; and the chunk's
+    outputs are its one vector's, which lane 62 of the kernel state
+    already holds settled, because the last step run (the counted step
+    of the last busy chunk) put that vector there. An idle first chunk
+    runs its warm-up step alone. On traces that hold their inputs most
+    cycles (a 1% change rate) about half the chunks are idle. Uniform
+    random vectors all but never make one, except a last chunk of one
+    cycle ([n mod 63 = 1]), whose lanes all repeat it.
+
+    {b Errors.} Bit-parallel engines raise [Invalid_argument] on netlists
+    with flip-flops (sequential state cannot be chunked). [n < 1], and a
+    vector whose length is not the netlist's input count, raise the
+    typed [Invalid_input] on every engine, the latter naming the first
+    such cycle ("cycle 70: ..."). Toggle counts are integer-exact across
+    engines; the per-transition floats can differ from [Scalar] only by
+    summation-order round-off. *)
 
 (** {1 Engine degradation} *)
 
@@ -89,11 +113,12 @@ val replay_guarded :
     ["parsim.engine_fallbacks"]. [Compiled] and [Bitparallel] are
     bit-identical, and [Scalar] differs only by summation round-off, so
     degradation never changes the answer beyond float noise. Guard trips
-    ([Deadline_exceeded]/[Cancelled]) and [Invalid_input] propagate
-    immediately — degrading past a deadline would return a late answer
-    instead of a typed error. When the whole chain fails the result is
-    the last typed error (a raw last exception is wrapped as
-    [Worker_failure {shard = -1; _}]). *)
+    ([Deadline_exceeded]/[Cancelled]) and [Invalid_input], such as a
+    wrong-length vector, are returned at once with no fallback —
+    degrading past a deadline would return a late answer instead of a
+    typed error, and no engine can replay bad input. When the whole
+    chain fails the result is the last typed error (a raw last exception
+    is wrapped as [Worker_failure {shard = -1; _}]). *)
 
 (** {1 Monte Carlo batches} *)
 

@@ -153,8 +153,12 @@ let qcheck_replay_differential =
     (QCheck.pair Test_bitsim.arb_netlist (QCheck.int_range 1 200))
     (fun ((_, net), n) -> replay_equal net ~n ~seed:(n + 3))
 
+(* chunk-boundary arithmetic: below, at, and just past lane multiples,
+   and a long trace whose last chunk is one cycle (4096 = 65 x 63 + 1) *)
+let edge_lengths =
+  [ 1; 2; lanes - 1; lanes; lanes + 1; (2 * lanes) - 1; 2 * lanes; 4096 ]
+
 let test_replay_edge_lengths () =
-  (* chunk-boundary arithmetic: below, at, and just past lane multiples *)
   let net = Generators.adder_circuit 4 in
   List.iter
     (fun n ->
@@ -162,7 +166,7 @@ let test_replay_edge_lengths () =
         (Printf.sprintf "n=%d bit-identical" n)
         true
         (replay_equal net ~n ~seed:n))
-    [ 1; 2; lanes - 1; lanes; lanes + 1; (2 * lanes) - 1; 2 * lanes ]
+    edge_lengths
 
 let test_replay_rejects_sequential () =
   let net = Test_bitsim.sequential_net () in
@@ -170,6 +174,112 @@ let test_replay_rejects_sequential () =
   match Parsim.replay ~engine:Engine.Compiled net ~vector ~n:10 with
   | _ -> Alcotest.fail "expected Invalid_argument for a sequential netlist"
   | exception Invalid_argument _ -> ()
+
+(* --- quiet traces: the compiled replay skips idle chunks ---
+
+   A chunk whose 64 vectors (its 63 and the next chunk's first) are all
+   equal runs no step under [Compiled]. Uniform vectors almost never
+   make one, so these traces hold their words: compiled must still equal
+   bitparallel bit for bit, and scalar on outputs exactly and on
+   capacitance to round-off. *)
+
+let word_vectors net words =
+  let nin = Array.length net.Netlist.inputs in
+  fun i -> Array.init nin (fun b -> Hlp_util.Bits.bit words.(i) b)
+
+let replays_agree net words =
+  let vector = word_vectors net words and n = Array.length words in
+  let rk = Parsim.replay ~engine:Engine.Compiled net ~vector ~n in
+  let rb = Parsim.replay ~engine:Engine.Bitparallel net ~vector ~n in
+  let rs = Parsim.replay ~engine:Engine.Scalar net ~vector ~n in
+  let close a b = Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs b) in
+  rk.Parsim.out_words = rb.Parsim.out_words
+  && Array.for_all2
+       (fun a b -> bits a = bits b)
+       rk.Parsim.transition_caps rb.Parsim.transition_caps
+  && rk.Parsim.out_words = rs.Parsim.out_words
+  && Array.for_all2 close rk.Parsim.transition_caps rs.Parsim.transition_caps
+
+let held_words net ~change ~n ~seed =
+  let rng = Hlp_util.Prng.create seed in
+  Streams.hold rng ~change_prob:change
+    (Streams.uniform rng ~width:(Array.length net.Netlist.inputs) ~n)
+
+let change_rates = [ 0.0; 0.01; 0.2; 1.0 ]
+
+let qcheck_replay_held =
+  QCheck.Test.make ~count:40
+    ~name:"compiled replay of held traces matches bitparallel and scalar"
+    (QCheck.triple Test_bitsim.arb_netlist (QCheck.int_range 1 300)
+       (QCheck.oneofl change_rates))
+    (fun ((_, net), n, change) ->
+      replays_agree net (held_words net ~change ~n ~seed:(n + 5)))
+
+let test_replay_quiet_lengths () =
+  let net = Generators.adder_circuit 4 in
+  let nin = Array.length net.Netlist.inputs in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun change ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d held at %g" n change)
+            true
+            (replays_agree net (held_words net ~change ~n ~seed:n)))
+        change_rates;
+      List.iter
+        (fun value ->
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d constant %#x" n value)
+            true
+            (replays_agree net (Streams.constant ~value ~n)))
+        [ 0; (1 lsl nin) - 1; 0b1011_0110 ])
+    edge_lengths
+
+let test_replay_change_on_64th () =
+  (* the only change lands on cycle 63c+63: vector 64 of chunk c, whose
+     other 63 vectors are equal. Chunk c is busy and its last lane
+     charges the change; a replay that compared only a chunk's own 63
+     vectors would skip it and lose that charge. *)
+  let net = Generators.adder_circuit 4 in
+  let n = 4096 in
+  List.iter
+    (fun c ->
+      let at = (lanes * c) + lanes in
+      let words = Array.init n (fun i -> if i < at then 0b0101 else 0b1110) in
+      let name = Printf.sprintf "change at cycle %d" at in
+      Alcotest.(check bool) name true (replays_agree net words);
+      let r =
+        Parsim.replay ~engine:Engine.Compiled net ~vector:(word_vectors net words)
+          ~n
+      in
+      Array.iteri
+        (fun i cap ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: transition %d charged" name i)
+            (i = at - 1) (cap > 0.0))
+        r.Parsim.transition_caps)
+    [ 0; 1; 30; (n - 1) / lanes - 1 ]
+
+let test_replay_idle_chunks_counted () =
+  let net = Generators.adder_circuit 4 in
+  let n = 4096 in
+  let chunks = (n + lanes - 1) / lanes in
+  let idle words =
+    Test_durability.with_telemetry @@ fun () ->
+    ignore
+      (Parsim.replay ~engine:Engine.Compiled net ~vector:(word_vectors net words)
+         ~n);
+    let count name = Hlp_util.Telemetry.(count (counter name)) in
+    Alcotest.(check int) "chunks" chunks (count "parsim.chunks");
+    count "parsim.idle_chunks"
+  in
+  Alcotest.(check int) "constant trace: every chunk idle" chunks
+    (idle (Streams.constant ~value:0b1001 ~n));
+  (* 4096 = 65 x 63 + 1: the last chunk holds cycle 4095 alone, and its
+     lanes past the trace repeat it, so that chunk alone is idle *)
+  Alcotest.(check int) "uniform trace: only the one-cycle tail idle" 1
+    (idle (held_words net ~change:1.0 ~n ~seed:3))
 
 (* --- Monte Carlo: byte-identical estimates --- *)
 
@@ -1037,6 +1147,13 @@ let suite =
       test_replay_edge_lengths;
     Alcotest.test_case "compiled replay rejects sequential nets" `Quick
       test_replay_rejects_sequential;
+    QCheck_alcotest.to_alcotest qcheck_replay_held;
+    Alcotest.test_case "held and constant traces at chunk-boundary lengths"
+      `Quick test_replay_quiet_lengths;
+    Alcotest.test_case "a change on a chunk's 64th vector is charged" `Quick
+      test_replay_change_on_64th;
+    Alcotest.test_case "idle chunks counted on constant and uniform traces"
+      `Quick test_replay_idle_chunks_counted;
     Alcotest.test_case "monte carlo byte-identical to bitparallel" `Quick
       test_mc_compiled_equals_bitparallel;
     Alcotest.test_case "monte carlo byte-identical on sequential net" `Quick

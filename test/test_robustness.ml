@@ -249,6 +249,44 @@ let test_replay_guarded_propagates_guard_trips () =
       Alcotest.(check string) "deadline propagates" "deadline-exceeded"
         (Err.class_name e)
 
+let test_replay_rejects_wrong_length_vectors () =
+  (* a vector whose length is not the netlist's input count is the
+     caller's error on every engine: replay raises the typed
+     Invalid_input naming the first bad cycle, and the guarded replay
+     returns it at once, without degrading to another engine *)
+  let net, vector = adder_trace ~width:4 ~n:100 23 in
+  let nin = Array.length net.Hlp_logic.Netlist.inputs in
+  let cases =
+    [ ("every vector short", nin - 1, (fun _ -> true), 0);
+      ("every vector long", nin + 3, (fun _ -> true), 0);
+      ("one long vector at cycle 70", nin + 3, (fun i -> i = 70), 70) ]
+  in
+  List.iter
+    (fun (label, len, bad, first) ->
+      let vector i = if bad i then Array.make len true else vector i in
+      List.iter
+        (fun engine ->
+          let at = label ^ ", " ^ Hlp_sim.Engine.to_string engine in
+          (match Hlp_sim.Parsim.replay ~engine net ~vector ~n:100 with
+          | _ -> Alcotest.failf "%s: expected Invalid_input" at
+          | exception Err.Error (Err.Invalid_input { why; _ }) ->
+              Alcotest.(check bool)
+                (at ^ ": names cycle " ^ string_of_int first)
+                true
+                (String.starts_with
+                   ~prefix:(Printf.sprintf "cycle %d:" first)
+                   why));
+          with_telemetry @@ fun () ->
+          (match Hlp_sim.Parsim.replay_guarded ~engine net ~vector ~n:100 with
+          | Ok _ -> Alcotest.failf "%s: expected an error" at
+          | Error e ->
+              Alcotest.(check string) (at ^ ": typed") "invalid-input"
+                (Err.class_name e));
+          Alcotest.(check int) (at ^ ": no fallback") 0
+            (Telemetry.count (Telemetry.counter "parsim.engine_fallbacks")))
+        Hlp_sim.Engine.[ Scalar; Bitparallel; Compiled ])
+    cases
+
 (* --- Probprop: symbolic exactness, budgets, the guarded chain --- *)
 
 let test_symbolic_exact_on_reconvergence () =
@@ -582,6 +620,8 @@ let suite =
     Alcotest.test_case "replay_guarded degrades" `Quick test_replay_guarded_degrades;
     Alcotest.test_case "replay_guarded propagates guard trips" `Quick
       test_replay_guarded_propagates_guard_trips;
+    Alcotest.test_case "replay rejects wrong-length vectors on every engine"
+      `Quick test_replay_rejects_wrong_length_vectors;
     Alcotest.test_case "symbolic exact on reconvergence" `Quick
       test_symbolic_exact_on_reconvergence;
     Alcotest.test_case "symbolic budget trips" `Quick test_symbolic_budget_trips;
