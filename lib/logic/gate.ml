@@ -38,15 +38,28 @@ let eval kind pins =
   | Xnor -> pins.(0) = pins.(1)
   | Mux -> if pins.(0) then pins.(2) else pins.(1)
 
+(* The n-ary names up to arity 16, built once: the fingerprint walk asks
+   for every node's name, so a common gate's name allocates nothing. A
+   wider gate's name is built with the same text. *)
+let nary_names prefix = Array.init 17 (fun n -> prefix ^ string_of_int n)
+let and_names = nary_names "and"
+let or_names = nary_names "or"
+let nand_names = nary_names "nand"
+let nor_names = nary_names "nor"
+
+let nary names prefix n =
+  if n >= 0 && n < Array.length names then names.(n)
+  else prefix ^ string_of_int n
+
 let name = function
   | Input -> "input"
   | Const b -> if b then "one" else "zero"
   | Buf -> "buf"
   | Not -> "inv"
-  | And n -> Printf.sprintf "and%d" n
-  | Or n -> Printf.sprintf "or%d" n
-  | Nand n -> Printf.sprintf "nand%d" n
-  | Nor n -> Printf.sprintf "nor%d" n
+  | And n -> nary and_names "and" n
+  | Or n -> nary or_names "or" n
+  | Nand n -> nary nand_names "nand" n
+  | Nor n -> nary nor_names "nor" n
   | Xor -> "xor2"
   | Xnor -> "xnor2"
   | Mux -> "mux2"

@@ -215,35 +215,75 @@ let logic_depth t =
   !deepest
 
 (* FNV-1a over the full structure. Order matters everywhere it is fed, so
-   any change to a gate, a wire, or a port name changes the fingerprint. *)
+   any change to a gate, a wire, or a port name changes the fingerprint.
+   The value is persisted (checkpoint, replay-cache and snapshot headers),
+   so it must never change: an int is fed as the 8 little-endian bytes of
+   [Int64.of_int i], a string byte by byte, a bool as one byte 0 or 1.
+
+   The helpers are closed and inlined and the hash lives in a local ref,
+   so the compiler keeps it unboxed and the walk allocates only its
+   result. Mixing a zero byte is a multiply by the prime (xor with 0
+   changes nothing), so an int's high zero bytes cost one multiply by a
+   power of the prime, the same value mod 2^64. *)
+let fnv_prime = 0x100000001b3L
+
+(* [prime_pow.(k)] is the prime to the [k]: [k] zero bytes mixed at once *)
+let prime_pow =
+  let p = Array.make 9 1L in
+  for k = 1 to 8 do
+    p.(k) <- Int64.mul p.(k - 1) fnv_prime
+  done;
+  p
+
+let[@inline] mix_byte h b =
+  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
+
+(* [asr] keeps the sign bits [Int64.of_int] extends with, so a negative
+   int never reaches 0 and mixes all eight bytes *)
+let[@inline] mix_int h i =
+  let h = ref h and v = ref i and left = ref 8 in
+  while !v <> 0 && !left > 0 do
+    h := mix_byte !h !v;
+    v := !v asr 8;
+    decr left
+  done;
+  Int64.mul !h prime_pow.(!left)
+
+let[@inline] mix_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := mix_byte !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
+
 let fingerprint_walk t =
   let h = ref 0xcbf29ce484222325L in
-  let prime = 0x100000001b3L in
-  let mix_byte b =
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) prime
-  in
-  let mix_int i =
-    let v = Int64.of_int i in
-    for k = 0 to 7 do
-      mix_byte (Int64.to_int (Int64.shift_right_logical v (8 * k)))
+  let nodes = t.nodes in
+  for i = 0 to Array.length nodes - 1 do
+    let n = nodes.(i) in
+    h := mix_string !h (Gate.name n.kind);
+    let fanin = n.fanin in
+    h := mix_int !h (Array.length fanin);
+    for k = 0 to Array.length fanin - 1 do
+      h := mix_int !h fanin.(k)
     done
-  in
-  let mix_string s = String.iter (fun c -> mix_byte (Char.code c)) s in
-  Array.iter
-    (fun n ->
-      mix_string (Gate.name n.kind);
-      mix_int (Array.length n.fanin);
-      Array.iter mix_int n.fanin)
-    t.nodes;
-  Array.iter mix_int t.inputs;
-  Array.iter mix_string t.input_names;
-  Array.iter
-    (fun (name, w) ->
-      mix_string name;
-      mix_int w)
-    t.outputs;
-  Array.iter mix_int t.dffs;
-  Array.iter (fun b -> mix_byte (Bool.to_int b)) t.dff_init;
+  done;
+  for k = 0 to Array.length t.inputs - 1 do
+    h := mix_int !h t.inputs.(k)
+  done;
+  for k = 0 to Array.length t.input_names - 1 do
+    h := mix_string !h t.input_names.(k)
+  done;
+  for k = 0 to Array.length t.outputs - 1 do
+    let name, w = t.outputs.(k) in
+    h := mix_int (mix_string !h name) w
+  done;
+  for k = 0 to Array.length t.dffs - 1 do
+    h := mix_int !h t.dffs.(k)
+  done;
+  for k = 0 to Array.length t.dff_init - 1 do
+    h := mix_byte !h (Bool.to_int t.dff_init.(k))
+  done;
   !h
 
 (* The walk touches every byte of the structure, so repeated cache lookups

@@ -10,7 +10,6 @@ type s = {
   caps : float array;
   values : int array;
   toggles : int array;
-  highs : int array;
   lane_switched : float array;  (* length [lanes]; maintained iff track_lanes *)
   track_lanes : bool;
   ncomb : int;  (* word-wide node evaluations per settle, for telemetry *)
@@ -28,44 +27,47 @@ let tel_popcounts = Hlp_util.Telemetry.counter "bitsim.popcount_ops"
 let broadcast b = if b then all_ones else 0
 
 (* fanin indices are validated once by the netlist builder, so the hot
-   evaluation path reads pins unchecked *)
+   evaluation path reads pins unchecked. A top-level helper, not a closure
+   per gate; the annotation keeps it off the generic array read. *)
+let[@inline] pin (values : int array) f k =
+  Array.unsafe_get values (Array.unsafe_get f k)
+
 let eval_node values (node : Netlist.node) =
   let f = node.Netlist.fanin in
-  let pin k = Array.unsafe_get values (Array.unsafe_get f k) in
   match node.Netlist.kind with
   | Gate.Input | Gate.Dff -> invalid_arg "Bitsim.eval_node: not combinational"
   | Gate.Const b -> broadcast b
-  | Gate.Buf -> pin 0
-  | Gate.Not -> lnot (pin 0)
+  | Gate.Buf -> pin values f 0
+  | Gate.Not -> lnot (pin values f 0)
   | Gate.And _ ->
-      let acc = ref (pin 0) in
+      let acc = ref (pin values f 0) in
       for k = 1 to Array.length f - 1 do
-        acc := !acc land pin k
+        acc := !acc land pin values f k
       done;
       !acc
   | Gate.Or _ ->
-      let acc = ref (pin 0) in
+      let acc = ref (pin values f 0) in
       for k = 1 to Array.length f - 1 do
-        acc := !acc lor pin k
+        acc := !acc lor pin values f k
       done;
       !acc
   | Gate.Nand _ ->
-      let acc = ref (pin 0) in
+      let acc = ref (pin values f 0) in
       for k = 1 to Array.length f - 1 do
-        acc := !acc land pin k
+        acc := !acc land pin values f k
       done;
       lnot !acc
   | Gate.Nor _ ->
-      let acc = ref (pin 0) in
+      let acc = ref (pin values f 0) in
       for k = 1 to Array.length f - 1 do
-        acc := !acc lor pin k
+        acc := !acc lor pin values f k
       done;
       lnot !acc
-  | Gate.Xor -> pin 0 lxor pin 1
-  | Gate.Xnor -> lnot (pin 0 lxor pin 1)
+  | Gate.Xor -> pin values f 0 lxor pin values f 1
+  | Gate.Xnor -> lnot (pin values f 0 lxor pin values f 1)
   | Gate.Mux ->
-      let sel = pin 0 in
-      (lnot sel land pin 1) lor (sel land pin 2)
+      let sel = pin values f 0 in
+      (lnot sel land pin values f 1) lor (sel land pin values f 2)
 
 let create ?caps ?(track_lanes = false) net =
   let n = Netlist.num_nodes net in
@@ -80,7 +82,6 @@ let create ?caps ?(track_lanes = false) net =
         | None -> Netlist.node_capacitance net);
       values = Array.make n 0;
       toggles = Array.make n 0;
-      highs = Array.make n 0;
       lane_switched = Array.make lanes 0.0;
       track_lanes;
       ncomb =
@@ -148,7 +149,7 @@ let scan_lanes ls c d =
     base := !base + 8
   done
 
-let set s i v =
+let[@inline] set s i v =
   let old = Array.unsafe_get s.values i in
   if old <> v then begin
     Array.unsafe_set s.values i v;
@@ -178,7 +179,10 @@ let step s inputs =
     in
     Array.iteri (fun j w -> set s w nexts.(j)) net.Netlist.dffs
   end;
-  Array.iteri (fun k w -> set s w inputs.(k)) net.Netlist.inputs;
+  let ins = net.Netlist.inputs in
+  for k = 0 to Array.length ins - 1 do
+    set s ins.(k) inputs.(k)
+  done;
   (* settle combinational logic in topological (id) order *)
   let nodes = net.Netlist.nodes in
   for i = 0 to Array.length nodes - 1 do
@@ -187,14 +191,6 @@ let step s inputs =
     | Gate.Input | Gate.Dff -> ()
     | _ -> set s i (eval_node s.values node)
   done;
-  if s.counting then begin
-    let highs = s.highs and values = s.values in
-    for i = 0 to Array.length values - 1 do
-      Array.unsafe_set highs i
-        (Array.unsafe_get highs i + Hlp_util.Bits.popcount (Array.unsafe_get values i))
-    done;
-    s.pops <- s.pops + Array.length values
-  end;
   s.ncycles <- s.ncycles + 1;
   if Hlp_util.Telemetry.enabled () then begin
     Hlp_util.Telemetry.incr tel_steps;
@@ -207,7 +203,6 @@ let step s inputs =
 let value s w = s.values.(w)
 let cycles s = s.ncycles
 let toggle_counts s = s.toggles
-let high_counts s = s.highs
 
 let switched_capacitance s =
   (* derived from the exact integer toggle counts so it equals
@@ -227,7 +222,6 @@ let set_counting s b = s.counting <- b
 
 let reset_counters s =
   Array.fill s.toggles 0 (Array.length s.toggles) 0;
-  Array.fill s.highs 0 (Array.length s.highs) 0;
   Array.fill s.lane_switched 0 lanes 0.0;
   s.ncycles <- 0
 

@@ -7,13 +7,14 @@
     by one clock cycle for the cost of roughly one scalar {!Funcsim} step.
 
     Accounting is exact, not approximate: a node's toggle count increases by
-    [popcount (old lxor new)], and cycles-high by [popcount value], so after
-    identical stimuli the per-node toggle and high counters equal the
-    element-wise sum over 63 independent {!Funcsim} runs — the differential
-    property enforced by [test/test_bitsim.ml]. Switched capacitance is
-    derived from the integer toggle counts
-    ([sum_i cap(i) * toggles(i)]), making it independent of evaluation
-    order.
+    [popcount (old lxor new)], so after identical stimuli the per-node
+    toggle counters equal the element-wise sum over 63 independent
+    {!Funcsim} runs — the differential property enforced by
+    [test/test_bitsim.ml]. Switched capacitance is derived from the integer
+    toggle counts ([sum_i cap(i) * toggles(i)]), making it independent of
+    evaluation order. There are no per-node high counts: no estimator
+    reads them, and {!value} exposes every settled word for a caller that
+    wants them. A counted step popcounts only the nodes that changed.
 
     Lanes share nothing except the netlist: flip-flop state, input vectors,
     and toggle history are all per-lane. Sequential circuits work (all lanes
@@ -61,9 +62,6 @@ val cycles : s -> int
 val toggle_counts : s -> int array
 (** Per-node toggles summed over all lanes since creation. *)
 
-val high_counts : s -> int array
-(** Per-node lane-cycles settled high (sum over lanes of cycles high). *)
-
 val switched_capacitance : s -> float
 (** Total capacitance switched over all lanes, computed as
     [sum_i cap(i) * toggles(i)] from the exact integer toggle counts. *)
@@ -73,7 +71,7 @@ val lane_switched_capacitance : s -> float array
     unless the simulator was created with [~track_lanes:true]. *)
 
 val set_counting : s -> bool -> unit
-(** Pause/resume all accounting (toggles, highs, lane capacitance) without
+(** Pause/resume all accounting (toggles, lane capacitance) without
     touching circuit state — used for warm-up steps during trace replay. *)
 
 val reset_counters : s -> unit

@@ -306,13 +306,11 @@ let unit_rng ~seed u =
 
 let mc_unit net ~caps ~batch ~seed u =
   let rng = unit_rng ~seed u in
-  let nin = Array.length net.Netlist.inputs in
+  let words = Array.make (Array.length net.Netlist.inputs) 0 in
   let sim = Bitsim.create ~caps net in
   for _ = 1 to batch do
-    let words = Array.make nin 0 in
-    for k = 0 to nin - 1 do
-      words.(k) <- Int64.to_int (Hlp_util.Prng.bits64 rng)
-    done;
+    Hlp_util.Prng.fill_words rng words ~pos:0 ~stride:1
+      ~count:(Array.length words);
     Bitsim.step sim words
   done;
   Bitsim.switched_capacitance sim /. float_of_int (batch * Bitsim.lanes)

@@ -379,6 +379,117 @@ let qcheck_mult_commutes =
       let vb = eval_circuit net (input_vec ~n b a) in
       out_word net va "p" = out_word net vb "p" && out_word net va "p" = a * b)
 
+(* --- the fingerprint walk: a persisted value that must never change --- *)
+
+(* The byte-at-a-time FNV-1a walk, with the cell names built by
+   [Printf.sprintf]: the reference the allocation-free walk must equal bit
+   for bit, since checkpoint, replay-cache and snapshot headers store it. *)
+let reference_fingerprint (t : Netlist.t) =
+  let name = function
+    | Gate.Input -> "input"
+    | Gate.Const b -> if b then "one" else "zero"
+    | Gate.Buf -> "buf"
+    | Gate.Not -> "inv"
+    | Gate.And n -> Printf.sprintf "and%d" n
+    | Gate.Or n -> Printf.sprintf "or%d" n
+    | Gate.Nand n -> Printf.sprintf "nand%d" n
+    | Gate.Nor n -> Printf.sprintf "nor%d" n
+    | Gate.Xor -> "xor2"
+    | Gate.Xnor -> "xnor2"
+    | Gate.Mux -> "mux2"
+    | Gate.Dff -> "dff"
+  in
+  let h = ref 0xcbf29ce484222325L in
+  let prime = 0x100000001b3L in
+  let mix_byte b =
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (b land 0xff))) prime
+  in
+  let mix_int i =
+    let v = Int64.of_int i in
+    for k = 0 to 7 do
+      mix_byte (Int64.to_int (Int64.shift_right_logical v (8 * k)))
+    done
+  in
+  let mix_string s = String.iter (fun c -> mix_byte (Char.code c)) s in
+  Array.iter
+    (fun (n : Netlist.node) ->
+      mix_string (name n.Netlist.kind);
+      mix_int (Array.length n.Netlist.fanin);
+      Array.iter mix_int n.Netlist.fanin)
+    t.Netlist.nodes;
+  Array.iter mix_int t.Netlist.inputs;
+  Array.iter mix_string t.Netlist.input_names;
+  Array.iter
+    (fun (name, w) ->
+      mix_string name;
+      mix_int w)
+    t.Netlist.outputs;
+  Array.iter mix_int t.Netlist.dffs;
+  Array.iter (fun b -> mix_byte (Bool.to_int b)) t.Netlist.dff_init;
+  !h
+
+let nary_kinds n = [ Gate.And n; Gate.Or n; Gate.Nand n; Gate.Nor n ]
+
+(* One n-ary gate of [arity] pins (up to 40, past the prebuilt names) over
+   wires picked at random; with [long], behind a chain of inverters that
+   puts its fanin and output ids past 65,535, where an int's third byte is
+   non-zero. *)
+let wide_netlist ~seed ~arity ~long =
+  let module B = Netlist.Builder in
+  let rng = Hlp_util.Prng.create (seed + 1) in
+  let b = B.create () in
+  let ins = B.inputs ~prefix:(Printf.sprintf "in%d_" seed) b (1 + (seed mod 4)) in
+  let last = ref ins.(0) in
+  if long then
+    for _ = 1 to 65_536 + Hlp_util.Prng.int rng 300 do
+      last := B.not_ b !last
+    done;
+  let pick () = Hlp_util.Prng.int rng (B.count b) in
+  let kind = List.nth (nary_kinds arity) (Hlp_util.Prng.int rng 4) in
+  let g = B.gate b kind (Array.init arity (fun _ -> pick ())) in
+  let q = B.dff ~init:(Hlp_util.Prng.bool rng) b g in
+  B.output b "wide" g;
+  B.output b (Printf.sprintf "q%d" (B.count b)) (B.xor_ b q !last);
+  B.finish b
+
+let qcheck_fingerprint_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"Netlist.fingerprint equals the byte-at-a-time FNV-1a walk"
+    Test_kernel.arb_any_netlist
+    (fun (_, net) -> Netlist.fingerprint net = reference_fingerprint net)
+
+let qcheck_fingerprint_wide_and_long =
+  QCheck.Test.make ~count:12
+    ~name:"Netlist.fingerprint equals the reference past the prebuilt arities and 16-bit wire ids"
+    QCheck.(triple small_nat (int_range 2 40) bool)
+    (fun (seed, arity, long) ->
+      let net = wide_netlist ~seed ~arity ~long in
+      Netlist.fingerprint net = reference_fingerprint net)
+
+let test_fingerprint_pins () =
+  (* the daemon's circuits, as every earlier build computed them *)
+  List.iter
+    (fun (name, gen, width, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s %d" name width)
+        want
+        (Printf.sprintf "%Lx" (Netlist.fingerprint (gen width))))
+    [ ("multiplier", Generators.multiplier_circuit, 8, "1587d0f852eccbc6");
+      ("alu", Generators.alu_circuit, 8, "c4827c2f4ae82f5f");
+      ("adder", Generators.adder_circuit, 16, "20e96d30052b8276");
+      ("comparator", Generators.comparator_circuit, 16, "3ba3c8e866afed6c");
+      ("adder", Generators.adder_circuit, 8, "88ceaf6cd1c86e7c");
+      ("comparator", Generators.comparator_circuit, 8, "d36d3f7197926665") ]
+
+let test_gate_names () =
+  for n = 2 to 40 do
+    List.iter2
+      (fun kind want -> Alcotest.(check string) want want (Gate.name kind))
+      (nary_kinds n)
+      [ Printf.sprintf "and%d" n; Printf.sprintf "or%d" n;
+        Printf.sprintf "nand%d" n; Printf.sprintf "nor%d" n ]
+  done
+
 let suite =
   [
     Alcotest.test_case "gate eval" `Quick test_gate_eval;
@@ -407,4 +518,8 @@ let suite =
     Alcotest.test_case "builder error paths" `Quick test_builder_error_paths;
     QCheck_alcotest.to_alcotest qcheck_adder_correct;
     QCheck_alcotest.to_alcotest qcheck_mult_commutes;
+    Alcotest.test_case "fingerprint pins" `Quick test_fingerprint_pins;
+    Alcotest.test_case "n-ary gate names" `Quick test_gate_names;
+    QCheck_alcotest.to_alcotest qcheck_fingerprint_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_fingerprint_wide_and_long;
   ]
