@@ -56,8 +56,7 @@ let with_server ?max_inflight ~name f =
   let service = Hlp_power.Service.create () in
   let srv =
     Domain.spawn (fun () ->
-        Server.serve ?max_inflight ~overload:Hlp_power.Service.overload_response
-          ~token
+        Server.serve ?max_inflight ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path
           (Hlp_power.Service.handle service))

@@ -68,8 +68,7 @@ let with_server ?access_log ?slow_s f =
   let service = Hlp_power.Service.create () in
   let srv =
     Domain.spawn (fun () ->
-        Hlp_util.Server.serve ?access_log ?slow_s
-          ~overload:Hlp_power.Service.overload_response ~token
+        Hlp_util.Server.serve ?access_log ?slow_s ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path
           (Hlp_power.Service.handle service))

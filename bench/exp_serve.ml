@@ -62,8 +62,7 @@ let with_server ?max_inflight ?queue_budget f =
   let service = Hlp_power.Service.create () in
   let srv =
     Domain.spawn (fun () ->
-        Hlp_util.Server.serve ?max_inflight ?queue_budget
-          ~overload:Hlp_power.Service.overload_response ~token
+        Hlp_util.Server.serve ?max_inflight ?queue_budget ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path
           (Hlp_power.Service.handle service))

@@ -29,14 +29,6 @@ let with_typed_errors run =
         (Hlp_util.Err.to_string e);
       Hlp_util.Err.exit_code e
 
-let circuit_enum =
-  [ ("adder", Hlp_logic.Generators.adder_circuit);
-    ("multiplier", Hlp_logic.Generators.multiplier_circuit);
-    ("max", Hlp_logic.Generators.max_circuit);
-    ("alu", Hlp_logic.Generators.alu_circuit);
-    ("comparator", Hlp_logic.Generators.comparator_circuit);
-    ("parity", Hlp_logic.Generators.parity_circuit) ]
-
 let stream_enum =
   [ ("uniform", fun rng ~width ~n -> Hlp_sim.Streams.uniform rng ~width ~n);
     ("walk", fun rng ~width ~n -> Hlp_sim.Streams.gaussian_walk rng ~width ~sigma:20.0 ~n);
@@ -81,8 +73,6 @@ let int_at_least lower what =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-(* --- estimate --- *)
-
 (* Satellite to the supervisor work: flag domains that depend on each
    other (or on the Err taxonomy) are validated in the command body with
    typed Invalid_input — stable exit 65 — instead of Cmdliner converter
@@ -103,14 +93,80 @@ let require_at_least ~flag lower v =
            (Printf.sprintf "must be >= %d" lower))
   | _ -> v
 
-let estimate circuit width cycles stream seed engine profile telemetry_json
-    deadline node_limit max_retries trace_out attribution run_report =
+(* --- flags shared by several subcommands --- *)
+
+(* --circuit over the daemon's table; the name stays with the generator
+   for the Verilog module name *)
+let circuit ~default =
+  let circuits = Hlp_power.Service.circuits in
+  named_opt
+    (List.map (fun (name, gen) -> (name, (name, gen))) circuits)
+    ~default
+    (Arg.info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuits))
+
+let width =
+  Arg.(value & opt (int_at_least 1 "--width") 8
+       & info [ "width" ] ~doc:"operand bit width")
+
+let max_retries =
+  (* validated in the command body (typed Invalid_input, exit 65), not by
+     the converter, so zero/negative behaves like every bad value *)
+  Arg.(value & opt (some int) None
+       & info [ "max-retries" ] ~docv:"N"
+           ~doc:
+             "retries per failed Monte Carlo unit before the engine \
+              degrades (default 2, exponential backoff); must be >= 1")
+
+(* --telemetry-json FILE and --trace FILE, for estimate, batch and serve *)
+let outputs =
+  let telemetry_json =
+    Arg.(value & opt (some string) None
+         & info [ "telemetry-json" ] ~docv:"FILE"
+             ~doc:
+               "enable the telemetry layer and write it to $(docv) as JSON \
+                when the run ends (the daemon's cache counters live under \
+                server.*)")
+  in
+  let trace_out =
+    Arg.(value & opt (some string) None
+         & info [ "trace" ] ~docv:"FILE"
+             ~doc:
+               "enable span tracing and write a Chrome trace-event JSON to \
+                $(docv) when the run ends (load in Perfetto or \
+                chrome://tracing)")
+  in
+  Term.(const (fun t tr -> (t, tr)) $ telemetry_json $ trace_out)
+
+(* Enable what [outputs] names (telemetry also when [telemetry]), run,
+   then write the files; a typed error skips the writes. The telemetry
+   file is atomic like every other JSON artifact: a reader or a crash
+   never sees a torn file. *)
+let with_outputs ~telemetry (telemetry_json, trace_out) run =
+  if telemetry || telemetry_json <> None then Hlp_util.Telemetry.enable ();
+  if trace_out <> None then Hlp_util.Trace.enable ();
+  let code = run () in
+  Option.iter
+    (fun path ->
+      Hlp_util.Journal.write_atomic ~path (Hlp_util.Telemetry.to_json () ^ "\n");
+      Printf.printf "telemetry written to %s\n" path)
+    telemetry_json;
+  Option.iter
+    (fun path ->
+      Hlp_util.Trace.write ~path;
+      Printf.printf "trace written to %s (%d events, %d dropped)\n" path
+        (Hlp_util.Trace.event_count ())
+        (Hlp_util.Trace.dropped ()))
+    trace_out;
+  code
+
+(* --- estimate --- *)
+
+let estimate (_, circuit) width cycles stream seed engine profile outputs
+    deadline node_limit max_retries attribution run_report =
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
   let max_retries = require_at_least ~flag:"--max-retries" 1 max_retries in
-  if profile || telemetry_json <> None || run_report <> None then
-    Hlp_util.Telemetry.enable ();
-  if trace_out <> None then Hlp_util.Trace.enable ();
+  with_outputs ~telemetry:(profile || run_report <> None) outputs @@ fun () ->
   let guard = Hlp_util.Guard.create ?deadline_s:deadline () in
   let net = circuit width in
   Printf.printf "circuit: %s\n" (Hlp_logic.Netlist.stats_string net);
@@ -210,28 +266,9 @@ let estimate circuit width cycles stream seed engine profile telemetry_json
     print_newline ();
     Hlp_util.Telemetry.print_report ()
   end;
-  (match telemetry_json with
-  | Some path ->
-      (* atomic like every other JSON artifact: a reader or a crash never
-         sees a torn file *)
-      Hlp_util.Journal.write_atomic ~path (Hlp_util.Telemetry.to_json () ^ "\n");
-      Printf.printf "telemetry written to %s\n" path
-  | None -> ());
-  (match trace_out with
-  | Some path ->
-      Hlp_util.Trace.write ~path;
-      Printf.printf "trace written to %s (%d events, %d dropped)\n" path
-        (Hlp_util.Trace.event_count ())
-        (Hlp_util.Trace.dropped ())
-  | None -> ());
   0
 
 let estimate_cmd =
-  let circuit =
-    named_opt circuit_enum ~default:"multiplier"
-      (Arg.info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuit_enum))
-  in
-  let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"operand bit width") in
   let cycles =
     Arg.(value & opt (int_at_least 2 "--cycles") 2000
          & info [ "cycles" ]
@@ -259,11 +296,6 @@ let estimate_cmd =
                "enable the telemetry layer and print per-engine counters, \
                 timers, and Monte Carlo convergence series after the run")
   in
-  let telemetry_json =
-    Arg.(value & opt (some string) None
-         & info [ "telemetry-json" ] ~docv:"FILE"
-             ~doc:"enable the telemetry layer and write it to $(docv) as JSON")
-  in
   let deadline =
     Arg.(value & opt (some float) None
          & info [ "deadline" ] ~docv:"SECONDS"
@@ -278,22 +310,6 @@ let estimate_cmd =
                "BDD node budget for the exact symbolic estimator (default \
                 200000); a blowup degrades to Monte Carlo sampling instead \
                 of exhausting memory")
-  in
-  let max_retries =
-    (* validated in the command body (typed Invalid_input, exit 65), not by
-       the converter, so zero/negative behaves like every bad value *)
-    Arg.(value & opt (some int) None
-         & info [ "max-retries" ] ~docv:"N"
-             ~doc:
-               "retries per failed Monte Carlo unit before the engine \
-                degrades (default 2, exponential backoff); must be >= 1")
-  in
-  let trace_out =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:
-               "enable span tracing and write a Chrome trace-event JSON to \
-                $(docv) (load in Perfetto or chrome://tracing)")
   in
   let attribution =
     Arg.(value & opt (some (int_at_least 1 "--attribution")) None
@@ -311,9 +327,9 @@ let estimate_cmd =
                 wall time) to $(docv); implies telemetry")
   in
   Cmd.v (Cmd.info "estimate" ~doc:"Power-estimate a generated RT module")
-    Term.(const estimate $ circuit $ width $ cycles $ stream $ seed $ engine
-          $ profile $ telemetry_json $ deadline $ node_limit $ max_retries
-          $ trace_out $ attribution $ run_report)
+    Term.(const estimate $ circuit ~default:"multiplier" $ width $ cycles
+          $ stream $ seed $ engine $ profile $ outputs $ deadline $ node_limit
+          $ max_retries $ attribution $ run_report)
 
 (* --- batch: supervised estimation campaigns --- *)
 
@@ -376,12 +392,12 @@ let parse_jobs_file path =
          in
          let circuit_name = str "circuit" "multiplier" in
          let circuit =
-           match List.assoc_opt circuit_name circuit_enum with
+           match List.assoc_opt circuit_name Hlp_power.Service.circuits with
            | Some c -> c
            | None ->
                bad
                  (where "circuit" ^ " unknown: " ^ circuit_name ^ " (expected "
-                 ^ enum_doc circuit_enum ^ ")")
+                 ^ enum_doc Hlp_power.Service.circuits ^ ")")
          in
          let engine_name = str "engine" "compiled" in
          let engine =
@@ -390,6 +406,7 @@ let parse_jobs_file path =
            | Error (`Msg m) -> bad (where "engine" ^ ": " ^ m)
          in
          let width = Option.value (int_ "width" (Some 8)) ~default:8 in
+         if width < 1 then bad (where "width" ^ " must be >= 1");
          {
            bj_name =
              str "name" (Printf.sprintf "job%d-%s%d" i circuit_name width);
@@ -404,14 +421,13 @@ let parse_jobs_file path =
        jobs)
 
 let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
-    max_retries telemetry_json trace_out report =
+    max_retries outputs report =
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
   let max_retries = require_at_least ~flag:"--max-retries" 1 max_retries in
   let max_inflight = require_at_least ~flag:"--max-inflight" 1 max_inflight in
   let queue_budget = require_at_least ~flag:"--queue-budget" 1 queue_budget in
-  if telemetry_json <> None || report <> None then Hlp_util.Telemetry.enable ();
-  if trace_out <> None then Hlp_util.Trace.enable ();
+  with_outputs ~telemetry:(report <> None) outputs @@ fun () ->
   let jobs = parse_jobs_file jobs_file in
   (match checkpoint_dir with
   | Some dir ->
@@ -421,6 +437,7 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
           (Hlp_util.Err.invalid_input ~what:"--checkpoint-dir"
              (dir ^ " exists and is not a directory"))
   | None -> ());
+  (* a job's answer, built once for its result file and the summary *)
   let run_job _idx guard job =
     let ck =
       Option.map
@@ -437,21 +454,20 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
     with
     | Error e -> raise (Hlp_util.Err.Error e)
     | Ok g ->
+        let answer =
+          [ ("estimate", Hlp_util.Json.Float g.Hlp_power.Probprop.capacitance);
+            ("provenance",
+             Hlp_power.Probprop.provenance_json g.Hlp_power.Probprop.provenance) ]
+        in
         (match checkpoint_dir with
         | Some dir ->
             (* atomic per-job snapshot: old complete file or new complete
                file, never a torn one *)
             Hlp_util.Json.write
               ~path:(Filename.concat dir (job.bj_name ^ ".result.json"))
-              (Hlp_util.Json.Obj
-                 [ ("name", Hlp_util.Json.Str job.bj_name);
-                   ("estimate",
-                    Hlp_util.Json.Float g.Hlp_power.Probprop.capacitance);
-                   ("provenance",
-                    Hlp_power.Probprop.provenance_json
-                      g.Hlp_power.Probprop.provenance) ])
+              (Hlp_util.Json.Obj (("name", Hlp_util.Json.Str job.bj_name) :: answer))
         | None -> ());
-        g
+        (g, answer)
   in
   let (results, stats), signal =
     Hlp_util.Supervisor.with_graceful_stop (fun token ->
@@ -462,7 +478,7 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
   Array.iteri
     (fun i r ->
       match r with
-      | Ok g ->
+      | Ok (g, _) ->
           Printf.printf "%-20s %-12s %10.1f cap units/cycle [%s]\n"
             jobs.(i).bj_name "ok" g.Hlp_power.Probprop.capacitance
             g.Hlp_power.Probprop.provenance.Hlp_power.Probprop.estimator_used
@@ -491,14 +507,8 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
                      (("name", Hlp_util.Json.Str jobs.(i).bj_name)
                      ::
                      (match r with
-                     | Ok g ->
-                         [ ("status", Hlp_util.Json.Str "ok");
-                           ("estimate",
-                            Hlp_util.Json.Float
-                              g.Hlp_power.Probprop.capacitance);
-                           ("provenance",
-                            Hlp_power.Probprop.provenance_json
-                              g.Hlp_power.Probprop.provenance) ]
+                     | Ok (_, answer) ->
+                         ("status", Hlp_util.Json.Str "ok") :: answer
                      | Error e ->
                          [ ("status",
                             Hlp_util.Json.Str (Hlp_util.Err.class_name e));
@@ -531,13 +541,6 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
       Hlp_util.Json.write
         ~path:(Filename.concat dir "batch_summary.json")
         summary_json
-  | None -> ());
-  (match telemetry_json with
-  | Some path ->
-      Hlp_util.Journal.write_atomic ~path (Hlp_util.Telemetry.to_json () ^ "\n")
-  | None -> ());
-  (match trace_out with
-  | Some path -> Hlp_util.Trace.write ~path
   | None -> ());
   match signal with
   | Some s -> Hlp_util.Supervisor.signal_exit_code s
@@ -599,21 +602,6 @@ let batch_cmd =
                "wall-clock budget for the whole batch; jobs not started in \
                 time are shed with the deadline-exceeded error")
   in
-  let max_retries =
-    Arg.(value & opt (some int) None
-         & info [ "max-retries" ] ~docv:"N"
-             ~doc:"retries per failed Monte Carlo unit (>= 1)")
-  in
-  let telemetry_json =
-    Arg.(value & opt (some string) None
-         & info [ "telemetry-json" ] ~docv:"FILE"
-             ~doc:"enable the telemetry layer and write it to $(docv) as JSON")
-  in
-  let trace_out =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"enable span tracing and write Chrome trace JSON to $(docv)")
-  in
   let report =
     Arg.(value & opt (some string) None
          & info [ "report" ] ~docv:"FILE"
@@ -624,201 +612,95 @@ let batch_cmd =
        ~doc:
          "Run a supervised campaign of estimate jobs with checkpoint/resume")
     Term.(const batch $ jobs_file $ checkpoint_dir $ resume $ max_inflight
-          $ queue_budget $ deadline $ max_retries $ telemetry_json $ trace_out
-          $ report)
+          $ queue_budget $ deadline $ max_retries $ outputs $ report)
 
-(* --- serve --- *)
+(* --- serve and supervise --- *)
 
 (* The serve knobs a SIGHUP reload may change, assembled from CLI flags
    at startup and re-read from --config on each reload. A config file is
    a JSON object with any of: queue_budget, deadline_s, slow_s,
    mem_soft_mb, mem_hard_mb; a present key overrides, an explicit null
-   clears an optional, a missing key keeps the current value. *)
-let knobs_of_config base path =
-  let module J = Hlp_util.Json in
-  let contents =
-    try In_channel.with_open_text path In_channel.input_all
-    with Sys_error m ->
-      raise (Hlp_util.Err.invalid_input ~what:"--config" ("unreadable: " ^ m))
-  in
-  match J.parse contents with
-  | Error m ->
-      raise (Hlp_util.Err.invalid_input ~what:"--config" ("parse: " ^ m))
-  | Ok v ->
-      let opt name conv current =
-        match J.member name v with
-        | None -> current
-        | Some J.Null -> None
-        | Some jv -> (
-            match conv jv with
-            | Some x -> Some x
-            | None ->
-                raise
-                  (Hlp_util.Err.invalid_input ~what:("--config: " ^ name)
-                     "has the wrong type"))
+   clears an optional, a missing key keeps the current value, and no
+   file keeps them all. *)
+let knobs_of_config base = function
+  | None -> base
+  | Some path -> (
+      let module J = Hlp_util.Json in
+      let contents =
+        try In_channel.with_open_text path In_channel.input_all
+        with Sys_error m ->
+          raise (Hlp_util.Err.invalid_input ~what:"--config" ("unreadable: " ^ m))
       in
-      let mb name current =
-        Option.map (fun m -> m * 1024 * 1024)
-          (opt name J.to_int_opt (Option.map (fun b -> b / (1024 * 1024)) current))
-      in
-      let open Hlp_util.Server in
-      {
-        queue_budget =
-          Option.value ~default:base.queue_budget
-            (opt "queue_budget" J.to_int_opt (Some base.queue_budget));
-        deadline_s = opt "deadline_s" J.to_float_opt base.deadline_s;
-        slow_s = opt "slow_s" J.to_float_opt base.slow_s;
-        mem_soft_bytes = mb "mem_soft_mb" base.mem_soft_bytes;
-        mem_hard_bytes = mb "mem_hard_mb" base.mem_hard_bytes;
-      }
+      match J.parse contents with
+      | Error m ->
+          raise (Hlp_util.Err.invalid_input ~what:"--config" ("parse: " ^ m))
+      | Ok v ->
+          let opt name conv current =
+            match J.member name v with
+            | None -> current
+            | Some J.Null -> None
+            | Some jv -> (
+                match conv jv with
+                | Some x -> Some x
+                | None ->
+                    raise
+                      (Hlp_util.Err.invalid_input ~what:("--config: " ^ name)
+                         "has the wrong type"))
+          in
+          let mb name current =
+            Option.map (fun m -> m * 1024 * 1024)
+              (opt name J.to_int_opt (Option.map (fun b -> b / (1024 * 1024)) current))
+          in
+          let open Hlp_util.Server in
+          {
+            queue_budget =
+              Option.value ~default:base.queue_budget
+                (opt "queue_budget" J.to_int_opt (Some base.queue_budget));
+            deadline_s = opt "deadline_s" J.to_float_opt base.deadline_s;
+            slow_s = opt "slow_s" J.to_float_opt base.slow_s;
+            mem_soft_bytes = mb "mem_soft_mb" base.mem_soft_bytes;
+            mem_hard_bytes = mb "mem_hard_mb" base.mem_hard_bytes;
+          })
 
-let snapshot_file state_dir = Filename.concat state_dir "snapshot.hlp"
+(* The serve flags that supervise forwards to its child, declared once
+   for both commands. *)
+type daemon = {
+  socket : string;
+  state_dir : string option;
+  pid_file : string option;
+  queue_budget : int option;
+  deadline : float option;
+  mem_soft_mb : int option;
+  mem_hard_mb : int option;
+  config : string option;
+}
 
-let ensure_dir dir =
-  match Unix.mkdir dir 0o755 with
-  | () -> ()
-  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+(* serve's, supervise's and client's *)
+let socket =
+  Arg.(value & opt string "/tmp/hlpower.sock"
+       & info [ "socket" ] ~docv:"PATH"
+           ~doc:
+             "Unix-domain socket of the daemon (serve replaces a stale file \
+              and refuses a path with a live daemon with the typed \
+              invalid-input code)")
 
-let serve socket max_inflight queue_budget deadline telemetry_json trace_out
-    access_log access_log_max_bytes slow_threshold state_dir snapshot_interval
-    pid_file mem_soft_mb mem_hard_mb config =
-  with_typed_errors @@ fun () ->
-  let deadline = require_positive_float ~flag:"--deadline" deadline in
-  let max_inflight = require_at_least ~flag:"--max-inflight" 1 max_inflight in
-  let queue_budget = require_at_least ~flag:"--queue-budget" 1 queue_budget in
-  let slow_threshold =
-    require_positive_float ~flag:"--slow-threshold" slow_threshold
-  in
-  let access_log_max_bytes =
-    require_at_least ~flag:"--access-log-max-bytes" 1 access_log_max_bytes
-  in
-  let snapshot_interval =
-    Option.value ~default:5.0
-      (require_positive_float ~flag:"--snapshot-interval" snapshot_interval)
-  in
-  ignore (require_at_least ~flag:"--mem-soft-mb" 1 mem_soft_mb);
-  ignore (require_at_least ~flag:"--mem-hard-mb" 1 mem_hard_mb);
-  (* the flight recorder (per-op histograms, access log, metrics op) runs
-     off the telemetry switch: a serving daemon always records *)
-  Hlp_util.Telemetry.enable ();
-  if trace_out <> None then Hlp_util.Trace.enable ();
-  let service = Hlp_power.Service.create () in
-  (* hot-reloadable knobs: CLI flags seed the record, --config (when
-     given) overrides at startup and on every SIGHUP *)
-  let cli_knobs =
-    {
-      Hlp_util.Server.queue_budget =
-        Option.value ~default:Hlp_util.Server.default_knobs.queue_budget
-          queue_budget;
-      deadline_s = deadline;
-      slow_s = slow_threshold;
-      mem_soft_bytes = Option.map (fun m -> m * 1024 * 1024) mem_soft_mb;
-      mem_hard_bytes = Option.map (fun m -> m * 1024 * 1024) mem_hard_mb;
-    }
-  in
-  let initial =
-    match config with
-    | Some path -> knobs_of_config cli_knobs path
-    | None -> cli_knobs
-  in
-  Hlp_util.Server.validate_knobs initial;
-  let knobs = Atomic.make initial in
-  (* SIGHUP: the handler only flips a flag; the reload itself — file
-     read, validation, Atomic.set — runs on the accept tick, so nothing
-     allocates or raises inside a signal handler and a bad config can be
-     rejected loudly without dropping the daemon *)
-  let hup = Atomic.make false in
-  (try
-     ignore
-       (Sys.signal Sys.sighup (Sys.Signal_handle (fun _ -> Atomic.set hup true)))
-   with Invalid_argument _ | Sys_error _ -> ());
-  (* warm-restart rehydration before the socket opens: the first request
-     for a previously-warm key is already a byte-identical hit *)
-  (match state_dir with
-  | Some dir -> (
-      ensure_dir dir;
-      match Hlp_power.Service.load_snapshot service ~path:(snapshot_file dir) with
-      | `Restored n ->
-          Printf.printf "hlpower serve: restored %d cache entries from snapshot\n%!" n
-      | `Cold reason ->
-          Printf.printf "hlpower serve: cold start (snapshot %s)\n%!" reason)
-  | None -> ());
-  (match pid_file with
-  | Some path ->
-      Hlp_util.Journal.write_atomic ~path (string_of_int (Unix.getpid ()) ^ "\n")
-  | None -> ());
-  let last_spill = ref (Hlp_util.Clock.now_s ()) in
-  let spill () =
-    match state_dir with
-    | None -> ()
-    | Some dir -> (
-        try ignore (Hlp_power.Service.save_snapshot service ~path:(snapshot_file dir))
-        with _ -> () (* an unwritable disk must not kill the daemon *))
-  in
-  let on_tick () =
-    if Atomic.compare_and_set hup true false then begin
-      match
-        match config with
-        | Some path -> knobs_of_config (Atomic.get knobs) path
-        | None -> Atomic.get knobs
-      with
-      | k ->
-          Hlp_util.Server.set_knobs knobs k;
-          Printf.printf "hlpower serve: knobs reloaded\n%!"
-      | exception Hlp_util.Err.Error e ->
-          Printf.printf "hlpower serve: reload rejected [%s]: %s\n%!"
-            (Hlp_util.Err.class_name e) (Hlp_util.Err.to_string e)
-    end;
-    let now = Hlp_util.Clock.now_s () in
-    if now -. !last_spill >= snapshot_interval then begin
-      last_spill := now;
-      spill ()
-    end
-  in
-  let (), signal =
-    Hlp_util.Supervisor.with_graceful_stop (fun token ->
-        Hlp_util.Server.serve ?max_inflight
-          ~overload:Hlp_power.Service.overload_response ~token
-          ~on_ready:(fun () ->
-            Printf.printf "hlpower serve: listening on %s\n%!" socket)
-          ?access_log ?access_log_max_bytes ~knobs ~on_tick
-          ~on_memory_soft:(fun () -> ignore (Hlp_power.Service.trim service))
-          ~path:socket
-          (Hlp_power.Service.handle service))
-  in
-  (* final spill: the drain path leaves the freshest possible snapshot
-     for the next incarnation *)
-  spill ();
-  (match pid_file with
-  | Some path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-  | None -> ());
-  (match telemetry_json with
-  | Some path ->
-      Hlp_util.Journal.write_atomic ~path (Hlp_util.Telemetry.to_json () ^ "\n")
-  | None -> ());
-  (match trace_out with
-  | Some path -> Hlp_util.Trace.write ~path
-  | None -> ());
-  print_endline "hlpower serve: drained";
-  match signal with
-  | Some s -> Hlp_util.Supervisor.signal_exit_code s
-  | None -> 0
-
-let serve_cmd =
-  let socket =
-    Arg.(value & opt string "/tmp/hlpower.sock"
-         & info [ "socket" ] ~docv:"PATH"
+let daemon =
+  let state_dir =
+    Arg.(value & opt (some string) None
+         & info [ "state-dir" ] ~docv:"DIR"
              ~doc:
-               "Unix-domain socket to listen on (stale files are replaced; \
-                a path with a live daemon is refused with the typed \
-                invalid-input code)")
+               "crash-only warm restarts: rehydrate the estimate cache from \
+                $(docv)/snapshot.hlp at startup (torn, stale, or mismatched \
+                snapshots self-heal to a counted cold start) and spill it \
+                back atomically every --snapshot-interval and at drain")
   in
-  let max_inflight =
-    Arg.(value & opt (some int) None
-         & info [ "max-inflight" ] ~docv:"N"
+  let pid_file =
+    Arg.(value & opt (some string) None
+         & info [ "pid-file" ] ~docv:"FILE"
              ~doc:
-               "worker domains serving connections (default: half the \
-                recommended domain count); must be >= 1")
+               "write the daemon pid to $(docv) atomically at startup and \
+                unlink it on drain, so supervision and ops tooling find the \
+                daemon without parsing ps")
   in
   let queue_budget =
     Arg.(value & opt (some int) None
@@ -832,63 +714,6 @@ let serve_cmd =
     Arg.(value & opt (some float) None
          & info [ "deadline" ] ~docv:"SECONDS"
              ~doc:"per-request wall-clock budget (typed deadline-exceeded)")
-  in
-  let telemetry_json =
-    Arg.(value & opt (some string) None
-         & info [ "telemetry-json" ] ~docv:"FILE"
-             ~doc:
-               "enable telemetry and write it to $(docv) at drain (cache \
-                hit/miss counters live under server.*)")
-  in
-  let trace_out =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"enable span tracing and write Chrome trace JSON to $(docv)")
-  in
-  let access_log =
-    Arg.(value & opt (some string) None
-         & info [ "access-log" ] ~docv:"FILE"
-             ~doc:
-               "write one JSON line per served request (timestamp, request \
-                id, op, cache outcome, queue/service seconds, bytes, status) \
-                to $(docv), rotated at the size bound")
-  in
-  let access_log_max_bytes =
-    Arg.(value & opt (some int) None
-         & info [ "access-log-max-bytes" ] ~docv:"BYTES"
-             ~doc:
-               "rotate the access log past $(docv) bytes (default 16 MiB); \
-                the log plus its one rotation never exceed ~2x this")
-  in
-  let slow_threshold =
-    Arg.(value & opt (some float) None
-         & info [ "slow-threshold" ] ~docv:"SECONDS"
-             ~doc:
-               "requests slower than $(docv) bump server.slow_requests and \
-                emit a server.slow_request trace instant carrying the \
-                request id")
-  in
-  let state_dir =
-    Arg.(value & opt (some string) None
-         & info [ "state-dir" ] ~docv:"DIR"
-             ~doc:
-               "crash-only warm restarts: rehydrate the estimate cache from \
-                $(docv)/snapshot.hlp at startup (torn, stale, or mismatched \
-                snapshots self-heal to a counted cold start) and spill it \
-                back atomically every --snapshot-interval and at drain")
-  in
-  let snapshot_interval =
-    Arg.(value & opt (some float) None
-         & info [ "snapshot-interval" ] ~docv:"SECONDS"
-             ~doc:"seconds between cache snapshot spills (default 5)")
-  in
-  let pid_file =
-    Arg.(value & opt (some string) None
-         & info [ "pid-file" ] ~docv:"FILE"
-             ~doc:
-               "write the daemon pid to $(docv) atomically at startup and \
-                unlink it on drain, so supervision and ops tooling find the \
-                daemon without parsing ps")
   in
   let mem_soft_mb =
     Arg.(value & opt (some int) None
@@ -916,6 +741,166 @@ let serve_cmd =
                 SIGHUP — a hot reload that never drops connections; an \
                 invalid file is rejected loudly and the old knobs stay")
   in
+  Term.(
+    const
+      (fun socket state_dir pid_file queue_budget deadline mem_soft_mb
+           mem_hard_mb config ->
+        { socket; state_dir; pid_file; queue_budget; deadline; mem_soft_mb;
+          mem_hard_mb; config })
+    $ socket $ state_dir $ pid_file $ queue_budget $ deadline $ mem_soft_mb
+    $ mem_hard_mb $ config)
+
+(* serve's starting knobs: the flags, then --config over them, then
+   Server.validate_knobs. supervise runs it too, so a bad forwarded value
+   is a typed invalid-input before any child starts. *)
+let serve_knobs ?slow_threshold d =
+  let mib flag v =
+    Option.map (fun m -> m * 1024 * 1024) (require_at_least ~flag 1 v)
+  in
+  let flags =
+    {
+      Hlp_util.Server.queue_budget =
+        Option.value ~default:Hlp_util.Server.default_knobs.queue_budget
+          (require_at_least ~flag:"--queue-budget" 1 d.queue_budget);
+      deadline_s = require_positive_float ~flag:"--deadline" d.deadline;
+      slow_s = require_positive_float ~flag:"--slow-threshold" slow_threshold;
+      mem_soft_bytes = mib "--mem-soft-mb" d.mem_soft_mb;
+      mem_hard_bytes = mib "--mem-hard-mb" d.mem_hard_mb;
+    }
+  in
+  let knobs = knobs_of_config flags d.config in
+  Hlp_util.Server.validate_knobs knobs;
+  knobs
+
+let snapshot_file state_dir = Filename.concat state_dir "snapshot.hlp"
+
+let ensure_dir dir =
+  match Unix.mkdir dir 0o755 with
+  | () -> ()
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+
+let serve d max_inflight outputs access_log access_log_max_bytes
+    slow_threshold snapshot_interval =
+  with_typed_errors @@ fun () ->
+  let max_inflight = require_at_least ~flag:"--max-inflight" 1 max_inflight in
+  let access_log_max_bytes =
+    require_at_least ~flag:"--access-log-max-bytes" 1 access_log_max_bytes
+  in
+  let snapshot_interval =
+    Option.value ~default:5.0
+      (require_positive_float ~flag:"--snapshot-interval" snapshot_interval)
+  in
+  (* hot-reloadable: --config is read over them again on every SIGHUP *)
+  let knobs = Atomic.make (serve_knobs ?slow_threshold d) in
+  (* the flight recorder (per-op histograms, access log, metrics op) runs
+     off the telemetry switch: a serving daemon always records *)
+  with_outputs ~telemetry:true outputs @@ fun () ->
+  let service = Hlp_power.Service.create () in
+  (* SIGHUP: the handler only flips a flag; the reload itself — file
+     read, validation, Atomic.set — runs on the accept tick, so nothing
+     allocates or raises inside a signal handler and a bad config can be
+     rejected loudly without dropping the daemon *)
+  let hup = Atomic.make false in
+  (try
+     ignore
+       (Sys.signal Sys.sighup (Sys.Signal_handle (fun _ -> Atomic.set hup true)))
+   with Invalid_argument _ | Sys_error _ -> ());
+  (* warm-restart rehydration before the socket opens: the first request
+     for a previously-warm key is already a byte-identical hit *)
+  (match d.state_dir with
+  | Some dir -> (
+      ensure_dir dir;
+      match Hlp_power.Service.load_snapshot service ~path:(snapshot_file dir) with
+      | `Restored n ->
+          Printf.printf "hlpower serve: restored %d cache entries from snapshot\n%!" n
+      | `Cold reason ->
+          Printf.printf "hlpower serve: cold start (snapshot %s)\n%!" reason)
+  | None -> ());
+  (match d.pid_file with
+  | Some path ->
+      Hlp_util.Journal.write_atomic ~path (string_of_int (Unix.getpid ()) ^ "\n")
+  | None -> ());
+  let last_spill = ref (Hlp_util.Clock.now_s ()) in
+  let spill () =
+    match d.state_dir with
+    | None -> ()
+    | Some dir -> (
+        try ignore (Hlp_power.Service.save_snapshot service ~path:(snapshot_file dir))
+        with _ -> () (* an unwritable disk must not kill the daemon *))
+  in
+  let on_tick () =
+    if Atomic.compare_and_set hup true false then begin
+      match knobs_of_config (Atomic.get knobs) d.config with
+      | k ->
+          Hlp_util.Server.set_knobs knobs k;
+          Printf.printf "hlpower serve: knobs reloaded\n%!"
+      | exception Hlp_util.Err.Error e ->
+          Printf.printf "hlpower serve: reload rejected [%s]: %s\n%!"
+            (Hlp_util.Err.class_name e) (Hlp_util.Err.to_string e)
+    end;
+    let now = Hlp_util.Clock.now_s () in
+    if now -. !last_spill >= snapshot_interval then begin
+      last_spill := now;
+      spill ()
+    end
+  in
+  let (), signal =
+    Hlp_util.Supervisor.with_graceful_stop (fun token ->
+        Hlp_util.Server.serve ?max_inflight ~token
+          ~on_ready:(fun () ->
+            Printf.printf "hlpower serve: listening on %s\n%!" d.socket)
+          ?access_log ?access_log_max_bytes ~knobs ~on_tick
+          ~on_memory_soft:(fun () -> ignore (Hlp_power.Service.trim service))
+          ~path:d.socket
+          (Hlp_power.Service.handle service))
+  in
+  (* final spill: the drain path leaves the freshest possible snapshot
+     for the next incarnation *)
+  spill ();
+  (match d.pid_file with
+  | Some path -> ( try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
+  | None -> ());
+  print_endline "hlpower serve: drained";
+  match signal with
+  | Some s -> Hlp_util.Supervisor.signal_exit_code s
+  | None -> 0
+
+let serve_cmd =
+  let max_inflight =
+    Arg.(value & opt (some int) None
+         & info [ "max-inflight" ] ~docv:"N"
+             ~doc:
+               "worker domains serving connections (default: half the \
+                recommended domain count); must be >= 1")
+  in
+  let access_log =
+    Arg.(value & opt (some string) None
+         & info [ "access-log" ] ~docv:"FILE"
+             ~doc:
+               "write one JSON line per served request (timestamp, request \
+                id, op, cache outcome, queue/service seconds, bytes, status) \
+                to $(docv), rotated at the size bound")
+  in
+  let access_log_max_bytes =
+    Arg.(value & opt (some int) None
+         & info [ "access-log-max-bytes" ] ~docv:"BYTES"
+             ~doc:
+               "rotate the access log past $(docv) bytes (default 16 MiB); \
+                the log plus its one rotation never exceed ~2x this")
+  in
+  let slow_threshold =
+    Arg.(value & opt (some float) None
+         & info [ "slow-threshold" ] ~docv:"SECONDS"
+             ~doc:
+               "requests slower than $(docv) bump server.slow_requests and \
+                emit a server.slow_request trace instant carrying the \
+                request id")
+  in
+  let snapshot_interval =
+    Arg.(value & opt (some float) None
+         & info [ "snapshot-interval" ] ~docv:"SECONDS"
+             ~doc:"seconds between cache snapshot spills (default 5)")
+  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -923,16 +908,11 @@ let serve_cmd =
           caches, admission control, cache snapshot/restore, \
           memory-pressure-aware admission, SIGHUP knob reload, graceful \
           SIGINT/SIGTERM drain)")
-    Term.(const serve $ socket $ max_inflight $ queue_budget $ deadline
-          $ telemetry_json $ trace_out $ access_log $ access_log_max_bytes
-          $ slow_threshold $ state_dir $ snapshot_interval $ pid_file
-          $ mem_soft_mb $ mem_hard_mb $ config)
+    Term.(const serve $ daemon $ max_inflight $ outputs $ access_log
+          $ access_log_max_bytes $ slow_threshold $ snapshot_interval)
 
-(* --- supervise --- *)
-
-let supervise socket state_dir pid_file journal probe_interval probe_misses
-    backoff_base backoff_cap flap_window flap_max grace seed mem_soft_mb
-    mem_hard_mb queue_budget deadline config serve_args =
+let supervise d journal probe_interval probe_misses backoff_base backoff_cap
+    flap_window flap_max grace seed serve_args =
   with_typed_errors @@ fun () ->
   let probe_interval =
     Option.value ~default:0.5
@@ -959,6 +939,7 @@ let supervise socket state_dir pid_file journal probe_interval probe_misses
   let grace =
     Option.value ~default:5.0 (require_positive_float ~flag:"--grace" grace)
   in
+  ignore (serve_knobs d);
   Hlp_util.Telemetry.enable ();
   (* the supervision journal: one JSONL line per lifecycle event *)
   let lines = Option.map (fun p -> Hlp_util.Journal.Lines.open_ p) journal in
@@ -979,14 +960,14 @@ let supervise socket state_dir pid_file journal probe_interval probe_misses
   let child_argv =
     let opt flag v f = match v with Some x -> [ flag; f x ] | None -> [] in
     Array.of_list
-      ([ Sys.executable_name; "serve"; "--socket"; socket ]
-      @ opt "--state-dir" state_dir Fun.id
-      @ opt "--pid-file" pid_file Fun.id
-      @ opt "--mem-soft-mb" mem_soft_mb string_of_int
-      @ opt "--mem-hard-mb" mem_hard_mb string_of_int
-      @ opt "--queue-budget" queue_budget string_of_int
-      @ opt "--deadline" deadline string_of_float
-      @ opt "--config" config Fun.id
+      ([ Sys.executable_name; "serve"; "--socket"; d.socket ]
+      @ opt "--state-dir" d.state_dir Fun.id
+      @ opt "--pid-file" d.pid_file Fun.id
+      @ opt "--mem-soft-mb" d.mem_soft_mb string_of_int
+      @ opt "--mem-hard-mb" d.mem_hard_mb string_of_int
+      @ opt "--queue-budget" d.queue_budget string_of_int
+      @ opt "--deadline" d.deadline string_of_float
+      @ opt "--config" d.config Fun.id
       @ serve_args)
   in
   let start () =
@@ -997,7 +978,7 @@ let supervise socket state_dir pid_file journal probe_interval probe_misses
      daemon that accepts but cannot answer is as dead as one that won't
      accept *)
   let probe () =
-    match Hlp_util.Server.connect ~wait_s:0.25 socket with
+    match Hlp_util.Server.connect ~wait_s:0.25 d.socket with
     | exception _ -> false
     | c ->
         Fun.protect
@@ -1044,23 +1025,6 @@ let supervise socket state_dir pid_file journal probe_interval probe_misses
       | None -> 0)
 
 let supervise_cmd =
-  let socket =
-    Arg.(value & opt string "/tmp/hlpower.sock"
-         & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Unix-domain socket the supervised daemon listens on")
-  in
-  let state_dir =
-    Arg.(value & opt (some string) None
-         & info [ "state-dir" ] ~docv:"DIR"
-             ~doc:
-               "threaded through to the child daemon: warm restarts \
-                rehydrate its caches from $(docv)/snapshot.hlp")
-  in
-  let pid_file =
-    Arg.(value & opt (some string) None
-         & info [ "pid-file" ] ~docv:"FILE"
-             ~doc:"threaded through to the child daemon (its pid, not ours)")
-  in
   let journal =
     Arg.(value & opt (some string) None
          & info [ "journal" ] ~docv:"FILE"
@@ -1115,31 +1079,6 @@ let supervise_cmd =
          & info [ "seed" ] ~docv:"N"
              ~doc:"fix the backoff jitter stream (tests)")
   in
-  let mem_soft_mb =
-    Arg.(value & opt (some int) None
-         & info [ "mem-soft-mb" ] ~docv:"MIB"
-             ~doc:"threaded through to the child daemon")
-  in
-  let mem_hard_mb =
-    Arg.(value & opt (some int) None
-         & info [ "mem-hard-mb" ] ~docv:"MIB"
-             ~doc:"threaded through to the child daemon")
-  in
-  let queue_budget =
-    Arg.(value & opt (some int) None
-         & info [ "queue-budget" ] ~docv:"N"
-             ~doc:"threaded through to the child daemon")
-  in
-  let deadline =
-    Arg.(value & opt (some float) None
-         & info [ "deadline" ] ~docv:"SECONDS"
-             ~doc:"threaded through to the child daemon")
-  in
-  let config =
-    Arg.(value & opt (some string) None
-         & info [ "config" ] ~docv:"FILE"
-             ~doc:"threaded through to the child daemon (SIGHUP hot reload)")
-  in
   let serve_args =
     Arg.(value & pos_all string []
          & info [] ~docv:"SERVE_ARG"
@@ -1150,14 +1089,14 @@ let supervise_cmd =
   Cmd.v
     (Cmd.info "supervise"
        ~doc:
-         "Watchdog for the estimation daemon: re-exec hlpower serve, \
-          health-probe it over ping, restart on crash or wedge with \
-          decorrelated-jitter backoff and a flap breaker, propagate \
-          SIGTERM as graceful drain, and journal every lifecycle event")
-    Term.(const supervise $ socket $ state_dir $ pid_file $ journal
-          $ probe_interval $ probe_misses $ backoff_base $ backoff_cap
-          $ flap_window $ flap_max $ grace $ seed $ mem_soft_mb $ mem_hard_mb
-          $ queue_budget $ deadline $ config $ serve_args)
+         "Watchdog for the estimation daemon: check the serve flags it \
+          forwards, re-exec hlpower serve, health-probe it over ping, \
+          restart on crash or wedge with decorrelated-jitter backoff and a \
+          flap breaker, propagate SIGTERM as graceful drain, and journal \
+          every lifecycle event")
+    Term.(const supervise $ daemon $ journal $ probe_interval $ probe_misses
+          $ backoff_base $ backoff_cap $ flap_window $ flap_max $ grace $ seed
+          $ serve_args)
 
 (* --- client --- *)
 
@@ -1169,7 +1108,6 @@ let client socket op circuit width engine seed rp max_cycles node_limit cycles
     sleep_s clients requests connect_wait max_retries request_timeout
     prometheus =
   with_typed_errors @@ fun () ->
-  let clients = max 1 clients and requests = max 1 requests in
   if prometheus && op <> `Metrics then
     raise
       (Hlp_util.Err.invalid_input ~what:"--prometheus"
@@ -1274,10 +1212,6 @@ let client socket op circuit width engine seed rp max_cycles node_limit cycles
   | None -> 0
 
 let client_cmd =
-  let socket =
-    Arg.(value & opt string "/tmp/hlpower.sock"
-         & info [ "socket" ] ~docv:"PATH" ~doc:"socket of a running daemon")
-  in
   let op =
     Arg.(value & opt (enum client_op_enum) `Estimate
          & info [ "op" ] ~docv:"OP" ~doc:(enum_doc client_op_enum))
@@ -1648,8 +1582,16 @@ let bus_cmd =
     named_opt trace_enum ~default:"sequential"
       (Arg.info [ "trace" ] ~docv:"TRACE" ~doc:(enum_doc trace_enum))
   in
-  let width = Arg.(value & opt int 16 & info [ "width" ] ~doc:"bus width") in
-  let n = Arg.(value & opt int 4000 & info [ "words" ] ~doc:"trace length") in
+  let width =
+    (* the widths the Working-Zone and Beach codecs accept *)
+    let widths = List.map (fun w -> (string_of_int w, w)) [ 8; 12; 16; 20; 24; 28; 32 ] in
+    Arg.(value & opt (enum widths) 16
+         & info [ "width" ] ~doc:"bus width (8, 12, ..., 32)")
+  in
+  let n =
+    Arg.(value & opt (int_at_least 2 "--words") 4000
+         & info [ "words" ] ~doc:"trace length")
+  in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"PRNG seed") in
   Cmd.v (Cmd.info "bus-encode" ~doc:"Compare bus encodings on a generated trace")
     Term.(const bus_encode $ trace $ width $ n $ seed)
@@ -1673,7 +1615,10 @@ let pm_sim sessions seed =
   0
 
 let pm_cmd =
-  let sessions = Arg.(value & opt int 10_000 & info [ "sessions" ] ~doc:"workload size") in
+  let sessions =
+    Arg.(value & opt (int_at_least 1 "--sessions") 10_000
+         & info [ "sessions" ] ~doc:"workload size")
+  in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
   Cmd.v (Cmd.info "pm-sim" ~doc:"Simulate system-level shutdown policies")
     Term.(const pm_sim $ sessions $ seed)
@@ -1732,19 +1677,12 @@ let export (name, circuit) width format =
   0
 
 let export_cmd =
-  let circuit =
-    (* keep the circuit's name around for the Verilog module name *)
-    let named = List.map (fun (name, f) -> (name, (name, f))) circuit_enum in
-    named_opt named ~default:"adder"
-      (Arg.info [ "circuit" ] ~docv:"CIRCUIT" ~doc:(enum_doc circuit_enum))
-  in
-  let width = Arg.(value & opt int 8 & info [ "width" ] ~doc:"operand bit width") in
   let format =
     named_opt format_enum ~default:"verilog"
       (Arg.info [ "format" ] ~docv:"FORMAT" ~doc:(enum_doc format_enum))
   in
   Cmd.v (Cmd.info "export" ~doc:"Emit a generated circuit as Verilog or dot")
-    Term.(const export $ circuit $ width $ format)
+    Term.(const export $ circuit ~default:"adder" $ width $ format)
 
 (* --- info --- *)
 

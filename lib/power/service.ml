@@ -226,21 +226,6 @@ let error_envelope ~rid id e =
   error_envelope_parts ~rid id (Err.class_name e) (Err.to_string e)
     (Err.exit_code e)
 
-(* Shed frames carry a retry_after_s hint so a resilient client backs
-   off instead of reconnecting immediately into the same full queue. *)
-let overload_response e =
-  J.to_string ~compact:true
-    (J.Obj
-       [ ("id", J.Int (-1));
-         ("ok", J.Bool false);
-         ( "error",
-           J.Obj
-             [ ("class", J.Str (Err.class_name e));
-               ("message", J.Str (Err.to_string e));
-               ("exit_code", J.Int (Err.exit_code e));
-               ("retry_after_s", J.Float Hlp_util.Server.retry_after_hint_s) ] )
-       ])
-
 (* --- request field access (typed errors, never exceptions) --- *)
 
 let bad what why = raise (Err.invalid_input ~what:("request " ^ what) why)

@@ -128,15 +128,9 @@ val trim : ?fraction:float -> t -> int
     entries evicted — the memory-pressure relief valve
     {!Hlp_util.Server}'s soft budget invokes. *)
 
-val overload_response : Hlp_util.Err.t -> string
-(** The shed frame ([serve ~overload]): an error envelope (id -1)
-    carrying the typed [Overloaded] plus the [retry_after_s] backoff
-    hint ({!Hlp_util.Server.retry_after_hint_s}) that
-    {!Hlp_util.Server.Client} sleeps on before reconnecting. *)
-
 val circuits : (string * (int -> Hlp_logic.Netlist.t)) list
-(** The servable generator circuits, by protocol name — the same zoo the
-    CLI exposes. *)
+(** The servable generator circuits, by protocol name — also the table
+    behind the CLI's [--circuit] and [hlpower batch]'s job circuits. *)
 
 val prometheus_of_metrics : Hlp_util.Json.t -> string
 (** Render a [metrics] {e result object} as Prometheus text exposition:

@@ -255,19 +255,20 @@ let set_knobs cell k =
   Atomic.set cell k;
   Telemetry.incr tel_reloads
 
-let default_overload e =
+let overload_frame e =
   Json.to_string ~compact:true
     (Json.Obj
-       [ ("ok", Json.Bool false);
+       [ ("id", Json.Int (-1));
+         ("ok", Json.Bool false);
          ( "error",
            Json.Obj
              [ ("class", Json.Str (Err.class_name e));
                ("message", Json.Str (Err.to_string e));
+               ("exit_code", Json.Int (Err.exit_code e));
                ("retry_after_s", Json.Float retry_after_hint_s) ] ) ])
 
-let serve ?max_inflight ?(queue_budget = 64) ?deadline_s
-    ?(overload = default_overload) ?token ?on_ready ?access_log
-    ?access_log_max_bytes ?slow_s ?knobs ?on_tick ?on_memory_soft
+let serve ?max_inflight ?(queue_budget = 64) ?deadline_s ?token ?on_ready
+    ?access_log ?access_log_max_bytes ?slow_s ?knobs ?on_tick ?on_memory_soft
     ?(mem_sample_every_s = 0.25) ~path handler =
   Lazy.force ignore_sigpipe;
   let max_inflight =
@@ -417,7 +418,7 @@ let serve ?max_inflight ?(queue_budget = 64) ?deadline_s
                 pending = Atomic.get last_rss;
               }
           in
-          (try write_frame fd (overload e) with _ -> ());
+          (try write_frame fd (overload_frame e) with _ -> ());
           if Atomic.get stopping then close_quiet fd else conn_loop fd 0.0
       | `Frame req ->
           Telemetry.incr tel_requests;
@@ -482,7 +483,7 @@ let serve ?max_inflight ?(queue_budget = 64) ?deadline_s
             Err.Overloaded
               { queue = "server.accept"; budget = queue_budget; pending }
           in
-          (try write_frame fd (overload e) with _ -> ());
+          (try write_frame fd (overload_frame e) with _ -> ());
           close_quiet fd
         end
         else begin

@@ -144,7 +144,7 @@ val fresh_rid : ?prefix:string -> unit -> string
     [~prefix:"c"]. *)
 
 val retry_after_hint_s : float
-(** The [retry_after_s] value the default overload frame carries. *)
+(** The [retry_after_s] value {!overload_frame} carries. *)
 
 (** {1 Hot-reloadable knobs}
 
@@ -179,9 +179,9 @@ val set_knobs : knobs Atomic.t -> knobs -> unit
     ["server.knob_reloads"]). The SIGHUP path: in-flight requests keep
     the knobs they started with; every later read sees the new record. *)
 
-val default_overload : Err.t -> string
-(** Minimal JSON error envelope:
-    [{"ok":false,"error":{"class":...,"message":...,"retry_after_s":...}}].
+val overload_frame : Err.t -> string
+(** The shed frame, an error envelope with id -1:
+    [{"id":-1,"ok":false,"error":{"class":...,"message":...,"exit_code":...,"retry_after_s":...}}].
     The [retry_after_s] field is the backoff hint {!Client.request}
     honors before reconnecting. *)
 
@@ -189,7 +189,6 @@ val serve :
   ?max_inflight:int ->
   ?queue_budget:int ->
   ?deadline_s:float ->
-  ?overload:(Err.t -> string) ->
   ?token:Guard.token ->
   ?on_ready:(unit -> unit) ->
   ?access_log:string ->
@@ -213,11 +212,11 @@ val serve :
     hold the drain open.
 
     [queue_budget] (default 64) bounds connections waiting for a free
-    worker; excess connections receive [overload
-    (Overloaded {queue = "server.accept"; _})] as their only frame
-    (default {!default_overload}) and are closed. [deadline_s] bounds
-    each request's guard. [on_ready] runs once the socket is listening,
-    before the first accept — tests use it to release a waiting client.
+    worker; excess connections receive {!overload_frame}
+    [(Overloaded {queue = "server.accept"; _})] as their only frame and
+    are closed. [deadline_s] bounds each request's guard. [on_ready] runs
+    once the socket is listening, before the first accept — tests use it
+    to release a waiting client.
 
     [access_log] names a {!Journal.Lines} JSONL file recording one line
     per served request (see the module comment; rotation keeps it under

@@ -260,8 +260,7 @@ let with_server ?access_log ?slow_s f =
   let service = Service.create () in
   let srv =
     Domain.spawn (fun () ->
-        Server.serve ?access_log ?slow_s ~overload:Service.overload_response
-          ~token
+        Server.serve ?access_log ?slow_s ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path (Service.handle service))
   in

@@ -534,7 +534,7 @@ let test_memory_pressure_policy () =
                 Atomic.incr soft_calls;
                 ignore
                   (Atomic.fetch_and_add trimmed (Service.trim service)))
-              ~overload:Service.overload_response ~token
+              ~token
               ~on_ready:(fun () -> Atomic.set ready true)
               ~path (Service.handle service))
       in
@@ -666,7 +666,7 @@ let test_client_rides_restart () =
   let srv =
     Domain.spawn (fun () ->
         Unix.sleepf 0.4;
-        Server.serve ~overload:Service.overload_response ~token
+        Server.serve ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path (Service.handle service))
   in

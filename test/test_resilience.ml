@@ -279,7 +279,7 @@ let test_connect_backoff_reaches_late_server () =
   | _ -> Alcotest.fail "connect to nowhere succeeded"
 
 let overload_frame =
-  Hlp_power.Service.overload_response
+  Server.overload_frame
     (Err.Overloaded { queue = "test.shed"; budget = 1; pending = 2 })
 
 let test_client_honors_overload_hint () =

@@ -110,8 +110,7 @@ let with_server ?max_inflight ?queue_budget ?(handler : Server.handler option)
   in
   let srv =
     Domain.spawn (fun () ->
-        Server.serve ?max_inflight ?queue_budget
-          ~overload:Service.overload_response ~token
+        Server.serve ?max_inflight ?queue_budget ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path handler)
   in
