@@ -68,7 +68,17 @@ let with_server ?access_log ?slow_s f =
   let service = Hlp_power.Service.create () in
   let srv =
     Domain.spawn (fun () ->
-        Hlp_util.Server.serve ?access_log ?slow_s ~token
+        Hlp_util.Server.serve ?access_log
+          ?knobs:
+            (Option.map
+               (fun s ->
+                 Atomic.make
+                   {
+                     Hlp_util.Server.default_knobs with
+                     Hlp_util.Server.slow_s = Some s;
+                   })
+               slow_s)
+          ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path
           (Hlp_power.Service.handle service))

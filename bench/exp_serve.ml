@@ -62,7 +62,17 @@ let with_server ?max_inflight ?queue_budget f =
   let service = Hlp_power.Service.create () in
   let srv =
     Domain.spawn (fun () ->
-        Hlp_util.Server.serve ?max_inflight ?queue_budget ~token
+        Hlp_util.Server.serve ?max_inflight
+          ?knobs:
+            (Option.map
+               (fun queue_budget ->
+                 Atomic.make
+                   {
+                     Hlp_util.Server.default_knobs with
+                     Hlp_util.Server.queue_budget;
+                   })
+               queue_budget)
+          ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path
           (Hlp_power.Service.handle service))

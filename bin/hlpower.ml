@@ -985,8 +985,7 @@ let supervise d journal probe_interval probe_misses backoff_base backoff_cap
           ~finally:(fun () -> Hlp_util.Server.close c)
           (fun () ->
             match
-              Hlp_util.Server.request_within ~timeout_s:(2.0 *. probe_interval)
-                c
+              Hlp_util.Server.request ~timeout_s:(2.0 *. probe_interval) c
                 (Hlp_power.Service.ping_request ())
             with
             | exception _ -> false
@@ -1556,7 +1555,11 @@ let trace_enum =
        Hlp_bus.Traces.interleaved_arrays rng ~bases:[ 0x100; 0x4200; 0x8000 ]
          ~stride:1 ~width ~n);
     ("loop",
-     fun rng ~width ~n -> Hlp_bus.Traces.loop_kernel rng ~body:12 ~iterations:(n / 15) ~width);
+     (* a 12-word body plus two data accesses: 14 words an iteration *)
+     fun rng ~width ~n ->
+       Array.sub
+         (Hlp_bus.Traces.loop_kernel rng ~body:12 ~iterations:((n + 13) / 14) ~width)
+         0 n);
     ("random", fun rng ~width ~n -> Hlp_bus.Traces.random_data rng ~width ~n) ]
 
 let bus_encode trace width n seed =

@@ -57,36 +57,16 @@ let draw_int ~seed counter bound =
   let n = Atomic.fetch_and_add counter 1 in
   Int64.to_int (Int64.rem (Int64.shift_right_logical (mix ~seed ~n) 1) (Int64.of_int bound))
 
-type t = {
-  listen_fd : Unix.file_descr;
-  listen_path : string;
-  stopping : bool Atomic.t;
-  queue : Unix.file_descr Queue.t;
-  mu : Mutex.t;
-  cond : Condition.t;
-  mutable accepter : unit Domain.t option;
-  mutable workers : unit Domain.t list;
-}
+type t = { stopping : bool Atomic.t; runner : unit Domain.t }
 
 exception Conn_done
-
-let close_quiet fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-let rec write_all fd b off len =
-  if len > 0 then begin
-    let n =
-      try Unix.write fd b off len
-      with Unix.Unix_error (Unix.EINTR, _, _) -> 0
-    in
-    write_all fd b (off + n) (len - n)
-  end
 
 (* Apply at most one fault to [chunk], then forward what survives to
    [dst]. Raises Conn_done when the fault kills the connection. *)
 let transmit ~seed ~rate ~faults ~max_delay_s ~counter dst chunk len =
   Telemetry.incr tel_chunks;
   let fire = rate > 0.0 && draw_float ~seed counter < rate in
-  if not fire then write_all dst chunk 0 len
+  if not fire then Server.write_all dst chunk 0 len
   else begin
     let fault = List.nth faults (draw_int ~seed counter (List.length faults)) in
     Telemetry.incr tel_faults;
@@ -94,59 +74,61 @@ let transmit ~seed ~rate ~faults ~max_delay_s ~counter dst chunk len =
     match fault with
     | Delay ->
         Unix.sleepf (draw_float ~seed counter *. max_delay_s);
-        write_all dst chunk 0 len
+        Server.write_all dst chunk 0 len
     | Drop -> ()
     | Truncate ->
         (* forward a prefix, then slam: the receiver holds a torn frame *)
-        write_all dst chunk 0 (max 1 (len / 2));
+        Server.write_all dst chunk 0 (max 1 (len / 2));
         raise Conn_done
     | Corrupt ->
         let bit = draw_int ~seed counter (len * 8) in
         let byte = bit / 8 in
         Bytes.set chunk byte
           (Char.chr (Char.code (Bytes.get chunk byte) lxor (1 lsl (bit mod 8))));
-        write_all dst chunk 0 len
+        Server.write_all dst chunk 0 len
     | Split ->
         let third = max 1 (len / 3) in
         let off = ref 0 in
         while !off < len do
           let n = min third (len - !off) in
-          write_all dst chunk !off n;
+          Server.write_all dst chunk !off n;
           off := !off + n;
           if !off < len then Unix.sleepf 0.001
         done
     | Slam -> raise Conn_done
   end
 
-let shovel_pair t ~seed ~rate ~faults ~max_delay_s ~counter client upstream =
-  let buf = Bytes.create 4096 in
-  let rec loop () =
-    if Atomic.get t.stopping then ()
-    else
-      match Unix.select [ client; upstream ] [] [] 0.1 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | [], _, _ -> loop ()
-      | ready, _, _ ->
-          List.iter
-            (fun src ->
-              let dst = if src == client then upstream else client in
-              match Unix.read src buf 0 (Bytes.length buf) with
-              | 0 -> raise Conn_done
-              | n -> transmit ~seed ~rate ~faults ~max_delay_s ~counter dst buf n
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-            ready;
-          loop ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      close_quiet client;
-      close_quiet upstream)
-    (fun () ->
-      try loop ()
-      with
-      | Conn_done -> ()
-      (* the peer vanished mid-write/read: that is chaos working *)
-      | Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET | Unix.EBADF), _, _) -> ())
+(* Forward one accepted client to a fresh upstream connection until
+   either side closes, a fault kills it, or the pool drains. The pool
+   closes [client], and an exception here — Conn_done, or the peer
+   vanishing mid-write (that is chaos working) — ends only this
+   connection. An unreachable upstream closes the client at once. *)
+let proxy ~seed ~rate ~faults ~max_delay_s ~counter ~upstream ~stopping client
+    _queue_s =
+  let up = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> try Unix.close up with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  match Unix.connect up (Unix.ADDR_UNIX upstream) with
+  | exception Unix.Unix_error _ -> Telemetry.incr tel_upstream_failures
+  | () ->
+      let buf = Bytes.create 4096 in
+      let rec loop () =
+        if not (stopping ()) then
+          match Unix.select [ client; up ] [] [] 0.1 with
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+          | [], _, _ -> loop ()
+          | ready, _, _ ->
+              List.iter
+                (fun src ->
+                  let dst = if src == client then up else client in
+                  match Unix.read src buf 0 (Bytes.length buf) with
+                  | 0 -> raise Conn_done
+                  | n -> transmit ~seed ~rate ~faults ~max_delay_s ~counter dst buf n
+                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
+                ready;
+              loop ()
+      in
+      loop ()
 
 let start ?(seed = 0) ?(rate = 0.05) ?(faults = all_faults) ?(max_delay_s = 0.05)
     ?(workers = 8) ~listen ~upstream () =
@@ -160,97 +142,16 @@ let start ?(seed = 0) ?(rate = 0.05) ?(faults = all_faults) ?(max_delay_s = 0.05
     raise (Err.invalid_input ~what:"Chaos.start: workers" "must be >= 1");
   if faults = [] then
     raise (Err.invalid_input ~what:"Chaos.start: faults" "must be non-empty");
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  Server.prepare_path listen;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.bind listen_fd (Unix.ADDR_UNIX listen)
-   with Unix.Unix_error (e, _, _) ->
-     close_quiet listen_fd;
-     raise
-       (Err.invalid_input ~what:"Chaos.start: listen"
-          (Printf.sprintf "cannot bind %s: %s" listen (Unix.error_message e))));
-  Unix.listen listen_fd 64;
-  let t =
-    {
-      listen_fd;
-      listen_path = listen;
-      stopping = Atomic.make false;
-      queue = Queue.create ();
-      mu = Mutex.create ();
-      cond = Condition.create ();
-      accepter = None;
-      workers = [];
-    }
-  in
+  let fd = Server.listen ~backlog:64 listen in
+  let stopping = Atomic.make false in
   let counter = Atomic.make 0 in
-  let worker () =
-    let rec next () =
-      Mutex.lock t.mu;
-      let rec wait () =
-        if Atomic.get t.stopping then begin
-          Mutex.unlock t.mu;
-          None
-        end
-        else
-          match Queue.take_opt t.queue with
-          | Some fd ->
-              Mutex.unlock t.mu;
-              Some fd
-          | None ->
-              Condition.wait t.cond t.mu;
-              wait ()
-      in
-      match wait () with
-      | None -> ()
-      | Some client ->
-          let up = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          (match Unix.connect up (Unix.ADDR_UNIX upstream) with
-          | () ->
-              shovel_pair t ~seed ~rate ~faults ~max_delay_s ~counter client up
-          | exception Unix.Unix_error _ ->
-              Telemetry.incr tel_upstream_failures;
-              close_quiet up;
-              close_quiet client);
-          next ()
-    in
-    next ()
+  let runner =
+    Domain.spawn (fun () ->
+        Server.pool ~workers ~accepted:tel_connections
+          ~stop:(fun () -> Atomic.get stopping)
+          ~path:listen fd
+          (proxy ~seed ~rate ~faults ~max_delay_s ~counter ~upstream))
   in
-  let accepter () =
-    let rec loop () =
-      if Atomic.get t.stopping then ()
-      else begin
-        (match Unix.select [ listen_fd ] [] [] 0.05 with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ -> ()
-        | _ -> (
-            match Unix.accept ~cloexec:true listen_fd with
-            | exception Unix.Unix_error _ -> ()
-            | fd, _ ->
-                Telemetry.incr tel_connections;
-                Mutex.lock t.mu;
-                Queue.add fd t.queue;
-                Condition.signal t.cond;
-                Mutex.unlock t.mu));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  t.workers <- List.init workers (fun _ -> Domain.spawn worker);
-  t.accepter <- Some (Domain.spawn accepter);
-  t
+  { stopping; runner }
 
-let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    Mutex.lock t.mu;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mu;
-    Option.iter Domain.join t.accepter;
-    List.iter Domain.join t.workers;
-    Mutex.lock t.mu;
-    Queue.iter close_quiet t.queue;
-    Queue.clear t.queue;
-    Mutex.unlock t.mu;
-    close_quiet t.listen_fd;
-    try Unix.unlink t.listen_path with Unix.Unix_error _ | Sys_error _ -> ()
-  end
+let stop t = if not (Atomic.exchange t.stopping true) then Domain.join t.runner

@@ -45,22 +45,23 @@ val start :
   upstream:string ->
   unit ->
   t
-(** [start ~listen ~upstream ()] binds [listen] (via
-    {!Server.prepare_path} — refusing to steal a live socket) and
+(** [start ~listen ~upstream ()] binds [listen] with {!Server.listen}
+    (refusing to steal a live socket) on the caller's domain, then
     proxies every accepted connection to [upstream]. Each forwarded
     chunk suffers at most one fault with probability [rate] (default
-    0.05), chosen uniformly among [faults] (default {!all_faults}).
-    [workers] (default 8) bounds concurrent proxied connections — a
-    bounded domain pool, same shape as {!serve}; excess connections
-    wait in an accept queue. An unreachable [upstream] closes the
-    client connection (a fault in itself).
+    0.05), chosen uniformly among [faults] (default {!all_faults}). The
+    proxy runs on the daemon's own {!Server.pool}: [workers] (default 8)
+    bounds concurrent proxied connections, excess connections wait in
+    the pool's accept queue, and a failed accept is retried a tick
+    later. An unreachable [upstream] closes the client connection (a
+    fault in itself).
 
-    Ignores [SIGPIPE] process-wide, like {!Server.serve}. Returns
-    immediately; the proxy runs on background domains until {!stop}.
-    Raises the typed [Invalid_input] on a rate outside [0, 1], a
-    negative [max_delay_s], [workers < 1], empty [faults], or an
+    Ignores [SIGPIPE] process-wide, like {!Server.serve}. Returns once
+    [listen] is bound; the pool runs on a background domain until
+    {!stop}. Raises the typed [Invalid_input] on a rate outside [0, 1],
+    a negative [max_delay_s], [workers < 1], empty [faults], or an
     unusable [listen] path. *)
 
 val stop : t -> unit
-(** Stop accepting, close every proxied connection, join the background
-    domains, and unlink the listen socket. Idempotent. *)
+(** Stop accepting, drain the pool (close every proxied connection and
+    join its domains), and unlink the listen socket. Idempotent. *)

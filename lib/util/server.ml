@@ -1,10 +1,12 @@
-(* Framed Unix-socket transport: accept loop + bounded worker pool.
-   Protocol schema and caches live in Hlp_power.Service; this layer only
-   moves CRC-checked frames and applies admission control. *)
+(* Framed Unix-socket transport: a listener, one connection pool, and the
+   request path [serve] wires onto them. Protocol schema and caches live
+   in Hlp_power.Service; this layer only moves CRC-checked frames and
+   applies admission control. *)
 
 let tel_connections = Telemetry.counter "server.connections"
 let tel_requests = Telemetry.counter "server.requests"
 let tel_sheds = Telemetry.counter "server.sheds"
+let tel_accept_errors = Telemetry.counter "server.accept_errors"
 let tel_frame_errors = Telemetry.counter "server.frame_errors"
 let tel_slow = Telemetry.counter "server.slow_requests"
 let tel_mem_soft = Telemetry.counter "server.memory.soft_trims"
@@ -16,9 +18,14 @@ let h_queue_wait = Telemetry.histogram "server.queue_wait_ns"
 
 let max_frame_bytes = 64 * 1024 * 1024
 
+(* The poll tick: the accept loop's select timeout, the receive timeout
+   that lets a blocked read observe drain or a deadline, and the wait
+   before a failed accept is retried. *)
+let tick_s = 0.05
+
 (* Writes to a peer that already closed must surface as EPIPE (handled
    per-connection), never as a process-killing SIGPIPE. Idempotent; done
-   lazily by serve/connect so plain library linkage never touches signal
+   lazily by listen/connect so plain library linkage never touches signal
    state. *)
 let ignore_sigpipe =
   lazy (if Sys.os_type = "Unix" then ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore))
@@ -96,32 +103,30 @@ let read_frame_poll ?deadline ?(stop = fun () -> false) fd =
       if Journal.crc32 payload <> crc then frame_error "crc mismatch";
       `Frame payload
 
-let rec read_frame fd =
-  match read_frame_poll fd with
-  | `Eof -> None
-  | `Frame p -> Some p
-  | `Timeout -> read_frame fd
-
-(* Bounded read: requires SO_RCVTIMEO on [fd] for the poll ticks that
+(* A bounded read requires SO_RCVTIMEO on [fd] for the poll ticks that
    let the deadline be observed while blocked before a frame starts. *)
-let read_frame_within ~timeout_s fd =
-  if (not (Float.is_finite timeout_s)) || timeout_s <= 0.0 then
-    raise
-      (Err.invalid_input ~what:"Server.read_frame_within: timeout_s"
-         "must be finite and positive");
-  let t0 = Clock.now_s () in
-  let deadline = t0 +. timeout_s in
+let read_frame ?timeout_s fd =
+  let deadline =
+    match timeout_s with
+    | None -> None
+    | Some s when (not (Float.is_finite s)) || s <= 0.0 ->
+        raise
+          (Err.invalid_input ~what:"Server.read_frame: timeout_s"
+             "must be finite and positive")
+    | Some s -> Some (Clock.now_s () +. s)
+  in
   let rec go () =
-    match read_frame_poll ~deadline fd with
+    match read_frame_poll ?deadline fd with
     | `Eof -> None
     | `Frame p -> Some p
-    | `Timeout ->
-        if Clock.now_s () >= deadline then
-          raise
-            (Err.Error
-               (Err.Deadline_exceeded
-                  { limit_s = timeout_s; elapsed_s = Clock.now_s () -. t0 }))
-        else go ()
+    | `Timeout -> (
+        match (timeout_s, deadline) with
+        | Some limit_s, Some d when Clock.now_s () >= d ->
+            raise
+              (Err.Error
+                 (Err.Deadline_exceeded
+                    { limit_s; elapsed_s = Clock.now_s () -. (d -. limit_s) }))
+        | _ -> go ())
   in
   go ()
 
@@ -145,7 +150,7 @@ let prepare_path path =
       | () ->
           close_quiet fd;
           raise
-            (Err.invalid_input ~what:"Server.serve: path"
+            (Err.invalid_input ~what:"Server.listen: path"
                (Printf.sprintf
                   "%s already has a live server listening (refusing to steal \
                    the socket)"
@@ -160,12 +165,25 @@ let prepare_path path =
       | exception Unix.Unix_error (e, _, _) ->
           close_quiet fd;
           raise
-            (Err.invalid_input ~what:"Server.serve: path"
+            (Err.invalid_input ~what:"Server.listen: path"
                (Printf.sprintf "cannot probe %s: %s" path (Unix.error_message e))))
   | _ ->
       raise
-        (Err.invalid_input ~what:"Server.serve: path"
+        (Err.invalid_input ~what:"Server.listen: path"
            (path ^ " exists and is not a socket"))
+
+let listen ~backlog path =
+  Lazy.force ignore_sigpipe;
+  prepare_path path;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.bind fd (Unix.ADDR_UNIX path)
+   with Unix.Unix_error (e, _, _) ->
+     close_quiet fd;
+     raise
+       (Err.invalid_input ~what:"Server.listen: path"
+          (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message e))));
+  Unix.listen fd backlog;
+  fd
 
 (* --- server --- *)
 
@@ -267,285 +285,75 @@ let overload_frame e =
                ("exit_code", Json.Int (Err.exit_code e));
                ("retry_after_s", Json.Float retry_after_hint_s) ] ) ])
 
-let serve ?max_inflight ?(queue_budget = 64) ?deadline_s ?token ?on_ready
-    ?access_log ?access_log_max_bytes ?slow_s ?knobs ?on_tick ?on_memory_soft
-    ?(mem_sample_every_s = 0.25) ~path handler =
-  Lazy.force ignore_sigpipe;
-  let max_inflight =
-    match max_inflight with
-    | None -> max 1 (Domain.recommended_domain_count () / 2)
-    | Some w when w >= 1 -> w
-    | Some _ ->
-        raise (Err.invalid_input ~what:"Server.serve: max_inflight" "must be >= 1")
-  in
-  (* scalar args seed the knob record when the caller did not supply a
-     shared cell; either way every use site below reads [kn] *)
-  let kn =
-    match knobs with
-    | Some cell -> cell
-    | None ->
-        Atomic.make
-          { default_knobs with queue_budget; deadline_s; slow_s }
-  in
-  validate_knobs (Atomic.get kn);
-  if (not (Float.is_finite mem_sample_every_s)) || mem_sample_every_s <= 0.0
-  then
-    raise
-      (Err.invalid_input ~what:"Server.serve: mem_sample_every_s"
-         "must be finite and positive");
-  (match access_log_max_bytes with
-  | Some b when b <= 0 ->
-      raise
-        (Err.invalid_input ~what:"Server.serve: access_log_max_bytes"
-           "must be >= 1")
-  | _ -> ());
-  prepare_path path;
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.bind listen_fd (Unix.ADDR_UNIX path)
-   with Unix.Unix_error (e, _, _) ->
-     close_quiet listen_fd;
-     raise
-       (Err.invalid_input ~what:"Server.serve: path"
-          (Printf.sprintf "cannot bind %s: %s" path (Unix.error_message e))));
-  Unix.listen listen_fd ((Atomic.get kn).queue_budget + max_inflight);
+(* --- connection pool --- *)
+
+(* Accept on the caller's domain, hand connections to [workers] domains
+   through one FIFO, drain on the way out. The pool owns every accepted
+   fd: it closes the fd once [conn] returns or raises, so a torn frame, a
+   vanished peer or a handler exception ends that connection, never a
+   worker. *)
+let pool ?on_ready ?(on_tick = ignore) ?budget ~workers ~accepted ~stop ~path
+    fd conn =
   let queue = Queue.create () in
   let mu = Mutex.create () in
   let cond = Condition.create () in
   let stopping = Atomic.make false in
-  (* memory-pressure level, written by the accept-loop sampler, read by
-     every worker at request admission: 0 ok, 1 soft, 2 hard *)
-  let pressure = Atomic.make 0 in
-  let last_rss = Atomic.make 0 in
-  (* the access log outlives every worker: opened before the pool spawns,
-     closed in the drain path after the joins *)
-  let log =
-    Option.map
-      (fun p -> Journal.Lines.open_ ?max_bytes:access_log_max_bytes p)
-      access_log
+  let draining () = Atomic.get stopping in
+  let rec worker () =
+    Mutex.lock mu;
+    while (not (Atomic.get stopping)) && Queue.is_empty queue do
+      Condition.wait cond mu
+    done;
+    let entry = if Atomic.get stopping then None else Queue.take_opt queue in
+    Mutex.unlock mu;
+    match entry with
+    | None -> ()
+    | Some (c, enq_ts) ->
+        (try conn ~stopping:draining c (Clock.now_s () -. enq_ts) with _ -> ());
+        close_quiet c;
+        worker ()
   in
-  (* One record per served request, written before the response frame so
-     the log always ties out to [server.requests] even if the peer
-     vanished mid-write. The whole recorder hangs off the Telemetry
-     switch — disabled, a request costs this one branch. *)
-  let observe ctx ~queue_s ~service_s ~bytes_in ~bytes_out =
-    if Telemetry.enabled () then begin
-      let op = if ctx.op = "" then "unknown" else ctx.op in
-      Telemetry.record h_queue_wait (queue_s *. 1e9);
-      Telemetry.record
-        (Telemetry.histogram ("server.op." ^ op ^ ".service_ns"))
-        (service_s *. 1e9);
-      Telemetry.record
-        (Telemetry.histogram ("server.op." ^ op ^ ".bytes_in"))
-        (float_of_int bytes_in);
-      Telemetry.record
-        (Telemetry.histogram ("server.op." ^ op ^ ".bytes_out"))
-        (float_of_int bytes_out);
-      (match (Atomic.get kn).slow_s with
-      | Some s when service_s >= s ->
-          Telemetry.incr tel_slow;
-          Trace.instant "server.slow_request" ~args:(fun () ->
-              [ ("rid", Json.Str ctx.rid);
-                ("op", Json.Str op);
-                ("service_s", Json.Float service_s) ])
-      | _ -> ());
-      match log with
-      | None -> ()
-      | Some l ->
-          let line =
-            Json.to_string ~compact:true
-              (Json.Obj
-                 [ ("ts", Json.Float (Unix.gettimeofday ()));
-                   ("rid", Json.Str ctx.rid);
-                   ("op", Json.Str op);
-                   ("key", Json.Str ctx.key);
-                   ("cache", Json.Str ctx.cache);
-                   ("queue_s", Json.Float queue_s);
-                   ("service_s", Json.Float service_s);
-                   ("bytes_in", Json.Int bytes_in);
-                   ("bytes_out", Json.Int bytes_out);
-                   ("status", Json.Str ctx.status) ])
-          in
-          (* log I/O must never kill the connection it describes *)
-          (try Journal.Lines.append l line with _ -> ())
+  let admit c =
+    Telemetry.incr accepted;
+    (* the receive timeout is the drain poll tick: a worker blocked on an
+       idle persistent connection re-checks [stopping] this often *)
+    Unix.setsockopt_float c Unix.SO_RCVTIMEO tick_s;
+    let budget = match budget with Some b -> b () | None -> max_int in
+    Mutex.lock mu;
+    let pending = Queue.length queue in
+    if pending >= budget then begin
+      Mutex.unlock mu;
+      Telemetry.incr tel_sheds;
+      let e = Err.Overloaded { queue = "server.accept"; budget; pending } in
+      (try write_frame c (overload_frame e) with _ -> ());
+      close_quiet c
     end
-  in
-  let worker () =
-    let next_conn () =
-      Mutex.lock mu;
-      let rec wait () =
-        if Atomic.get stopping then begin
-          Mutex.unlock mu;
-          None
-        end
-        else
-          match Queue.take_opt queue with
-          | Some entry ->
-              Mutex.unlock mu;
-              Some entry
-          | None ->
-              Condition.wait cond mu;
-              wait ()
-      in
-      wait ()
-    in
-    (* serve one connection until the peer closes or drain begins; the
-       in-flight request always finishes — drain is between frames, and a
-       frame still arriving when drain begins is dropped unhandled.
-       [queue_s] (accept-to-worker wait) is charged to the connection's
-       first request; later requests on the persistent connection never
-       waited in the accept queue. *)
-    let draining () = Atomic.get stopping in
-    let rec conn_loop fd queue_s =
-      match read_frame_poll ~stop:draining fd with
-      | `Eof -> close_quiet fd
-      | `Timeout -> if Atomic.get stopping then close_quiet fd else conn_loop fd 0.0
-      | `Frame _req when Atomic.get pressure >= 2 ->
-          (* hard memory budget: shed the request with the same typed
-             overload envelope as queue pressure — a degraded answer the
-             resilient client sleeps on, instead of an OOM kill that
-             loses every cache. The connection stays open; the client
-             decides whether to wait or leave. *)
-          Telemetry.incr tel_requests;
-          Telemetry.incr tel_sheds;
-          Telemetry.incr tel_mem_hard;
-          let k = Atomic.get kn in
-          let e =
-            Err.Overloaded
-              {
-                queue = "server.memory";
-                budget =
-                  (match k.mem_hard_bytes with Some b -> b | None -> 0);
-                pending = Atomic.get last_rss;
-              }
-          in
-          (try write_frame fd (overload_frame e) with _ -> ());
-          if Atomic.get stopping then close_quiet fd else conn_loop fd 0.0
-      | `Frame req ->
-          Telemetry.incr tel_requests;
-          let t0 = Clock.now_s () in
-          let ctx =
-            {
-              guard = Guard.create ?deadline_s:(Atomic.get kn).deadline_s ();
-              rid = fresh_rid ();
-              op = "";
-              key = "";
-              cache = "";
-              status = "ok";
-            }
-          in
-          let bytes_in = String.length req + 8 in
-          let resp =
-            try Trace.span "server.request" (fun () -> handler ctx req)
-            with e ->
-              ctx.status <-
-                (match e with
-                | Err.Error err -> Err.class_name err
-                | _ -> "exception");
-              observe ctx ~queue_s ~service_s:(Clock.now_s () -. t0) ~bytes_in
-                ~bytes_out:0;
-              raise e
-          in
-          observe ctx ~queue_s ~service_s:(Clock.now_s () -. t0) ~bytes_in
-            ~bytes_out:(String.length resp + 8);
-          write_frame fd resp;
-          if Atomic.get stopping then close_quiet fd else conn_loop fd 0.0
-    in
-    let rec run () =
-      match next_conn () with
-      | None -> ()
-      | Some (fd, enq_ts) ->
-          (* a torn frame, a vanished peer, or a handler exception kills
-             this connection, never the worker *)
-          (try conn_loop fd (Clock.now_s () -. enq_ts) with _ -> close_quiet fd);
-          run ()
-    in
-    run ()
-  in
-  let domains = List.init max_inflight (fun _ -> Domain.spawn worker) in
-  let stop_requested () =
-    match token with Some tk -> Guard.is_cancelled tk | None -> false
-  in
-  let accept_one () =
-    match Unix.accept ~cloexec:true listen_fd with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | fd, _ ->
-        Telemetry.incr tel_connections;
-        (* the receive timeout is the drain poll tick: a worker blocked on
-           an idle persistent connection re-checks [stopping] this often *)
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.05;
-        let queue_budget = (Atomic.get kn).queue_budget in
-        Mutex.lock mu;
-        let pending = Queue.length queue in
-        if pending >= queue_budget then begin
-          Mutex.unlock mu;
-          Telemetry.incr tel_sheds;
-          let e =
-            Err.Overloaded
-              { queue = "server.accept"; budget = queue_budget; pending }
-          in
-          (try write_frame fd (overload_frame e) with _ -> ());
-          close_quiet fd
-        end
-        else begin
-          Queue.add (fd, Clock.now_s ()) queue;
-          Condition.signal cond;
-          Mutex.unlock mu
-        end
-  in
-  (* RSS sampler, run on the accept tick and throttled to
-     [mem_sample_every_s]: classifies the current resident set against
-     the (hot-reloadable) budgets, publishes the level for workers, and
-     while at-or-above the soft budget invokes the relief callback —
-     proportional cache eviction wired in by the service layer — so
-     repeated samples shrink the working set geometrically instead of
-     dumping it. Level transitions emit trace instants; an unreadable
-     RSS (no procfs) reads as level 0, i.e. the pre-budget behaviour. *)
-  let last_sample = ref 0.0 in
-  let sample_memory () =
-    let k = Atomic.get kn in
-    if k.mem_soft_bytes <> None || k.mem_hard_bytes <> None then begin
-      let now = Clock.now_s () in
-      if now -. !last_sample >= mem_sample_every_s then begin
-        last_sample := now;
-        let rss = match Memstat.rss_bytes () with Some b -> b | None -> 0 in
-        Atomic.set last_rss rss;
-        let level =
-          match (k.mem_hard_bytes, k.mem_soft_bytes) with
-          | Some h, _ when rss > 0 && rss >= h -> 2
-          | _, Some s when rss > 0 && rss >= s -> 1
-          | _ -> 0
-        in
-        let prev = Atomic.exchange pressure level in
-        if level > prev then
-          Trace.instant
-            (if level >= 2 then "server.memory.hard" else "server.memory.soft")
-            ~args:(fun () ->
-              [ ("rss_bytes", Json.Int rss);
-                ( "soft_bytes",
-                  Json.Int (Option.value ~default:0 k.mem_soft_bytes) );
-                ( "hard_bytes",
-                  Json.Int (Option.value ~default:0 k.mem_hard_bytes) ) ]);
-        if level >= 1 then begin
-          Telemetry.incr tel_mem_soft;
-          match on_memory_soft with
-          | Some f -> ( try f () with _ -> ())
-          | None -> ()
-        end
-      end
+    else begin
+      Queue.add (c, Clock.now_s ()) queue;
+      Condition.signal cond;
+      Mutex.unlock mu
     end
-    else if Atomic.get pressure <> 0 then Atomic.set pressure 0
   in
   let rec accept_loop () =
-    if not (stop_requested ()) then begin
-      (match on_tick with Some f -> ( try f () with _ -> ()) | None -> ());
-      sample_memory ();
-      (match Unix.select [ listen_fd ] [] [] 0.05 with
+    if not (stop ()) then begin
+      (try on_tick () with _ -> ());
+      (match Unix.select [ fd ] [] [] tick_s with
       | [], _, _ -> ()
-      | _ -> accept_one ()
+      | _ -> (
+          match Unix.accept ~cloexec:true fd with
+          | c, _ -> admit c
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          | exception Unix.Unix_error _ ->
+              (* EMFILE, ENFILE, ...: the peer waits in the backlog until
+                 a tick later, when a closed connection may have freed
+                 the resource *)
+              Telemetry.incr tel_accept_errors;
+              Unix.sleepf tick_s)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       accept_loop ()
     end
   in
+  let domains = List.init workers (fun _ -> Domain.spawn worker) in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set stopping true;
@@ -553,17 +361,219 @@ let serve ?max_inflight ?(queue_budget = 64) ?deadline_s ?token ?on_ready
       Condition.broadcast cond;
       Mutex.unlock mu;
       List.iter Domain.join domains;
-      (* connections accepted but never assigned to a worker *)
-      Mutex.lock mu;
-      Queue.iter (fun (fd, _) -> close_quiet fd) queue;
-      Queue.clear queue;
-      Mutex.unlock mu;
-      Option.iter (fun l -> try Journal.Lines.close l with _ -> ()) log;
-      close_quiet listen_fd;
-      (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ()))
+      (* connections accepted but never assigned to a worker; with every
+         worker joined, the queue is this domain's alone *)
+      Queue.iter (fun (c, _) -> close_quiet c) queue;
+      close_quiet fd;
+      try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
     (fun () ->
       Option.iter (fun f -> f ()) on_ready;
       accept_loop ())
+
+(* --- memory pressure --- *)
+
+type memory_level = Normal | Soft | Hard
+
+let memory_level k rss =
+  match (k.mem_hard_bytes, k.mem_soft_bytes) with
+  | Some h, _ when rss > 0 && rss >= h -> Hard
+  | _, Some s when rss > 0 && rss >= s -> Soft
+  | _ -> Normal
+
+(* the sampler's last reading: the level workers admit against, and the
+   resident set a hard shed reports *)
+type memory = { level : memory_level; rss : int }
+
+(* RSS sampler, run on the accept tick and throttled to every 0.25 s:
+   classifies the current resident set against the (hot-reloadable)
+   budgets, publishes the level for workers, and while at-or-above the
+   soft budget invokes the relief callback — proportional cache eviction
+   wired in by the service layer — so repeated samples shrink the working
+   set geometrically instead of dumping it. Level rises emit trace
+   instants. *)
+let memory_sampler ~knobs on_memory_soft =
+  let memory = Atomic.make { level = Normal; rss = 0 } in
+  let last_sample = ref 0.0 in
+  let sample () =
+    let k = Atomic.get knobs in
+    if k.mem_soft_bytes = None && k.mem_hard_bytes = None then begin
+      if (Atomic.get memory).level <> Normal then
+        Atomic.set memory { level = Normal; rss = 0 }
+    end
+    else
+      let now = Clock.now_s () in
+      if now -. !last_sample >= 0.25 then begin
+        last_sample := now;
+        let rss = Option.value ~default:0 (Memstat.rss_bytes ()) in
+        let level = memory_level k rss in
+        let prev = Atomic.exchange memory { level; rss } in
+        if level > prev.level then
+          Trace.instant
+            (if level = Hard then "server.memory.hard" else "server.memory.soft")
+            ~args:(fun () ->
+              [ ("rss_bytes", Json.Int rss);
+                ( "soft_bytes",
+                  Json.Int (Option.value ~default:0 k.mem_soft_bytes) );
+                ( "hard_bytes",
+                  Json.Int (Option.value ~default:0 k.mem_hard_bytes) ) ]);
+        if level <> Normal then begin
+          Telemetry.incr tel_mem_soft;
+          Option.iter (fun f -> try f () with _ -> ()) on_memory_soft
+        end
+      end
+  in
+  (memory, sample)
+
+(* --- request path --- *)
+
+(* One record per served request, written before the response frame so
+   the log always ties out to [server.requests] even if the peer
+   vanished mid-write. The whole recorder hangs off the Telemetry switch
+   — disabled, a request costs this one branch. *)
+let observe ~knobs ~log ctx ~queue_s ~service_s ~bytes_in ~bytes_out =
+  if Telemetry.enabled () then begin
+    let op = if ctx.op = "" then "unknown" else ctx.op in
+    Telemetry.record h_queue_wait (queue_s *. 1e9);
+    Telemetry.record
+      (Telemetry.histogram ("server.op." ^ op ^ ".service_ns"))
+      (service_s *. 1e9);
+    Telemetry.record
+      (Telemetry.histogram ("server.op." ^ op ^ ".bytes_in"))
+      (float_of_int bytes_in);
+    Telemetry.record
+      (Telemetry.histogram ("server.op." ^ op ^ ".bytes_out"))
+      (float_of_int bytes_out);
+    (match (Atomic.get knobs).slow_s with
+    | Some s when service_s >= s ->
+        Telemetry.incr tel_slow;
+        Trace.instant "server.slow_request" ~args:(fun () ->
+            [ ("rid", Json.Str ctx.rid);
+              ("op", Json.Str op);
+              ("service_s", Json.Float service_s) ])
+    | _ -> ());
+    match log with
+    | None -> ()
+    | Some l ->
+        let line =
+          Json.to_string ~compact:true
+            (Json.Obj
+               [ ("ts", Json.Float (Unix.gettimeofday ()));
+                 ("rid", Json.Str ctx.rid);
+                 ("op", Json.Str op);
+                 ("key", Json.Str ctx.key);
+                 ("cache", Json.Str ctx.cache);
+                 ("queue_s", Json.Float queue_s);
+                 ("service_s", Json.Float service_s);
+                 ("bytes_in", Json.Int bytes_in);
+                 ("bytes_out", Json.Int bytes_out);
+                 ("status", Json.Str ctx.status) ])
+        in
+        (* log I/O must never kill the connection it describes *)
+        (try Journal.Lines.append l line with _ -> ())
+  end
+
+(* Run one request under a fresh guard and record it. An exception
+   escaping the handler is recorded with its error class, then re-raised
+   to end the connection. *)
+let dispatch ~knobs ~log handler ~queue_s req =
+  Telemetry.incr tel_requests;
+  let t0 = Clock.now_s () in
+  let ctx =
+    {
+      guard = Guard.create ?deadline_s:(Atomic.get knobs).deadline_s ();
+      rid = fresh_rid ();
+      op = "";
+      key = "";
+      cache = "";
+      status = "ok";
+    }
+  in
+  let bytes_in = String.length req + 8 in
+  match Trace.span "server.request" (fun () -> handler ctx req) with
+  | resp ->
+      observe ~knobs ~log ctx ~queue_s ~service_s:(Clock.now_s () -. t0)
+        ~bytes_in ~bytes_out:(String.length resp + 8);
+      resp
+  | exception e ->
+      ctx.status <-
+        (match e with Err.Error err -> Err.class_name err | _ -> "exception");
+      observe ~knobs ~log ctx ~queue_s ~service_s:(Clock.now_s () -. t0)
+        ~bytes_in ~bytes_out:0;
+      raise e
+
+(* Serve one connection until the peer closes or drain begins; the
+   in-flight request always finishes — drain is between frames, and a
+   frame still arriving when drain begins is dropped unhandled.
+   [queue_s] (accept-to-worker wait) is charged to the connection's
+   first request; later requests on the persistent connection never
+   waited in the accept queue. *)
+let connection ~knobs ~log ~memory handler ~stopping fd queue_s =
+  let rec loop queue_s =
+    match read_frame_poll ~stop:stopping fd with
+    | `Eof -> ()
+    | `Timeout -> if not (stopping ()) then loop 0.0
+    | `Frame req ->
+        (match Atomic.get memory with
+        | { level = Hard; rss } ->
+            (* hard memory budget: shed the request with the same typed
+               overload envelope as queue pressure — a degraded answer
+               the resilient client sleeps on, instead of an OOM kill
+               that loses every cache. The connection stays open; the
+               client decides whether to wait or leave. *)
+            Telemetry.incr tel_requests;
+            Telemetry.incr tel_sheds;
+            Telemetry.incr tel_mem_hard;
+            let budget =
+              Option.value ~default:0 (Atomic.get knobs).mem_hard_bytes
+            in
+            let e =
+              Err.Overloaded { queue = "server.memory"; budget; pending = rss }
+            in
+            (try write_frame fd (overload_frame e) with _ -> ())
+        | _ -> write_frame fd (dispatch ~knobs ~log handler ~queue_s req));
+        if not (stopping ()) then loop 0.0
+  in
+  loop queue_s
+
+let serve ?max_inflight ?token ?on_ready ?access_log ?access_log_max_bytes
+    ?(knobs = Atomic.make default_knobs) ?on_tick ?on_memory_soft ~path handler =
+  let workers =
+    match max_inflight with
+    | None -> max 1 (Domain.recommended_domain_count () / 2)
+    | Some w when w >= 1 -> w
+    | Some _ ->
+        raise (Err.invalid_input ~what:"Server.serve: max_inflight" "must be >= 1")
+  in
+  validate_knobs (Atomic.get knobs);
+  (match access_log_max_bytes with
+  | Some b when b <= 0 ->
+      raise
+        (Err.invalid_input ~what:"Server.serve: access_log_max_bytes"
+           "must be >= 1")
+  | _ -> ());
+  let fd = listen ~backlog:((Atomic.get knobs).queue_budget + workers) path in
+  (* the access log outlives every worker: closed after the pool drains *)
+  let log =
+    Option.map
+      (fun p -> Journal.Lines.open_ ?max_bytes:access_log_max_bytes p)
+      access_log
+  in
+  let memory, sample_memory = memory_sampler ~knobs on_memory_soft in
+  let stop () =
+    match token with Some tk -> Guard.is_cancelled tk | None -> false
+  in
+  let on_tick () =
+    Option.iter (fun f -> try f () with _ -> ()) on_tick;
+    sample_memory ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter (fun l -> try Journal.Lines.close l with _ -> ()) log)
+    (fun () ->
+      pool ?on_ready ~on_tick
+        ~budget:(fun () -> (Atomic.get knobs).queue_budget)
+        ~workers ~accepted:tel_connections ~stop ~path fd
+        (connection ~knobs ~log ~memory handler))
 
 (* --- client --- *)
 
@@ -609,19 +619,15 @@ let connect ?(wait_s = 5.0) ?seed path =
   in
   go 0.005
 
-let request c payload =
-  write_frame c.fd payload;
-  match read_frame c.fd with
-  | Some resp -> resp
-  | None ->
-      raise
-        (Err.invalid_input ~what:"Server.request"
-           "server closed the connection without responding")
-
-let request_within ~timeout_s c payload =
-  Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 0.05;
-  write_frame c.fd payload;
-  match read_frame_within ~timeout_s c.fd with
+let request ?timeout_s c payload =
+  (* the receive timeout is the poll tick of a bounded read *)
+  if Option.is_some timeout_s then
+    Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO tick_s;
+  (* a server that sheds the connection may close it before the request
+     lands: the overload frame it wrote first is still ours to read *)
+  (try write_frame c.fd payload
+   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+  match read_frame ?timeout_s c.fd with
   | Some resp -> resp
   | None ->
       raise
@@ -701,10 +707,10 @@ module Client = struct
         let c = connect ~wait_s t.path in
         if t.ever_connected then Telemetry.incr tel_reconnects;
         t.ever_connected <- true;
-        (* the receive timeout is the deadline poll tick of
-           read_frame_within; only needed when requests are bounded *)
+        (* the receive timeout is the deadline poll tick of a bounded
+           read_frame; only needed when requests are bounded *)
         if t.request_timeout_s <> None then
-          Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO 0.05;
+          Unix.setsockopt_float c.fd Unix.SO_RCVTIMEO tick_s;
         t.conn <- Some c;
         c
 
@@ -726,11 +732,6 @@ module Client = struct
                         Json.to_float_opt))
             | _ -> None)
         | _ -> None)
-
-  let read_response t c =
-    match t.request_timeout_s with
-    | Some s -> read_frame_within ~timeout_s:s c.fd
-    | None -> read_frame c.fd
 
   let no_response =
     Err.Invalid_input
@@ -806,7 +807,7 @@ module Client = struct
                    })
           | exception Err.Error e -> retry ~retryable:false e
           | () -> (
-              match read_response t c with
+              match read_frame ?timeout_s:t.request_timeout_s c.fd with
               | Some resp -> (
                   match overload_hint resp with
                   | Some retry_after when n < t.max_retries ->

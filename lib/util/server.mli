@@ -19,12 +19,14 @@
     a loud failure at the frame boundary.
 
     {b Scheduling.} Connections are accepted on the caller's domain and
-    handed to a bounded pool of [max_inflight] worker domains through a
-    queue with an admission budget: when [queue_budget] connections are
-    already waiting for a worker, new connections get one typed
-    overload frame — carrying a [retry_after_s] hint a well-behaved
+    handed to a bounded {!pool} of [max_inflight] worker domains through
+    a queue with an admission budget: when [queue_budget] connections
+    are already waiting for a worker, new connections get one typed
+    {!overload_frame} — carrying a [retry_after_s] hint a well-behaved
     client sleeps on before reconnecting — and are closed, the same
-    load-shedding shape as {!Supervisor.run_jobs}. Each request runs
+    load-shedding shape as {!Supervisor.run_jobs}. An accept that fails
+    (a full fd table: [EMFILE], [ENFILE]) is retried a 50 ms tick
+    later while the peer waits in the listen backlog. Each request runs
     under a fresh {!Guard} carrying [deadline_s], so a handler can
     degrade or stop mid-estimate.
 
@@ -46,15 +48,18 @@
     connections, and join before {!serve} returns — so journals and
     telemetry flushed after {!serve} see a quiet pool.
 
-    Both {!serve} and {!connect} ignore [SIGPIPE] process-wide (writes
+    Both {!listen} and {!connect} ignore [SIGPIPE] process-wide (writes
     to a vanished peer surface as [EPIPE] and are handled
     per-connection, instead of killing the process).
 
     Everything observable is counted in {!Telemetry}:
     ["server.connections"], ["server.requests"], ["server.sheds"],
-    ["server.frame_errors"], ["server.slow_requests"], and on the client
-    side ["client.retries"], ["client.reconnects"],
-    ["client.overload_waits"], ["client.exhausted"].
+    ["server.accept_errors"], ["server.frame_errors"],
+    ["server.slow_requests"], ["server.memory.soft_trims"],
+    ["server.memory.hard_sheds"], ["server.knob_reloads"], and on the
+    client side ["client.retries"], ["client.reconnects"],
+    ["client.overload_waits"], ["client.exhausted"],
+    ["client.restart_rides"].
 
     {b Flight recorder.} When {!Telemetry} is enabled, every served
     request additionally feeds histograms — ["server.queue_wait_ns"]
@@ -78,37 +83,71 @@ val max_frame_bytes : int
     Exposed for tests, the chaos proxy, and the client side; both ends
     of the socket speak exactly these functions. *)
 
+val write_all : Unix.file_descr -> Bytes.t -> int -> int -> unit
+(** [write_all fd b off len] writes [len] bytes of [b] from [off],
+    looping over short writes and [EINTR]. *)
+
 val write_frame : Unix.file_descr -> string -> unit
 (** Write one complete frame (handles short writes). Raises
     [Err.Error (Invalid_input _)] on an oversized payload and
     [Unix.Unix_error] if the peer vanished. *)
 
-val read_frame : Unix.file_descr -> string option
+val read_frame : ?timeout_s:float -> Unix.file_descr -> string option
 (** Read one complete frame. [None] on a clean end-of-stream (the peer
     closed between frames); raises [Err.Error (Invalid_input _)] on a
     mid-frame end-of-stream, an oversized length, or a CRC mismatch.
     Retries transparently on [EINTR] and on receive timeouts
     ([EAGAIN]/[EWOULDBLOCK] from [SO_RCVTIMEO]), so a frame is never
     split by a poll tick — and never returns while the peer is merely
-    slow. Unbounded: a stalled peer stalls the caller; use
-    {!read_frame_within} to bound the wait. *)
+    slow.
 
-val read_frame_within : timeout_s:float -> Unix.file_descr -> string option
-(** Like {!read_frame}, but gives up after [timeout_s] seconds with a
-    typed [Deadline_exceeded]. Once a frame has started, a deadline trip
+    Without [timeout_s] the read is unbounded: a stalled peer stalls the
+    caller. With it, the read gives up after [timeout_s] seconds with a
+    typed [Deadline_exceeded]; once a frame has started, a deadline trip
     is instead a typed [Invalid_input] ("timeout mid-frame"): the frame
     boundary is lost, so the caller must drop the connection rather than
-    resynchronize. Requires [SO_RCVTIMEO] on [fd] (the receive timeout
-    is the poll tick that lets the deadline be observed while blocked);
-    raises [Invalid_input] on a non-positive or non-finite timeout. *)
+    resynchronize. A bounded read requires [SO_RCVTIMEO] on [fd] (the
+    receive timeout is the poll tick that lets the deadline be observed
+    while blocked); raises [Invalid_input] on a non-positive or
+    non-finite timeout. *)
+
+(** {1 Listener and connection pool}
+
+    The parts {!serve} runs on, shared with the chaos proxy. *)
 
 val prepare_path : string -> unit
 (** Make [path] safe to bind: nothing exists — fine; a socket file
     nobody accepts on (probe connect refused) — unlink it; a socket with
     a {e live} server — typed [Invalid_input] refusal, never stealing
     the path from a running daemon; anything that is not a socket —
-    typed [Invalid_input]. {!serve} calls this; exposed for other
-    listeners (the chaos proxy) that bind their own sockets. *)
+    typed [Invalid_input]. {!listen} calls this. *)
+
+val listen : backlog:int -> string -> Unix.file_descr
+(** [listen ~backlog path] runs {!prepare_path}, then binds [path] and
+    listens on it. Ignores [SIGPIPE] process-wide. Raises the typed
+    [Invalid_input] when [path] cannot be bound. *)
+
+val pool :
+  ?on_ready:(unit -> unit) ->
+  ?on_tick:(unit -> unit) ->
+  ?budget:(unit -> int) ->
+  workers:int ->
+  accepted:Telemetry.counter ->
+  stop:(unit -> bool) ->
+  path:string ->
+  Unix.file_descr ->
+  (stopping:(unit -> bool) -> Unix.file_descr -> float -> unit) ->
+  unit
+(** [pool ~workers ~accepted ~stop ~path fd conn] runs the scheduling
+    and drain described above on the listening [fd] until [stop ()]
+    holds. It runs [on_ready] once the workers are up and [on_tick]
+    before each 50 ms accept tick (exceptions swallowed). [accepted]
+    counts accepts; [budget] is read at each accept (none: unbounded). A
+    worker runs [conn ~stopping fd queue_s] per connection, where
+    [queue_s] is the accept-to-worker wait and [stopping ()] turns true
+    when drain begins. The pool owns every accepted fd and closes it
+    once [conn] returns or raises, which ends that connection, never its
+    worker. Drain closes [fd] and unlinks [path]. *)
 
 (** {1 Server} *)
 
@@ -185,60 +224,55 @@ val overload_frame : Err.t -> string
     The [retry_after_s] field is the backoff hint {!Client.request}
     honors before reconnecting. *)
 
+type memory_level =
+  | Normal
+  | Soft  (** at or above [mem_soft_bytes]: trim caches, keep serving *)
+  | Hard  (** at or above [mem_hard_bytes]: shed new requests *)
+
+val memory_level : knobs -> int -> memory_level
+(** [memory_level knobs rss] classifies a resident-set sample of [rss]
+    bytes against the knobs' memory budgets. An unreadable RSS reads as
+    [0], which is [Normal]: no pressure. *)
+
 val serve :
   ?max_inflight:int ->
-  ?queue_budget:int ->
-  ?deadline_s:float ->
   ?token:Guard.token ->
   ?on_ready:(unit -> unit) ->
   ?access_log:string ->
   ?access_log_max_bytes:int ->
-  ?slow_s:float ->
   ?knobs:knobs Atomic.t ->
   ?on_tick:(unit -> unit) ->
   ?on_memory_soft:(unit -> unit) ->
-  ?mem_sample_every_s:float ->
   path:string ->
   handler ->
   unit
-(** [serve ~path handler] prepares [path] (see {!prepare_path} — stale
-    socket files are unlinked, a live server is a typed refusal), binds
-    it, spawns [max_inflight] worker domains (default half the
-    recommended domain count, at least 1), and accepts until [token] is
-    cancelled; the socket file is unlinked again on the way out. Drain
-    lets every request already being handled finish; a request whose
-    frame is still arriving when drain begins is dropped with its
-    connection on the next 50 ms receive tick, so a stalled peer cannot
-    hold the drain open.
+(** [serve ~path handler] runs [handler] on a {!pool} of
+    [max_inflight] worker domains (default half the recommended domain
+    count, at least 1) over a socket {!listen} binds at [path], until
+    [token] is cancelled. A request whose frame is still arriving when
+    drain begins is dropped with its connection on the next 50 ms
+    receive tick, so a stalled peer cannot hold the drain open.
+    [on_ready] runs once the socket is listening, before the first
+    accept — tests use it to release a waiting client.
 
-    [queue_budget] (default 64) bounds connections waiting for a free
-    worker; excess connections receive {!overload_frame}
-    [(Overloaded {queue = "server.accept"; _})] as their only frame and
-    are closed. [deadline_s] bounds each request's guard. [on_ready] runs
-    once the socket is listening, before the first accept — tests use it
-    to release a waiting client.
+    [knobs] (default a private cell of {!default_knobs}) is the shared
+    hot-reload cell: every admission check, guard creation,
+    slow-threshold compare and memory sample reads it afresh, so a
+    concurrent {!set_knobs} (the SIGHUP handler) takes effect between
+    requests without dropping connections.
 
     [access_log] names a {!Journal.Lines} JSONL file recording one line
     per served request (see the module comment; rotation keeps it under
-    ~2×[access_log_max_bytes], default 16 MiB); [slow_s] is the
-    slow-request threshold. The recorder only fires while {!Telemetry}
-    is enabled.
-
-    [knobs], when given, is the shared hot-reload cell: the scalar
-    [queue_budget]/[deadline_s]/[slow_s] arguments are ignored in its
-    favour and every admission check, guard creation, and slow-threshold
-    compare reads the cell afresh, so a concurrent {!set_knobs} (the
-    SIGHUP handler) takes effect between requests without dropping
-    connections. Without [knobs] the scalars seed a private cell and
-    behave exactly as before.
+    ~2×[access_log_max_bytes], default 16 MiB). The recorder only fires
+    while {!Telemetry} is enabled.
 
     [on_tick] runs on the accept loop roughly every 50 ms (exceptions
     swallowed) — the hook for snapshot spills and reload-flag polls.
 
     {b Memory pressure.} When the active knobs carry memory budgets, the
-    accept loop samples {!Memstat.rss_bytes} every [mem_sample_every_s]
-    (default 0.25 s). At-or-above [mem_soft_bytes] each sample counts
-    ["server.memory.soft_trims"] and invokes [on_memory_soft]
+    accept loop samples {!Memstat.rss_bytes} every 0.25 s and classifies
+    it with {!memory_level}. At-or-above [mem_soft_bytes] each sample
+    counts ["server.memory.soft_trims"] and invokes [on_memory_soft]
     (proportional cache eviction, wired by the service layer); crossing
     a level also emits a ["server.memory.soft"] / ["server.memory.hard"]
     {!Trace} instant. At-or-above [mem_hard_bytes] new requests are
@@ -246,13 +280,12 @@ val serve :
     ([queue = "server.memory"], counted in ["server.memory.hard_sheds"]
     and ["server.sheds"]) without running the handler, until a later
     sample sees the resident set back under budget — shedding instead of
-    dying to the OOM killer. An unreadable RSS (no procfs) reads as no
-    pressure.
+    dying to the OOM killer.
 
     Raises [Err.Error (Invalid_input _)] on a non-positive
-    [max_inflight]/[access_log_max_bytes]/[mem_sample_every_s], invalid
-    knob values (see {!validate_knobs}), an unbindable [path], or a
-    [path] another live server owns. *)
+    [max_inflight]/[access_log_max_bytes], invalid knob values (see
+    {!validate_knobs}), an unbindable [path], or a [path] another live
+    server owns. *)
 
 (** {1 Client} *)
 
@@ -268,16 +301,17 @@ val connect : ?wait_s:float -> ?seed:int -> string -> conn
     tests. Raises [Err.Error (Invalid_input _)] once the wait is
     exhausted. *)
 
-val request : conn -> string -> string
+val request : ?timeout_s:float -> conn -> string -> string
 (** One round trip: write a request frame, block for the response
     frame. Raises [Err.Error (Invalid_input _)] if the server closed
     without responding (e.g. after an overload frame already consumed).
-    No retries — see {!Client} for the resilient wrapper. *)
+    A server that shed the connection and closed it before the request
+    could be written still answers: its overload frame is returned. No
+    retries — see {!Client} for the resilient wrapper.
 
-val request_within : timeout_s:float -> conn -> string -> string
-(** {!request} bounded by [timeout_s] via {!read_frame_within} (sets the
-    socket's receive timeout as the poll tick) — the watchdog's health
-    probe, where an unbounded read would let a wedged daemon wedge its
+    [timeout_s] bounds the wait with {!read_frame} (setting the socket's
+    receive timeout as the poll tick) — the watchdog's health probe,
+    where an unbounded read would let a wedged daemon wedge its
     supervisor too. Raises the typed [Deadline_exceeded] on timeout. *)
 
 val close : conn -> unit
@@ -308,7 +342,8 @@ module Client : sig
       (default 5 ms) to [backoff_cap_s] (default 640 ms). [connect_wait_s]
       (default 5) is passed to each underlying {!connect}.
       [request_timeout_s], when given, bounds each round trip with
-      {!read_frame_within} — without it a hung server hangs the caller.
+      {!read_frame} [~timeout_s] — without it a hung server hangs the
+      caller.
       [seed] fixes the jitter stream for tests. Raises the typed
       [Invalid_input] on out-of-range parameters. *)
 

@@ -260,7 +260,13 @@ let with_server ?access_log ?slow_s f =
   let service = Service.create () in
   let srv =
     Domain.spawn (fun () ->
-        Server.serve ?access_log ?slow_s ~token
+        Server.serve ?access_log
+          ?knobs:
+            (Option.map
+               (fun s ->
+                 Atomic.make { Server.default_knobs with Server.slow_s = Some s })
+               slow_s)
+          ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path (Service.handle service))
   in

@@ -505,6 +505,33 @@ let test_watchdog_event_json () =
   | Some (Json.Str "gave-up") -> ()
   | _ -> Alcotest.fail "gave-up event name"
 
+(* --- memory-pressure admission: the level decision alone, no socket --- *)
+
+let test_memory_level_table () =
+  let knobs soft hard =
+    { Server.default_knobs with Server.mem_soft_bytes = soft; mem_hard_bytes = hard }
+  in
+  let name = function
+    | Server.Normal -> "normal"
+    | Server.Soft -> "soft"
+    | Server.Hard -> "hard"
+  in
+  List.iter
+    (fun (what, k, rss, want) ->
+      Alcotest.(check string) what (name want) (name (Server.memory_level k rss)))
+    [ ("below soft", knobs (Some 100) (Some 200), 99, Server.Normal);
+      ("exactly at soft", knobs (Some 100) (Some 200), 100, Server.Soft);
+      ("between soft and hard", knobs (Some 100) (Some 200), 199, Server.Soft);
+      ("exactly at hard", knobs (Some 100) (Some 200), 200, Server.Hard);
+      ("only soft set, above it", knobs (Some 100) None, max_int, Server.Soft);
+      ("only hard set, below it", knobs None (Some 200), 199, Server.Normal);
+      ("only hard set, at it", knobs None (Some 200), 200, Server.Hard);
+      ("no budgets", knobs None None, max_int, Server.Normal);
+      ( "unreadable rss (0) is no pressure",
+        knobs (Some 1) (Some 1),
+        0,
+        Server.Normal ) ]
+
 (* --- memory-pressure admission through an injected RSS source --- *)
 
 let test_memory_pressure_policy () =
@@ -529,7 +556,7 @@ let test_memory_pressure_policy () =
       let trimmed = Atomic.make 0 in
       let srv =
         Domain.spawn (fun () ->
-            Server.serve ~knobs ~mem_sample_every_s:0.01
+            Server.serve ~knobs
               ~on_memory_soft:(fun () ->
                 Atomic.incr soft_calls;
                 ignore
@@ -720,6 +747,8 @@ let suite =
       test_watchdog_drain;
     Alcotest.test_case "watchdog: supervision journal event shapes" `Quick
       test_watchdog_event_json;
+    Alcotest.test_case "memory pressure: level table at and between budgets"
+      `Quick test_memory_level_table;
     Alcotest.test_case "memory pressure: soft trims, hard sheds, recovers"
       `Quick test_memory_pressure_policy;
     Alcotest.test_case "knobs: validation walls" `Quick test_knob_validation;

@@ -150,7 +150,7 @@ let test_read_frame_within () =
   with_socketpair (fun _a b ->
       Unix.setsockopt_float b Unix.SO_RCVTIMEO 0.05;
       (* no frame at all: typed deadline *)
-      (match Server.read_frame_within ~timeout_s:0.15 b with
+      (match Server.read_frame ~timeout_s:0.15 b with
       | exception Err.Error (Err.Deadline_exceeded _) -> ()
       | _ -> Alcotest.fail "silent read past the deadline"));
   with_socketpair (fun a b ->
@@ -163,10 +163,10 @@ let test_read_frame_within () =
       Bytes.set_int32_le frame 4 (Journal.crc32 payload);
       Bytes.blit_string payload 0 frame 8 (String.length payload);
       ignore (Unix.write a frame 0 10);
-      match Server.read_frame_within ~timeout_s:0.15 b with
+      match Server.read_frame ~timeout_s:0.15 b with
       | exception Err.Error (Err.Invalid_input _) -> ()
       | _ -> Alcotest.fail "stalled mid-frame read did not fail typed");
-  match Server.read_frame_within ~timeout_s:0.0 Unix.stdin with
+  match Server.read_frame ~timeout_s:0.0 Unix.stdin with
   | exception Err.Error (Err.Invalid_input _) -> ()
   | _ -> Alcotest.fail "zero timeout accepted"
 
@@ -238,7 +238,13 @@ let with_raw_server ?max_inflight ?queue_budget handler f =
   let ready = Atomic.make false in
   let srv =
     Domain.spawn (fun () ->
-        Server.serve ?max_inflight ?queue_budget ~token
+        Server.serve ?max_inflight
+          ?knobs:
+            (Option.map
+               (fun queue_budget ->
+                 Atomic.make { Server.default_knobs with Server.queue_budget })
+               queue_budget)
+          ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path handler)
   in

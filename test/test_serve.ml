@@ -110,7 +110,13 @@ let with_server ?max_inflight ?queue_budget ?(handler : Server.handler option)
   in
   let srv =
     Domain.spawn (fun () ->
-        Server.serve ?max_inflight ?queue_budget ~token
+        Server.serve ?max_inflight
+          ?knobs:
+            (Option.map
+               (fun queue_budget ->
+                 Atomic.make { Server.default_knobs with Server.queue_budget })
+               queue_budget)
+          ~token
           ~on_ready:(fun () -> Atomic.set ready true)
           ~path handler)
   in
