@@ -57,29 +57,18 @@ type engine_result = {
   adaptive_est : float;
 }
 
-type mc_result = {
-  mc_circuit : string;
-  mc_engine : string;
-  mc_estimate : float;
-  mc_half_interval : float;
-  mc_cycles_used : int;
-  mc_batches : int;
-  mc_seconds : float;
-  running_mean : float array;
-  ci_half_width : float array;
-}
+let engine_obj r =
+  Json.Obj
+    [ ("engine", Json.Str r.engine);
+      ("replay_s", Json.Float r.replay_s);
+      ("prepare_s", Json.Float r.prepare_s);
+      ("kcycles_per_s", Json.Float r.kcycles_per_s);
+      ("speedup_vs_scalar", Json.Float r.speedup_vs_scalar);
+      ("gate_reference", Json.Float r.gate_ref);
+      ("sampler_estimate", Json.Float r.sampler_est);
+      ("adaptive_estimate", Json.Float r.adaptive_est) ]
 
-type overhead_result = {
-  oh_cycles : int;
-  oh_reps : int;
-  disabled_a_s : float array;
-  disabled_b_s : float array;
-  enabled_s : float array;
-  disabled_overhead_pct : float;
-  enabled_overhead_pct : float;
-}
-
-let e33_throughput ?(n = 10_000) ?(assert_speedup = true) () =
+let e33_throughput ?(n = 10_000) () =
   Trace.span "bench.e33_throughput" @@ fun () ->
   let model, dut, traces = sampler_workload ~n in
   let widths = dut.Hlp_power.Macromodel.widths in
@@ -164,19 +153,34 @@ let e33_throughput ?(n = 10_000) ?(assert_speedup = true) () =
              (Hlp_sim.Engine.to_string engine)))
     results;
   print_endline "estimates identical across engines: yes";
-  (match
-     List.find_opt
-       (fun (_, (e, _)) -> e = Hlp_sim.Engine.Bitparallel)
-       results
-   with
-  | Some (r, _) ->
-      Printf.printf "bit-parallel replay speedup vs scalar: %.1fx (target >= 20x)\n"
-        r.speedup_vs_scalar;
-      if assert_speedup && r.speedup_vs_scalar < 20.0 then
-        failwith "E33: bit-parallel engine below the 20x throughput target"
-  | None -> ());
   print_newline ();
-  List.map fst results
+  Json.List (List.map (fun (r, _) -> engine_obj r) results)
+
+type mc_result = {
+  mc_circuit : string;
+  mc_engine : string;
+  mc_estimate : float;
+  mc_half_interval : float;
+  mc_cycles_used : int;
+  mc_batches : int;
+  mc_seconds : float;
+  running_mean : float array;
+  ci_half_width : float array;
+}
+
+let mc_obj r =
+  Json.Obj
+    [ ("circuit", Json.Str r.mc_circuit);
+      ("engine", Json.Str r.mc_engine);
+      ("estimate", Json.Float r.mc_estimate);
+      ("half_interval_t95", Json.Float r.mc_half_interval);
+      ("cycles_used", Json.Int r.mc_cycles_used);
+      ("batches", Json.Int r.mc_batches);
+      ("seconds", Json.Float r.mc_seconds);
+      ("cycles_per_s", Json.Float (float_of_int r.mc_cycles_used /. r.mc_seconds));
+      (* one point per stopping-rule evaluation, from batch 2 on *)
+      ("running_mean", Gate.floats r.running_mean);
+      ("ci_half_width", Gate.floats r.ci_half_width) ]
 
 (* Run one Monte Carlo estimation with telemetry enabled and capture the
    convergence trajectory (running mean and 95% Student-t half-width after
@@ -254,119 +258,65 @@ let e33_monte_carlo () =
       [ "circuit"; "20k-cycle ref"; "scalar est"; "cycles"; "bitpar est";
         "cycles"; "throughput" ]
     rows;
-  List.rev !captured
+  Json.List (List.rev_map mc_obj !captured)
 
-(* Telemetry-overhead measurement on the E33 replay workload: interleaved
-   rounds of (disabled, enabled, disabled) bit-parallel replays. The two
-   disabled batches run identical code, so their difference is an A/A
-   noise floor that bounds the cost of the disabled-mode instrumentation
-   (one predictable branch per step plus plain per-instance tallies); the
-   enabled batch measures the full aggregation cost. *)
+(* Telemetry and span-tracing overhead on the E33 replay workload:
+   interleaved (disabled, enabled, disabled) rounds of bit-parallel
+   replays. The disabled A/A spread bounds the cost of the disabled-mode
+   instrumentation (one predictable branch per step plus plain
+   per-instance tallies); the enabled batch pays the full aggregation, or
+   for tracing full event recording (a handful of events per rep against
+   a 65536-slot buffer, so the recording path is always the one paid,
+   never the buffer-full drop path). *)
+let instrumentation_overhead ~what ~enable ~disable ~n ~reps =
+  let _model, dut, traces = sampler_workload ~n in
+  let widths = dut.Hlp_power.Macromodel.widths in
+  let vector i = Hlp_sim.Streams.pack ~widths traces i in
+  let net = dut.Hlp_power.Macromodel.net in
+  let run () =
+    ignore
+      (Hlp_sim.Parsim.replay ~engine:Hlp_sim.Engine.Bitparallel net ~vector ~n)
+  in
+  let m =
+    Gate.aba ~reps
+      ~a:(fun () -> disable (); run ())
+      ~b:(fun () -> enable (); run ())
+  in
+  Printf.printf "%s overhead (bit-parallel replay, %d cycles, best of %d):\n"
+    what n reps;
+  Printf.printf "  disabled A/A spread: %.2f%% (bounds the off-switch cost)\n"
+    m.Gate.spread_pct;
+  Printf.printf "  enabled vs disabled: %.2f%%\n" m.Gate.diff_pct;
+  print_newline ();
+  Json.Obj
+    ([ ("instrumentation", Json.Str what);
+       ("workload", Json.Str "parsim.replay bitparallel (E33 sampler workload)");
+       ("cycles", Json.Int n);
+       ("reps", Json.Int reps) ]
+    @ Gate.aba_fields ~a1:"disabled_a_s" ~b:"enabled_s" ~a2:"disabled_b_s"
+        ~spread:"disabled_overhead_pct" ~diff:"enabled_overhead_pct" m)
+
 let telemetry_overhead ?(n = 10_000) ?(reps = 5) () =
   Trace.span "bench.telemetry_overhead" @@ fun () ->
-  let _model, dut, traces = sampler_workload ~n in
-  let widths = dut.Hlp_power.Macromodel.widths in
-  let vector i = Hlp_sim.Streams.pack ~widths traces i in
-  let net = dut.Hlp_power.Macromodel.net in
-  let run () =
-    ignore
-      (Hlp_sim.Parsim.replay ~engine:Hlp_sim.Engine.Bitparallel net ~vector ~n)
+  let r =
+    instrumentation_overhead ~what:"telemetry" ~enable:Telemetry.enable
+      ~disable:Telemetry.disable ~n ~reps
   in
-  Telemetry.disable ();
-  run ();
-  (* warm-up *)
-  let timed () = snd (time run) in
-  let disabled_a_s = Array.make reps 0.0 in
-  let disabled_b_s = Array.make reps 0.0 in
-  let enabled_s = Array.make reps 0.0 in
-  for i = 0 to reps - 1 do
-    Telemetry.disable ();
-    disabled_a_s.(i) <- timed ();
-    Telemetry.enable ();
-    enabled_s.(i) <- timed ();
-    Telemetry.disable ();
-    disabled_b_s.(i) <- timed ()
-  done;
-  Telemetry.disable ();
   Telemetry.reset ();
-  let minimum a = Array.fold_left min a.(0) a in
-  let da = minimum disabled_a_s and db = minimum disabled_b_s in
-  let d = min da db in
-  let disabled_overhead_pct = abs_float (db -. da) /. da *. 100.0 in
-  let enabled_overhead_pct = (minimum enabled_s -. d) /. d *. 100.0 in
-  Printf.printf
-    "telemetry overhead (bit-parallel replay, %d cycles, best of %d):\n" n reps;
-  Printf.printf "  disabled A/A spread: %.2f%% (bounds the off-switch cost)\n"
-    disabled_overhead_pct;
-  Printf.printf "  enabled vs disabled: %.2f%%\n" enabled_overhead_pct;
-  print_newline ();
-  {
-    oh_cycles = n;
-    oh_reps = reps;
-    disabled_a_s;
-    disabled_b_s;
-    enabled_s;
-    disabled_overhead_pct;
-    enabled_overhead_pct;
-  }
+  r
 
-(* E35: span-tracing overhead on the same replay workload, measured the
-   same way as the telemetry overhead: interleaved (disabled, enabled,
-   disabled) rounds. The disabled A/A spread bounds the cost of the
-   one-branch-when-off discipline (the acceptance budget is < 2%); the
-   enabled round measures full event recording (the workload records a
-   handful of events per rep against a 65536-slot buffer, so the
-   recording path is always the one paid, never the buffer-full drop
-   path). When the caller is tracing the bench run itself (--trace), the
-   recorded history is left untouched. *)
+(* E35: when the caller is tracing the bench run itself (--trace), the
+   recorded history is left untouched *)
 let tracing_overhead ?(n = 10_000) ?(reps = 7) () =
   Trace.span "bench.e35_tracing_overhead" @@ fun () ->
-  let _model, dut, traces = sampler_workload ~n in
-  let widths = dut.Hlp_power.Macromodel.widths in
-  let vector i = Hlp_sim.Streams.pack ~widths traces i in
-  let net = dut.Hlp_power.Macromodel.net in
-  let run () =
-    ignore
-      (Hlp_sim.Parsim.replay ~engine:Hlp_sim.Engine.Bitparallel net ~vector ~n)
-  in
   let was_on = Trace.enabled () in
-  Trace.disable ();
-  run ();
-  (* warm-up *)
-  let timed () = snd (time run) in
-  let disabled_a_s = Array.make reps 0.0 in
-  let disabled_b_s = Array.make reps 0.0 in
-  let enabled_s = Array.make reps 0.0 in
-  for i = 0 to reps - 1 do
-    Trace.disable ();
-    disabled_a_s.(i) <- timed ();
-    Trace.enable ();
-    enabled_s.(i) <- timed ();
-    Trace.disable ();
-    disabled_b_s.(i) <- timed ()
-  done;
+  let r =
+    instrumentation_overhead ~what:"span tracing"
+      ~enable:(fun () -> Trace.enable ())
+      ~disable:Trace.disable ~n ~reps
+  in
   if was_on then Trace.enable () else Trace.reset ();
-  let minimum a = Array.fold_left min a.(0) a in
-  let da = minimum disabled_a_s and db = minimum disabled_b_s in
-  let d = min da db in
-  let disabled_overhead_pct = abs_float (db -. da) /. da *. 100.0 in
-  let enabled_overhead_pct = (minimum enabled_s -. d) /. d *. 100.0 in
-  Printf.printf
-    "E35: tracing overhead (bit-parallel replay, %d cycles, best of %d):\n" n
-    reps;
-  Printf.printf "  disabled A/A spread: %.2f%% (bounds the off-switch cost, budget < 2%%)\n"
-    disabled_overhead_pct;
-  Printf.printf "  enabled vs disabled: %.2f%%\n" enabled_overhead_pct;
-  print_newline ();
-  {
-    oh_cycles = n;
-    oh_reps = reps;
-    disabled_a_s;
-    disabled_b_s;
-    enabled_s;
-    disabled_overhead_pct;
-    enabled_overhead_pct;
-  }
+  r
 
 (* E34: cost of the guarded path when nothing goes wrong. The replay
    workload runs interleaved (raw, guarded, raw) rounds: raw calls
@@ -377,21 +327,6 @@ let tracing_overhead ?(n = 10_000) ?(reps = 7) () =
    comparison does. Also exercises the symbolic-to-sampling degradation
    once (tiny BDD budget) so the JSON records a complete fallback event
    with its telemetry counters. *)
-
-type robustness_result = {
-  ro_cycles : int;
-  ro_reps : int;
-  raw_a_s : float array;
-  guarded_s : float array;
-  raw_b_s : float array;
-  raw_spread_pct : float;
-  guarded_overhead_pct : float;
-  (* one forced symbolic->sampling degradation, for the record *)
-  fb_node_limit : int;
-  fb_symbolic_fallbacks : int;
-  fb_estimate : float;
-}
-
 let e34_robustness ?(n = 10_000) ?(reps = 5) () =
   Trace.span "bench.e34_robustness" @@ fun () ->
   let _model, dut, traces = sampler_workload ~n in
@@ -411,36 +346,20 @@ let e34_robustness ?(n = 10_000) ?(reps = 5) () =
     | Ok d -> assert (d.Hlp_sim.Parsim.fallbacks = 0)
     | Error e -> failwith ("E34: guarded replay failed: " ^ Hlp_util.Err.to_string e)
   in
-  raw ();
-  (* warm-up *)
-  let timed f = snd (time f) in
-  let raw_a_s = Array.make reps 0.0 in
-  let guarded_s = Array.make reps 0.0 in
-  let raw_b_s = Array.make reps 0.0 in
-  for i = 0 to reps - 1 do
-    raw_a_s.(i) <- timed raw;
-    guarded_s.(i) <- timed guarded;
-    raw_b_s.(i) <- timed raw
-  done;
-  let minimum a = Array.fold_left min a.(0) a in
-  let ra = minimum raw_a_s and rb = minimum raw_b_s in
-  let r = min ra rb in
-  let raw_spread_pct = abs_float (rb -. ra) /. ra *. 100.0 in
-  let guarded_overhead_pct = (minimum guarded_s -. r) /. r *. 100.0 in
+  let m = Gate.aba ~reps ~a:raw ~b:guarded in
   Printf.printf
     "E34: guarded-execution overhead (bit-parallel replay, %d cycles, best of %d):\n"
     n reps;
   Printf.printf "  raw A/A spread:     %.2f%% (measurement noise floor)\n"
-    raw_spread_pct;
-  Printf.printf "  guarded vs raw:     %.2f%% (budget: < 2%%)\n"
-    guarded_overhead_pct;
+    m.Gate.spread_pct;
+  Printf.printf "  guarded vs raw:     %.2f%%\n" m.Gate.diff_pct;
   (* one forced degradation, counters on the record *)
-  let fb_node_limit = 50 in
+  let node_limit = 50 in
   Telemetry.reset ();
   Telemetry.enable ();
-  let fb_estimate =
+  let sampled =
     match
-      Hlp_power.Probprop.estimate_guarded ~node_limit:fb_node_limit ~seed:47
+      Hlp_power.Probprop.estimate_guarded ~node_limit ~seed:47
         ~engine:Hlp_sim.Engine.Bitparallel net
     with
     | Ok g ->
@@ -448,27 +367,28 @@ let e34_robustness ?(n = 10_000) ?(reps = 5) () =
         g.Hlp_power.Probprop.capacitance
     | Error e -> failwith ("E34: fallback demo failed: " ^ Hlp_util.Err.to_string e)
   in
-  let fb_symbolic_fallbacks =
+  let fallbacks =
     Telemetry.count (Telemetry.counter "probprop.symbolic_fallbacks")
   in
   Telemetry.disable ();
   Telemetry.reset ();
   Printf.printf
     "  degradation demo:   BDD budget %d tripped -> sampled %.1f cap units/cycle\n"
-    fb_node_limit fb_estimate;
+    node_limit sampled;
   print_newline ();
-  {
-    ro_cycles = n;
-    ro_reps = reps;
-    raw_a_s;
-    guarded_s;
-    raw_b_s;
-    raw_spread_pct;
-    guarded_overhead_pct;
-    fb_node_limit;
-    fb_symbolic_fallbacks;
-    fb_estimate;
-  }
+  Json.Obj
+    ([ ("workload", Json.Str "parsim.replay_guarded vs replay, bitparallel, no faults");
+       ("cycles", Json.Int n);
+       ("reps", Json.Int reps) ]
+    (* the raw A/A spread is the noise floor the guarded overhead is
+       judged against *)
+    @ Gate.aba_fields ~a1:"raw_a_s" ~b:"guarded_s" ~a2:"raw_b_s"
+        ~spread:"raw_spread_pct" ~diff:"guarded_overhead_pct" m
+    @ [ ( "degradation_demo",
+          Json.Obj
+            [ ("bdd_node_limit", Json.Int node_limit);
+              ("symbolic_fallbacks", Json.Int fallbacks);
+              ("sampled_estimate", Json.Float sampled) ] ) ])
 
 (* E36: checkpoint-journaling overhead on a fixed Monte Carlo workload.
    The same estimation (multiplier 8, bit-parallel engine, a precision
@@ -477,30 +397,16 @@ let e34_robustness ?(n = 10_000) ?(reps = 5) () =
    journaled, unjournaled) rounds; the journaled round appends one WAL
    record per unit under the default group-commit cadence and truncates
    the journal at open, so each rep pays the full durability cost. The
-   two unjournaled batches bound the measurement noise; the acceptance
-   budget for journaling is < 2%. Checkpointing is pure bookkeeping: the
-   journaled estimate must be bit-identical to the unjournaled one, and
-   that is asserted, not just recorded. *)
-
-type durability_result = {
-  du_cycles : int;
-  du_units : int;
-  du_reps : int;
-  unjournaled_a_s : float array;
-  journaled_s : float array;
-  unjournaled_b_s : float array;
-  unjournaled_spread_pct : float;
-  journaled_overhead_pct : float;
-  du_identical : bool;
-}
-
+   two unjournaled batches bound the measurement noise. Checkpointing is
+   pure bookkeeping: the journaled estimate must be bit-identical to the
+   unjournaled one. *)
 let e36_durability ?(units = 60) ?(batch = 500) ?(reps = 5) () =
   Trace.span "bench.e36_durability" @@ fun () ->
   let net = Hlp_logic.Generators.multiplier_circuit 8 in
   (* heavyweight units: checkpointing earns its keep on campaigns long
      enough to need crash-safety, where each journaled unit covers
-     batch * 63 cycles of simulation — that is the regime the < 2% budget
-     is pinned in. (At toy unit sizes the journal's few fsyncs dominate
+     batch * 63 cycles of simulation — that is the regime the budget is
+     pinned in. (At toy unit sizes the journal's few fsyncs dominate
      trivially short runs.) *)
   let budget = units * batch * 63 in
   let run ?checkpoint () =
@@ -517,52 +423,36 @@ let e36_durability ?(units = 60) ?(batch = 500) ?(reps = 5) () =
   let journ = journaled () in
   if base.Hlp_power.Probprop.batches <> units then
     failwith "E36: workload did not run the fixed unit count";
-  let du_identical =
-    Int64.bits_of_float base.Hlp_power.Probprop.estimate
-    = Int64.bits_of_float journ.Hlp_power.Probprop.estimate
-    && Array.length base.Hlp_power.Probprop.batch_means
-       = Array.length journ.Hlp_power.Probprop.batch_means
-    && Array.for_all2
-         (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
-         base.Hlp_power.Probprop.batch_means
-         journ.Hlp_power.Probprop.batch_means
+  let bits = Array.map Int64.bits_of_float in
+  let identical =
+    bits [| base.Hlp_power.Probprop.estimate |]
+    = bits [| journ.Hlp_power.Probprop.estimate |]
+    && bits base.Hlp_power.Probprop.batch_means
+       = bits journ.Hlp_power.Probprop.batch_means
   in
-  if not du_identical then
-    failwith "E36: journaled estimate diverged from unjournaled";
-  let timed f = snd (time f) in
-  let unjournaled_a_s = Array.make reps 0.0 in
-  let journaled_s = Array.make reps 0.0 in
-  let unjournaled_b_s = Array.make reps 0.0 in
-  for i = 0 to reps - 1 do
-    unjournaled_a_s.(i) <- timed (fun () -> ignore (run ()));
-    journaled_s.(i) <- timed (fun () -> ignore (journaled ()));
-    unjournaled_b_s.(i) <- timed (fun () -> ignore (run ()))
-  done;
-  let minimum a = Array.fold_left min a.(0) a in
-  let ua = minimum unjournaled_a_s and ub = minimum unjournaled_b_s in
-  let u = min ua ub in
-  let unjournaled_spread_pct = abs_float (ub -. ua) /. ua *. 100.0 in
-  let journaled_overhead_pct = (minimum journaled_s -. u) /. u *. 100.0 in
+  let m =
+    Gate.aba ~reps
+      ~a:(fun () -> ignore (run ()))
+      ~b:(fun () -> ignore (journaled ()))
+  in
   Printf.printf
     "E36: checkpoint overhead (bit-parallel MC, %d units / %d cycles, best of %d):\n"
     units budget reps;
   Printf.printf "  unjournaled A/A spread:   %.2f%% (measurement noise floor)\n"
-    unjournaled_spread_pct;
-  Printf.printf "  journaled vs unjournaled: %.2f%% (budget: < 2%%)\n"
-    journaled_overhead_pct;
-  print_endline "  journaled estimate bit-identical: yes";
+    m.Gate.spread_pct;
+  Printf.printf "  journaled vs unjournaled: %.2f%%\n" m.Gate.diff_pct;
+  Printf.printf "  journaled estimate bit-identical: %b\n" identical;
   print_newline ();
-  {
-    du_cycles = budget;
-    du_units = units;
-    du_reps = reps;
-    unjournaled_a_s;
-    journaled_s;
-    unjournaled_b_s;
-    unjournaled_spread_pct;
-    journaled_overhead_pct;
-    du_identical;
-  }
+  Json.Obj
+    ([ ("workload",
+        Json.Str "probprop.monte_carlo bitparallel, fixed unit budget (E36)");
+       ("cycles", Json.Int budget);
+       ("units", Json.Int units);
+       ("reps", Json.Int reps) ]
+    @ Gate.aba_fields ~a1:"unjournaled_a_s" ~b:"journaled_s"
+        ~a2:"unjournaled_b_s" ~spread:"unjournaled_spread_pct"
+        ~diff:"journaled_overhead_pct" m
+    @ [ ("estimate_bit_identical", Json.Bool identical) ])
 
 (* E38: compiled-kernel replay throughput across circuit sizes. The three
    engines replay the same precomputed white-noise trace (vector generation
@@ -570,12 +460,11 @@ let e36_durability ?(units = 60) ?(batch = 500) ?(reps = 5) () =
    itself) over three circuits spanning two orders of magnitude in gate
    count. Bit-parallel and compiled are timed as interleaved (bitpar,
    compiled, bitpar) rounds: the two bit-parallel batches are an A/A noise
-   floor for the compiled-vs-bitparallel ratio, which is the number the
-   regression gate pins (a within-machine ratio, so it transfers across
-   runners). The kernel's one-time compile cost is timed cold
-   (Kernel.clear_cache first) and folded into an amortization curve:
-   amortized speedup over bit-parallel after k replays of the same
-   fingerprint, plus the break-even replay count. *)
+   floor for the compiled-vs-bitparallel ratio, which is a within-machine
+   ratio, so it transfers across runners. The kernel's one-time compile
+   cost is timed cold (Kernel.clear_cache first) and folded into an
+   amortization curve: amortized speedup over bit-parallel after k
+   replays of the same fingerprint, plus the break-even replay count. *)
 
 type kernel_circuit = {
   kc_circuit : string;
@@ -590,16 +479,22 @@ type kernel_circuit = {
   kc_compiled_vs_bitpar : float;
 }
 
-type kernel_result = {
-  kn_circuits : kernel_circuit list;
-  kn_largest : string;
-  kn_ratio : float;  (** compiled vs bit-parallel, largest circuit, warm *)
-  kn_break_even_replays : float;
-  kn_amortization : (int * float) list;
-      (** replay count -> speedup vs bit-parallel including one cold compile *)
-}
+let kernel_circuit_obj c =
+  Json.Obj
+    [ ("circuit", Json.Str c.kc_circuit);
+      ("gates", Json.Int c.kc_gates);
+      ("depth", Json.Int c.kc_depth);
+      ("cycles", Json.Int c.kc_cycles);
+      ("compile_s", Json.Float c.kc_compile_s);
+      ("scalar_s", Json.Float c.kc_scalar_s);
+      ("bitparallel_s", Json.Float c.kc_bitpar_s);
+      ("compiled_s", Json.Float c.kc_compiled_s);
+      (* A/A comparison of the two interleaved bit-parallel batches:
+         the noise floor the compiled ratio is judged against *)
+      ("bitparallel_aa_spread_pct", Json.Float c.kc_aa_spread_pct);
+      ("compiled_vs_bitparallel", Json.Float c.kc_compiled_vs_bitpar) ]
 
-let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
+let e38_kernel ?(chunks = 48) ?(reps = 5) () =
   Trace.span "bench.e38_kernel" @@ fun () ->
   let n = chunks * Hlp_sim.Kernel.lanes in
   let circuits =
@@ -609,8 +504,6 @@ let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
         Hlp_logic.Generators.random_logic (Prng.create 123) ~inputs:24
           ~outputs:16 ~gates:4000 ) ]
   in
-  let timed f = snd (time (fun () -> ignore (f ()))) in
-  let minimum a = Array.fold_left min a.(0) a in
   let measure (label, net) =
     let nin = Array.length net.Hlp_logic.Netlist.inputs in
     let rng = Prng.create 77 in
@@ -618,33 +511,20 @@ let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
        the speedup of the fast engines *)
     let vecs = Array.init n (fun _ -> Array.init nin (fun _ -> Prng.bool rng)) in
     let vector i = vecs.(i) in
-    let replay engine () =
-      Hlp_sim.Parsim.replay ~engine net ~vector ~n
-    in
+    let replay engine () = ignore (Hlp_sim.Parsim.replay ~engine net ~vector ~n) in
     (* cold compile: evict the plan, then time construction alone *)
     Hlp_sim.Kernel.clear_cache ();
     let _, kc_compile_s = time (fun () -> Hlp_sim.Kernel.of_netlist net) in
-    let best engine =
-      ignore (replay engine ());
-      (* warm-up *)
-      let b = Array.init reps (fun _ -> timed (replay engine)) in
-      minimum b
+    replay Hlp_sim.Engine.Scalar ();
+    (* warm-up *)
+    let kc_scalar_s =
+      Array.fold_left min infinity
+        (Array.init reps (fun _ -> Gate.time (replay Hlp_sim.Engine.Scalar)))
     in
-    let kc_scalar_s = best Hlp_sim.Engine.Scalar in
-    (* interleaved A/B/A: bitpar, compiled, bitpar per rep *)
-    ignore (replay Hlp_sim.Engine.Bitparallel ());
-    ignore (replay Hlp_sim.Engine.Compiled ());
-    let bp_a = Array.make reps 0.0 in
-    let co = Array.make reps 0.0 in
-    let bp_b = Array.make reps 0.0 in
-    for i = 0 to reps - 1 do
-      bp_a.(i) <- timed (replay Hlp_sim.Engine.Bitparallel);
-      co.(i) <- timed (replay Hlp_sim.Engine.Compiled);
-      bp_b.(i) <- timed (replay Hlp_sim.Engine.Bitparallel)
-    done;
-    let ba = minimum bp_a and bb = minimum bp_b in
-    let kc_bitpar_s = min ba bb in
-    let kc_compiled_s = minimum co in
+    let m =
+      Gate.aba ~reps ~a:(replay Hlp_sim.Engine.Bitparallel)
+        ~b:(replay Hlp_sim.Engine.Compiled)
+    in
     {
       kc_circuit = label;
       kc_gates = Hlp_logic.Netlist.num_gates net;
@@ -652,10 +532,10 @@ let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
       kc_cycles = n;
       kc_compile_s;
       kc_scalar_s;
-      kc_bitpar_s;
-      kc_compiled_s;
-      kc_aa_spread_pct = abs_float (bb -. ba) /. ba *. 100.0;
-      kc_compiled_vs_bitpar = kc_bitpar_s /. kc_compiled_s;
+      kc_bitpar_s = m.Gate.a_best_s;
+      kc_compiled_s = m.Gate.b_best_s;
+      kc_aa_spread_pct = m.Gate.spread_pct;
+      kc_compiled_vs_bitpar = m.Gate.a_best_s /. m.Gate.b_best_s;
     }
   in
   let kn_circuits = List.map measure circuits in
@@ -697,410 +577,88 @@ let e38_kernel ?(chunks = 48) ?(reps = 5) ?(assert_speedup = true) () =
     float_of_int k *. largest.kc_bitpar_s
     /. (largest.kc_compile_s +. (float_of_int k *. largest.kc_compiled_s))
   in
-  let kn_amortization = List.map (fun k -> (k, amortized k)) [ 1; 10; 100; 1000 ] in
-  let kn_break_even_replays =
+  let amortization = List.map (fun k -> (k, amortized k)) [ 1; 10; 100; 1000 ] in
+  let break_even =
     if largest.kc_compiled_s < largest.kc_bitpar_s then
       largest.kc_compile_s /. (largest.kc_bitpar_s -. largest.kc_compiled_s)
     else infinity
   in
   Printf.printf
     "compile amortization (%s): break-even at %.2f replays; speedup vs bitpar after"
-    largest.kc_circuit kn_break_even_replays;
-  List.iter
-    (fun (k, s) -> Printf.printf "  %d: %.2fx" k s)
-    kn_amortization;
+    largest.kc_circuit break_even;
+  List.iter (fun (k, s) -> Printf.printf "  %d: %.2fx" k s) amortization;
   print_newline ();
-  Printf.printf
-    "compiled vs bit-parallel on %s: %.2fx warm (target >= 3x; A/A floor %.1f%%)\n"
+  Printf.printf "compiled vs bit-parallel on %s: %.2fx warm (A/A floor %.1f%%)\n"
     largest.kc_circuit largest.kc_compiled_vs_bitpar largest.kc_aa_spread_pct;
-  if assert_speedup && largest.kc_compiled_vs_bitpar < 3.0 then
-    failwith "E38: compiled kernel below the 3x-vs-bitparallel target";
-  if assert_speedup && amortized 10 < 3.0 then
-    failwith "E38: compile cost not amortized within 10 replays";
   print_newline ();
-  {
-    kn_circuits;
-    kn_largest = largest.kc_circuit;
-    kn_ratio = largest.kc_compiled_vs_bitpar;
-    kn_break_even_replays;
-    kn_amortization;
-  }
+  Json.Obj
+    [ ("experiment", Json.Str "E38 compiled-kernel replay throughput");
+      ("circuits", Json.List (List.map kernel_circuit_obj kn_circuits));
+      ("largest_circuit", Json.Str largest.kc_circuit);
+      (* warm compiled-vs-bitparallel ratio on the largest circuit *)
+      ("compiled_vs_bitparallel", Json.Float largest.kc_compiled_vs_bitpar);
+      ("break_even_replays", Json.Float break_even);
+      ( "amortization",
+        Json.List
+          (List.map
+             (fun (replays, s) ->
+               Json.Obj
+                 [ ("replays", Json.Int replays);
+                   ("speedup_vs_bitparallel", Json.Float s) ])
+             amortization) ) ]
 
-(* --- BENCH_engines.json --- *)
+(* --- the blocks each run measures for the gate --- *)
 
-let floats a = Json.List (Array.to_list (Array.map (fun x -> Json.Float x) a))
+(* blocks in order: each measurement runs when its turn comes *)
+let measured blocks = List.map (fun (name, f) -> (name, f ())) blocks
 
-let bench_json ~smoke ~n engines mc overhead tracing robustness durability
-    kernel serve resilience flight lifecycle =
-  let open Json in
-  let engine_obj r =
-    Obj
-      [ ("engine", Str r.engine);
-        ("replay_s", Float r.replay_s);
-        ("prepare_s", Float r.prepare_s);
-        ("kcycles_per_s", Float r.kcycles_per_s);
-        ("speedup_vs_scalar", Float r.speedup_vs_scalar);
-        ("gate_reference", Float r.gate_ref);
-        ("sampler_estimate", Float r.sampler_est);
-        ("adaptive_estimate", Float r.adaptive_est) ]
-  in
-  let mc_obj r =
-    Obj
-      [ ("circuit", Str r.mc_circuit);
-        ("engine", Str r.mc_engine);
-        ("estimate", Float r.mc_estimate);
-        ("half_interval_t95", Float r.mc_half_interval);
-        ("cycles_used", Int r.mc_cycles_used);
-        ("batches", Int r.mc_batches);
-        ("seconds", Float r.mc_seconds);
-        ("cycles_per_s", Float (float_of_int r.mc_cycles_used /. r.mc_seconds));
-        (* one point per stopping-rule evaluation, from batch 2 on *)
-        ("running_mean", floats r.running_mean);
-        ("ci_half_width", floats r.ci_half_width) ]
-  in
-  let overhead_obj ~what o =
-    Obj
-      [ ("instrumentation", Str what);
-        ("workload", Str "parsim.replay bitparallel (E33 sampler workload)");
-        ("cycles", Int o.oh_cycles);
-        ("reps", Int o.oh_reps);
-        ("disabled_a_s", floats o.disabled_a_s);
-        ("enabled_s", floats o.enabled_s);
-        ("disabled_b_s", floats o.disabled_b_s);
-        ( "disabled_overhead_pct",
-          (* A/A comparison of two identical disabled batches: the
-             instrumentation's disabled-mode cost is below this noise floor *)
-          Float o.disabled_overhead_pct );
-        ("enabled_overhead_pct", Float o.enabled_overhead_pct);
-        ("budget_pct", Float 2.0);
-        ("disabled_within_budget", Bool (o.disabled_overhead_pct < 2.0)) ]
-  in
-  let robustness_obj r =
-    Obj
-      [ ("workload", Str "parsim.replay_guarded vs replay, bitparallel, no faults");
-        ("cycles", Int r.ro_cycles);
-        ("reps", Int r.ro_reps);
-        ("raw_a_s", floats r.raw_a_s);
-        ("guarded_s", floats r.guarded_s);
-        ("raw_b_s", floats r.raw_b_s);
-        (* A/A comparison of the two raw batches: the measurement noise
-           floor the guarded overhead is judged against *)
-        ("raw_spread_pct", Float r.raw_spread_pct);
-        ("guarded_overhead_pct", Float r.guarded_overhead_pct);
-        ("budget_pct", Float 2.0);
-        ("within_budget", Bool (r.guarded_overhead_pct < 2.0));
-        ( "degradation_demo",
-          Obj
-            [ ("bdd_node_limit", Int r.fb_node_limit);
-              ("symbolic_fallbacks", Int r.fb_symbolic_fallbacks);
-              ("sampled_estimate", Float r.fb_estimate) ] ) ]
-  in
-  let durability_obj d =
-    Obj
-      [ ("workload",
-          Str "probprop.monte_carlo bitparallel, fixed unit budget (E36)");
-        ("cycles", Int d.du_cycles);
-        ("units", Int d.du_units);
-        ("reps", Int d.du_reps);
-        ("unjournaled_a_s", floats d.unjournaled_a_s);
-        ("journaled_s", floats d.journaled_s);
-        ("unjournaled_b_s", floats d.unjournaled_b_s);
-        ( "unjournaled_spread_pct",
-          (* A/A comparison of two identical unjournaled runs: the noise
-             floor the journaling overhead is judged against *)
-          Float d.unjournaled_spread_pct );
-        ("journaled_overhead_pct", Float d.journaled_overhead_pct);
-        ("budget_pct", Float 2.0);
-        ("within_budget", Bool (d.journaled_overhead_pct < 2.0));
-        (* asserted by the experiment, recorded for the report *)
-        ("estimate_bit_identical", Bool d.du_identical) ]
-  in
-  let kernel_circuit_obj c =
-    Obj
-      [ ("circuit", Str c.kc_circuit);
-        ("gates", Int c.kc_gates);
-        ("depth", Int c.kc_depth);
-        ("cycles", Int c.kc_cycles);
-        ("compile_s", Float c.kc_compile_s);
-        ("scalar_s", Float c.kc_scalar_s);
-        ("bitparallel_s", Float c.kc_bitpar_s);
-        ("compiled_s", Float c.kc_compiled_s);
-        (* A/A comparison of the two interleaved bit-parallel batches:
-           the noise floor the compiled ratio is judged against *)
-        ("bitparallel_aa_spread_pct", Float c.kc_aa_spread_pct);
-        ("compiled_vs_bitparallel", Float c.kc_compiled_vs_bitpar) ]
-  in
-  let kernel_obj k =
-    Obj
-      [ ("experiment", Str "E38 compiled-kernel replay throughput");
-        ("circuits", List (List.map kernel_circuit_obj k.kn_circuits));
-        ("largest_circuit", Str k.kn_largest);
-        (* the gated number: warm compiled-vs-bitparallel ratio on the
-           largest circuit (within-machine, transfers across runners) *)
-        ("compiled_vs_bitparallel", Float k.kn_ratio);
-        ("break_even_replays", Float k.kn_break_even_replays);
-        ( "amortization",
-          List
-            (List.map
-               (fun (reps, s) ->
-                 Obj
-                   [ ("replays", Int reps);
-                     ("speedup_vs_bitparallel", Float s) ])
-               k.kn_amortization) ) ]
-  in
-  let v =
-    Obj
-      [ ("experiment", Str "E33 engine throughput + Monte Carlo convergence");
-        ( "workload",
-          Obj
-            [ ("dut", Str "multiplier 8");
-              ("stream", Str "uniform white noise");
-              ("cycles", Int n) ] );
-        ("smoke", Bool smoke);
-        ("engines", List (List.map engine_obj engines));
-        ("monte_carlo", List (List.map mc_obj mc));
-        ("telemetry_overhead", overhead_obj ~what:"telemetry" overhead);
-        ("tracing", overhead_obj ~what:"span tracing" tracing);
-        ("robustness", robustness_obj robustness);
-        ("durability", durability_obj durability);
-        ("kernel", kernel_obj kernel);
-        ("serve", Exp_serve.json_obj serve);
-        ("resilience", Exp_chaos.json_obj resilience);
-        ("flight", Exp_flight.json_obj flight);
-        ("lifecycle", Exp_lifecycle.json_obj lifecycle) ]
-  in
-  (* a smoke run never overwrites the committed full snapshot, which the
-     regression gate reads as its baseline *)
-  let path = if smoke then "BENCH_smoke.json" else "BENCH_engines.json" in
-  Json.write ~path v;
-  print_endline ("wrote " ^ path)
-
-let all () =
-  let n = 10_000 in
-  let engines = e33_throughput ~n () in
-  let mc = e33_monte_carlo () in
-  let overhead = telemetry_overhead ~n () in
-  let tracing = tracing_overhead ~n () in
-  let robustness = e34_robustness ~n () in
-  let durability = e36_durability () in
-  let kernel = e38_kernel () in
-  let serve = Exp_serve.e39_serve () in
-  let resilience = Exp_chaos.e40_chaos () in
-  let flight = Exp_flight.e41_flight ~assert_overhead:true () in
-  let lifecycle = Exp_lifecycle.e42_lifecycle () in
-  bench_json ~smoke:false ~n engines mc overhead tracing robustness durability
-    kernel serve resilience flight lifecycle
-
-(* reduced workload for CI: exercises every engine end to end without the
-   10^4-cycle stream or the speedup assertion (shared runners are noisy) *)
-let smoke () =
-  let n = 2_000 in
-  let engines = e33_throughput ~n ~assert_speedup:false () in
-  let mc = e33_monte_carlo () in
-  let overhead = telemetry_overhead ~n ~reps:3 () in
-  let tracing = tracing_overhead ~n ~reps:3 () in
-  let robustness = e34_robustness ~n ~reps:3 () in
-  let durability = e36_durability ~units:30 ~reps:3 () in
-  let kernel = e38_kernel ~chunks:8 ~reps:3 ~assert_speedup:false () in
-  let serve = Exp_serve.e39_serve ~warm_rounds:2 ~assert_speedup:false () in
-  let resilience = Exp_chaos.e40_chaos ~requests:15 () in
-  let flight =
-    Exp_flight.e41_flight ~reqs_per_batch:3 ~reps:2 ~assert_overhead:false ()
-  in
-  let lifecycle = Exp_lifecycle.e42_lifecycle ~requests_per_cycle:10 () in
-  bench_json ~smoke:true ~n engines mc overhead tracing robustness durability
-    kernel serve resilience flight lifecycle
-
-(* --- bench regression gate ---
-
-   Re-measures the engine workload and diffs the fresh numbers against the
-   committed BENCH_engines.json snapshot. Two within-machine ratios are
-   gated — they transfer across runners, unlike absolute cycles/second
-   (and unlike the parallel engine, whose ratio tracks the runner's core
-   count): the bit-parallel engine's speedup-vs-scalar, and (when the
-   committed snapshot carries an E38 kernel section) the compiled kernel's
-   speedup-vs-bitparallel on the largest E38 circuit. The compiled gate is
-   learned: snapshots predating the kernel skip it with a notice, and the
-   next full regenerate pins it. *)
-
-let threshold_pct = 25.0
-
-let regression_gate ?(path = "BENCH_engines.json") () =
-  let committed =
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    match Json.parse s with
-    | Ok v -> v
-    | Error e ->
-        raise (Err.invalid_input ~what:("regression gate: " ^ path) e)
-  in
-  let speedup_of v =
-    match Json.member "engines" v with
-    | Some (Json.List engines) ->
-        List.find_map
-          (fun e ->
-            match (Json.member "engine" e, Json.member "speedup_vs_scalar" e) with
-            | Some (Json.Str "bitparallel"), Some s -> Json.to_float_opt s
-            | _ -> None)
-          engines
-    | _ -> None
-  in
-  let baseline =
-    match speedup_of committed with
-    | Some s -> s
-    | None ->
-        raise
-          (Err.invalid_input ~what:("regression gate: " ^ path)
-             "no bitparallel speedup_vs_scalar found")
-  in
-  (* fresh measurement on this machine, no snapshot rewrite *)
-  let fresh = e33_throughput ~n:10_000 ~assert_speedup:false () in
-  let current =
-    match
-      List.find_opt (fun (r : engine_result) -> r.engine = "bitparallel") fresh
-    with
-    | Some r -> r.speedup_vs_scalar
-    | None -> failwith "regression gate: fresh run produced no bitparallel row"
-  in
-  let floor = baseline *. (1.0 -. (threshold_pct /. 100.0)) in
-  let ok = current >= floor in
-  Printf.printf
-    "regression gate: bitparallel speedup %.1fx vs committed %.1fx (floor %.1fx, -%.0f%%): %s\n"
-    current baseline floor threshold_pct
-    (if ok then "OK" else "REGRESSION");
-  (* compiled-kernel gate: only when the committed snapshot knows the ratio *)
-  let kernel_baseline =
-    match Json.member "kernel" committed with
-    | Some k -> (
-        match Json.member "compiled_vs_bitparallel" k with
-        | Some v -> Json.to_float_opt v
-        | None -> None)
-    | None -> None
-  in
-  let kernel_ok =
-    match kernel_baseline with
-    | None ->
-        print_endline
-          "regression gate: no kernel section in snapshot, compiled gate \
-           skipped (learned on next regenerate)";
-        true
-    | Some kb ->
-        let fresh_kernel = e38_kernel ~assert_speedup:false () in
-        let kfloor = kb *. (1.0 -. (threshold_pct /. 100.0)) in
-        let kok = fresh_kernel.kn_ratio >= kfloor in
-        Printf.printf
-          "regression gate: compiled vs bitparallel %.2fx vs committed %.2fx (floor %.2fx, -%.0f%%): %s\n"
-          fresh_kernel.kn_ratio kb kfloor threshold_pct
-          (if kok then "OK" else "REGRESSION");
-        kok
-  in
-  (* serve gate: only when the committed snapshot carries an E39 section.
-     The gated quantity is the cold/warm p50 ratio against its absolute
-     10x floor — cold latency is dominated by BDD work and warm by a
-     cache probe, so the ratio is huge and a relative-to-baseline band
-     would only add flake; what must never regress is the order of
-     magnitude itself (and the byte-identity/typed-shed asserts inside
-     the experiment). *)
-  let serve_ok =
-    match Json.member "serve" committed with
-    | None ->
-        print_endline
-          "regression gate: no serve section in snapshot, serve gate skipped \
-           (learned on next regenerate)";
-        true
-    | Some _ ->
-        let fresh_serve = Exp_serve.e39_serve ~assert_speedup:false () in
-        let sok = fresh_serve.Exp_serve.sv_cold_vs_warm_p50 >= 10.0 in
-        Printf.printf
-          "regression gate: serve warm speedup %.0fx (floor 10x): %s\n"
-          fresh_serve.Exp_serve.sv_cold_vs_warm_p50
-          (if sok then "OK" else "REGRESSION");
-        sok
-  in
-  (* resilience gate: only when the committed snapshot carries an E40
-     section. The gated quantities are absolute — availability against
-     its 99% floor and exact coalescing (1 computation, N-1 joiners) —
-     because both are correctness contracts, not machine-relative
-     throughput; a reduced soak re-checks them on this runner. *)
-  let resilience_ok =
-    match Json.member "resilience" committed with
-    | None ->
-        print_endline
-          "regression gate: no resilience section in snapshot, chaos gate \
-           skipped (learned on next regenerate)";
-        true
-    | Some _ -> (
-        match Exp_chaos.e40_chaos ~requests:15 () with
-        | r ->
-            let rok =
-              r.Exp_chaos.ch_availability_pct
-              >= Exp_chaos.availability_floor_pct
-            in
-            Printf.printf
-              "regression gate: chaos availability %.2f%% (floor %.0f%%): %s\n"
-              r.Exp_chaos.ch_availability_pct Exp_chaos.availability_floor_pct
-              (if rok then "OK" else "REGRESSION");
-            rok
-        | exception Failure msg ->
-            (* the experiment's internal asserts (corruption, untyped
-               failures, coalescing) fail the gate loudly *)
-            Printf.printf "regression gate: chaos soak FAILED: %s\n" msg;
-            false)
-  in
-  (* flight-recorder gate: only when the committed snapshot carries an
-     E41 section. The gated quantities are the experiment's internal
-     correctness asserts — quantile fidelity against the documented
-     bound, access-log/request tie-out, rid correlation — re-checked on
-     this runner (overhead is recorded but not gated here: shared
-     runners are too noisy for a 2% band). *)
-  let flight_ok =
-    match Json.member "flight" committed with
-    | None ->
-        print_endline
-          "regression gate: no flight section in snapshot, flight gate \
-           skipped (learned on next regenerate)";
-        true
-    | Some _ -> (
-        match
-          Exp_flight.e41_flight ~reqs_per_batch:3 ~reps:2
-            ~assert_overhead:false ()
-        with
-        | r ->
-            Printf.printf
-              "regression gate: flight quantile error %.5f (bound %.5f): OK\n"
-              r.Exp_flight.fl_quantile_worst_rel_err
-              r.Exp_flight.fl_quantile_bound;
-            true
-        | exception Failure msg ->
-            Printf.printf "regression gate: flight recorder FAILED: %s\n" msg;
-            false)
-  in
-  (* lifecycle gate: only when the committed snapshot carries an E42
-     section. The gated quantities are absolute correctness contracts —
-     availability under the SIGKILL loop against its 99% floor, zero
-     corruption, byte-identical warm keys, the 10x post-restart warm-hit
-     floor, and a clean 143 drain — re-checked by a reduced crash loop
-     through the real supervise/serve processes on this runner. *)
-  let lifecycle_ok =
-    match Json.member "lifecycle" committed with
-    | None ->
-        print_endline
-          "regression gate: no lifecycle section in snapshot, crash-loop gate \
-           skipped (learned on next regenerate)";
-        true
-    | Some _ -> (
-        match Exp_lifecycle.e42_lifecycle ~cycles:2 ~requests_per_cycle:10 () with
-        | r ->
-            Printf.printf
-              "regression gate: crash-loop availability %.2f%%, warm speedup \
-               %.0fx: OK\n"
-              r.Exp_lifecycle.lc_availability_pct
-              r.Exp_lifecycle.lc_warm_speedup;
-            true
-        | exception Failure msg ->
-            Printf.printf "regression gate: crash loop FAILED: %s\n" msg;
-            false)
-  in
-  ok && kernel_ok && serve_ok && resilience_ok && flight_ok && lifecycle_ok
+let measure (run : Gate.run) =
+  match run with
+  | Gate.Engines | Gate.Smoke ->
+      (* smoke: a reduced workload for CI that exercises every engine end
+         to end *)
+      let smoke = run = Gate.Smoke in
+      let n = if smoke then 2_000 else 10_000 in
+      let reduced v = if smoke then Some v else None in
+      let reps = reduced 3 in
+      measured
+        [ ("experiment",
+           fun () -> Json.Str "E33 engine throughput + Monte Carlo convergence");
+          ( "workload",
+            fun () ->
+              Json.Obj
+                [ ("dut", Json.Str "multiplier 8");
+                  ("stream", Json.Str "uniform white noise");
+                  ("cycles", Json.Int n) ] );
+          ("smoke", fun () -> Json.Bool smoke);
+          ("engines", fun () -> e33_throughput ~n ());
+          ("monte_carlo", e33_monte_carlo);
+          ("telemetry_overhead", fun () -> telemetry_overhead ~n ?reps ());
+          ("tracing", fun () -> tracing_overhead ~n ?reps ());
+          ("robustness", fun () -> e34_robustness ~n ?reps ());
+          ("durability", fun () -> e36_durability ?units:(reduced 30) ?reps ());
+          ("kernel", fun () -> e38_kernel ?chunks:(reduced 8) ?reps ());
+          ("serve", fun () -> Exp_serve.e39_serve ?warm_rounds:(reduced 2) ());
+          ("resilience", fun () -> Exp_chaos.e40_chaos ?requests:(reduced 15) ());
+          ("flight", fun () -> Exp_flight.e41_flight ?reps:(reduced 2) ());
+          ( "lifecycle",
+            fun () ->
+              Exp_lifecycle.e42_lifecycle ?requests_per_cycle:(reduced 10) () ) ]
+  | Gate.Regression ->
+      (* fresh numbers on this machine for the rows the committed snapshot
+         anchors, and reduced soaks for the contracts *)
+      measured
+        [ ("engines", fun () -> e33_throughput ());
+          ("kernel", fun () -> e38_kernel ());
+          ("serve", fun () -> Exp_serve.e39_serve ());
+          ("resilience", fun () -> Exp_chaos.e40_chaos ~requests:15 ());
+          ("flight", fun () -> Exp_flight.e41_flight ~reps:2 ());
+          ( "lifecycle",
+            fun () -> Exp_lifecycle.e42_lifecycle ~cycles:2 ~requests_per_cycle:10 () ) ]
+  | Gate.Chaos ->
+      (* HLP_CHAOS_SEED picks the fault schedule, so a matrix of runners
+         exercises distinct deterministic schedules *)
+      let seed = Option.bind (Sys.getenv_opt "HLP_CHAOS_SEED") int_of_string_opt in
+      measured [ ("resilience", fun () -> Exp_chaos.e40_chaos ?seed ()) ]
+  | Gate.Flight -> measured [ ("flight", fun () -> Exp_flight.e41_flight ()) ]
+  | Gate.Lifecycle -> measured [ ("lifecycle", fun () -> Exp_lifecycle.e42_lifecycle ()) ]

@@ -9,12 +9,10 @@
       (disabled, enabled, disabled) rounds of the full recorder:
       Telemetry histograms per request plus one access-log line. The two
       disabled batches are an A/A noise floor; the enabled batch pays
-      the whole per-request recording path. Budget: < 2% on the minimum
-      of reps, judged against the A/A spread — a failure must clear the
-      noise floor by at least the budget, so an overhead the noise
-      swallows (or shadows to within it) is a pass. Every request uses a fresh seed with a
-      pinned cycle budget, so each round does the same deterministic
-      simulation work and never hits the estimate cache.
+      the whole per-request recording path; the gate judges the best
+      enabled rep against the A/A spread. Every request uses a fresh
+      seed with a pinned cycle budget, so each round does the same
+      deterministic simulation work and never hits the estimate cache.
 
    2. Quantile fidelity. [Hdr]'s log-bucketed quantiles are compared
       against exact sorted-sample quantiles of the same draw at
@@ -32,28 +30,6 @@
       unique, and the line count ties out to the requests served. *)
 
 open Hlp_util
-
-type flight_result = {
-  fl_reqs_per_batch : int;
-  fl_reps : int;
-  fl_disabled_a_s : float array;
-  fl_enabled_s : float array;
-  fl_disabled_b_s : float array;
-  fl_disabled_spread_pct : float;
-  fl_enabled_overhead_pct : float;
-  fl_quantile_worst_rel_err : float;
-  fl_quantile_bound : float;
-  fl_log_lines : int;
-  fl_requests_served : int;
-  fl_rids_unique : bool;
-  fl_slow_in_log : bool;
-  fl_slow_in_trace : bool;
-}
-
-let time f =
-  let t0 = Clock.now_s () in
-  let r = f () in
-  (r, Clock.now_s () -. t0)
 
 (* in-process daemon on a private socket, flight recorder configured;
    joins (graceful drain) before returning so the access log is complete
@@ -107,7 +83,7 @@ let fresh_seed () =
   incr seed_counter;
   !seed_counter
 
-let overhead ?(reqs_per_batch = 3) ?(reps = 5) ~access_log () =
+let overhead ~reqs_per_batch ~reps ~access_log () =
   with_server ~access_log (fun path ->
       let conn = Hlp_util.Server.connect path in
       Fun.protect
@@ -132,24 +108,14 @@ let overhead ?(reqs_per_batch = 3) ?(reps = 5) ~access_log () =
             failwith "E41: overhead request unexpectedly hit the cache"
         done
       in
-      Telemetry.disable ();
-      batch ();
-      (* warm-up: netlist construction, kernel plan *)
-      let timed () = snd (time batch) in
-      let disabled_a_s = Array.make reps 0.0 in
-      let enabled_s = Array.make reps 0.0 in
-      let disabled_b_s = Array.make reps 0.0 in
-      for i = 0 to reps - 1 do
-        Telemetry.disable ();
-        disabled_a_s.(i) <- timed ();
-        Telemetry.enable ();
-        enabled_s.(i) <- timed ();
-        Telemetry.disable ();
-        disabled_b_s.(i) <- timed ()
-      done;
-      Telemetry.disable ();
+      (* the warm-ups build the netlist and the kernel plan *)
+      let m =
+        Gate.aba ~reps
+          ~a:(fun () -> Telemetry.disable (); batch ())
+          ~b:(fun () -> Telemetry.enable (); batch ())
+      in
       Telemetry.reset ();
-      (disabled_a_s, enabled_s, disabled_b_s))
+      m)
 
 (* --- 2. Hdr quantiles vs exact sorted-sample quantiles --- *)
 
@@ -254,10 +220,10 @@ let correlation ~access_log () =
     | None -> failwith "E41: access-log line without a rid"
   in
   let rids = List.map rid_of parsed in
-  let fl_rids_unique =
+  let rids_unique =
     List.length rids = List.length (List.sort_uniq compare rids)
   in
-  let fl_slow_in_log =
+  let slow_in_log =
     List.exists
       (fun v ->
         rid_of v = slow_rid
@@ -268,7 +234,7 @@ let correlation ~access_log () =
         | None -> false)
       parsed
   in
-  let fl_slow_in_trace =
+  let slow_in_trace =
     match Json.member "traceEvents" (Trace.json_value ()) with
     | Some (Json.List events) ->
         List.exists
@@ -285,13 +251,12 @@ let correlation ~access_log () =
   if not trace_was_on then (
     Trace.disable ();
     Trace.reset ());
-  (List.length lines, requests_served, fl_rids_unique, fl_slow_in_log,
-   fl_slow_in_trace)
+  (List.length lines, requests_served, rids_unique, slow_in_log,
+   slow_in_trace)
 
-let e41_flight ?(reqs_per_batch = 3) ?(reps = 5) ?(assert_overhead = false) ()
-    =
+let e41_flight ?(reqs_per_batch = 3) ?(reps = 5) () =
   Trace.span "bench.e41_flight" @@ fun () ->
-  let fl_quantile_worst_rel_err = quantile_fidelity () in
+  let quantile_worst_rel_err = quantile_fidelity () in
   let log1 = Filename.temp_file "hlpower_e41_oh" ".log" in
   let log2 = Filename.temp_file "hlpower_e41_corr" ".log" in
   Fun.protect
@@ -300,102 +265,44 @@ let e41_flight ?(reqs_per_batch = 3) ?(reps = 5) ?(assert_overhead = false) ()
         (fun p -> if Sys.file_exists p then Sys.remove p)
         [ log1; log1 ^ ".1"; log2; log2 ^ ".1" ])
   @@ fun () ->
-  let disabled_a_s, enabled_s, disabled_b_s =
-    overhead ~reqs_per_batch ~reps ~access_log:log1 ()
-  in
-  let minimum a = Array.fold_left min a.(0) a in
-  let da = minimum disabled_a_s and db = minimum disabled_b_s in
-  let d = min da db in
-  let fl_disabled_spread_pct = abs_float (db -. da) /. da *. 100.0 in
-  let fl_enabled_overhead_pct = (minimum enabled_s -. d) /. d *. 100.0 in
-  let ( fl_log_lines, fl_requests_served, fl_rids_unique, fl_slow_in_log,
-        fl_slow_in_trace ) =
+  let m = overhead ~reqs_per_batch ~reps ~access_log:log1 () in
+  let log_lines, requests_served, rids_unique, slow_in_log, slow_in_trace =
     correlation ~access_log:log2 ()
-  in
-  let r =
-    {
-      fl_reqs_per_batch = reqs_per_batch;
-      fl_reps = reps;
-      fl_disabled_a_s = disabled_a_s;
-      fl_enabled_s = enabled_s;
-      fl_disabled_b_s = disabled_b_s;
-      fl_disabled_spread_pct;
-      fl_enabled_overhead_pct;
-      fl_quantile_worst_rel_err;
-      fl_quantile_bound = Hdr.max_relative_error;
-      fl_log_lines;
-      fl_requests_served;
-      fl_rids_unique;
-      fl_slow_in_log;
-      fl_slow_in_trace;
-    }
   in
   Printf.printf
     "E41: flight recorder (cold estimates over unix socket, %d req/batch, \
      best of %d):\n"
     reqs_per_batch reps;
   Printf.printf "  disabled A/A spread:  %.2f%% (measurement noise floor)\n"
-    r.fl_disabled_spread_pct;
-  Printf.printf
-    "  recorder enabled:     %.2f%% (histograms + access log, budget < 2%%)\n"
-    r.fl_enabled_overhead_pct;
+    m.Gate.spread_pct;
+  Printf.printf "  recorder enabled:     %.2f%% (histograms + access log)\n"
+    m.Gate.diff_pct;
   Printf.printf
     "  quantile fidelity:    worst relative error %.5f (bound %.5f)\n"
-    r.fl_quantile_worst_rel_err r.fl_quantile_bound;
+    quantile_worst_rel_err Hdr.max_relative_error;
   Printf.printf
-    "  access log: %d line(s) for %d request(s), rids unique: %s\n"
-    r.fl_log_lines r.fl_requests_served
-    (if r.fl_rids_unique then "yes" else "NO");
-  Printf.printf "  slow request by rid: in log %s, in trace %s\n"
-    (if r.fl_slow_in_log then "yes" else "NO")
-    (if r.fl_slow_in_trace then "yes" else "NO");
-  if r.fl_log_lines <> r.fl_requests_served then
+    "  access log: %d line(s) for %d request(s), rids unique: %b\n"
+    log_lines requests_served rids_unique;
+  Printf.printf "  slow request by rid: in log %b, in trace %b\n" slow_in_log
+    slow_in_trace;
+  if log_lines <> requests_served then
     failwith "E41: access-log line count does not tie out to requests served";
-  if not r.fl_rids_unique then failwith "E41: duplicate rids in access log";
-  if not r.fl_slow_in_log then
-    failwith "E41: slow request not found in access log by rid";
-  if not r.fl_slow_in_trace then
-    failwith "E41: slow request not found in trace by rid";
-  (* over budget only counts when it rises above the machine's own A/A
-     noise floor by at least the budget itself — an overhead the noise
-     floor swallows (or shadows to within the budget) passes *)
-  if
-    assert_overhead
-    && r.fl_enabled_overhead_pct >= 2.0
-    && r.fl_enabled_overhead_pct > r.fl_disabled_spread_pct +. 2.0
-  then failwith "E41: flight-recorder overhead above the 2% budget";
   print_newline ();
-  r
-
-let floats a = Json.List (Array.to_list (Array.map (fun x -> Json.Float x) a))
-
-let json_obj r =
-  let open Json in
-  Obj
-    [ ("experiment", Str "E41 flight-recorder overhead and fidelity");
-      ( "workload",
-        Str
-          "cold estimate requests over unix socket, pinned Monte Carlo \
-           budget" );
-      ("reqs_per_batch", Int r.fl_reqs_per_batch);
-      ("reps", Int r.fl_reps);
-      ("disabled_a_s", floats r.fl_disabled_a_s);
-      ("enabled_s", floats r.fl_enabled_s);
-      ("disabled_b_s", floats r.fl_disabled_b_s);
-      (* A/A comparison of two identical disabled batches: the recorder's
-         off-switch cost is below this noise floor *)
-      ("disabled_spread_pct", Float r.fl_disabled_spread_pct);
-      ("enabled_overhead_pct", Float r.fl_enabled_overhead_pct);
-      ("budget_pct", Float 2.0);
-      ( "within_budget",
-        Bool
-          (r.fl_enabled_overhead_pct < 2.0
-          || r.fl_enabled_overhead_pct <= r.fl_disabled_spread_pct +. 2.0)
-      );
-      ("quantile_worst_rel_err", Float r.fl_quantile_worst_rel_err);
-      ("quantile_bound", Float r.fl_quantile_bound);
-      ("access_log_lines", Int r.fl_log_lines);
-      ("requests_served", Int r.fl_requests_served);
-      ("rids_unique", Bool r.fl_rids_unique);
-      ("slow_request_in_log", Bool r.fl_slow_in_log);
-      ("slow_request_in_trace", Bool r.fl_slow_in_trace) ]
+  Json.Obj
+    ([ ("experiment", Json.Str "E41 flight-recorder overhead and fidelity");
+       ( "workload",
+         Json.Str
+           "cold estimate requests over unix socket, pinned Monte Carlo \
+            budget" );
+       ("reqs_per_batch", Json.Int reqs_per_batch);
+       ("reps", Json.Int reps) ]
+    (* the disabled A/A spread bounds the recorder's off-switch cost *)
+    @ Gate.aba_fields ~a1:"disabled_a_s" ~b:"enabled_s" ~a2:"disabled_b_s"
+        ~spread:"disabled_spread_pct" ~diff:"enabled_overhead_pct" m
+    @ [ ("quantile_worst_rel_err", Json.Float quantile_worst_rel_err);
+        ("quantile_bound", Json.Float Hdr.max_relative_error);
+        ("access_log_lines", Json.Int log_lines);
+        ("requests_served", Json.Int requests_served);
+        ("rids_unique", Json.Bool rids_unique);
+        ("slow_request_in_log", Json.Bool slow_in_log);
+        ("slow_request_in_trace", Json.Bool slow_in_trace) ])

@@ -16,7 +16,9 @@ let experiments () =
   traced "bench.figures" Exp_figures.all;
   traced "bench.estimation" Exp_estimation.all;
   traced "bench.synthesis" Exp_synthesis.all;
-  traced "bench.engines" Exp_engines.all
+  traced "bench.engines" (fun () ->
+      if not (Gate.check Gate.Engines (Exp_engines.measure Gate.Engines)) then
+        exit 1)
 
 (* --- bechamel timing of each experiment's kernel --- *)
 
@@ -154,7 +156,7 @@ let run_bechamel () =
     rows
 
 let () =
-  let tracing = Array.exists (( = ) "--trace") Sys.argv in
+  let tracing = Array.mem "--trace" Sys.argv in
   if tracing then Hlp_util.Trace.enable ();
   let flush_trace () =
     if tracing then begin
@@ -164,62 +166,19 @@ let () =
         (Hlp_util.Trace.dropped ())
     end
   in
-  if Array.exists (( = ) "--smoke") Sys.argv then begin
-    (* CI mode: a reduced engine workload, no bechamel sweep *)
-    Exp_engines.smoke ();
-    flush_trace ();
-    print_endline "smoke run completed."
-  end
-  else if Array.exists (( = ) "--engines") Sys.argv then begin
-    (* full engine + robustness workload only: regenerates BENCH_engines.json
-       without the rest of the experiment sweep *)
-    Exp_engines.all ();
-    flush_trace ();
-    print_endline "engine experiments completed."
-  end
-  else if Array.exists (( = ) "--chaos") Sys.argv then begin
-    (* CI chaos soak: E40 alone, seed from HLP_CHAOS_SEED so a matrix of
-       runners exercises distinct deterministic fault schedules; the
-       experiment's internal asserts (availability floor, zero
-       corruption, zero untyped failures, exact coalescing) are the
-       pass/fail criteria *)
-    let seed =
-      match Sys.getenv_opt "HLP_CHAOS_SEED" with
-      | Some s -> (try int_of_string s with Failure _ -> 0)
-      | None -> 0
-    in
-    ignore (Exp_chaos.e40_chaos ~seed ());
-    flush_trace ();
-    print_endline "chaos soak completed."
-  end
-  else if Array.exists (( = ) "--flight") Sys.argv then begin
-    (* E41 alone: flight-recorder overhead, quantile fidelity, and rid
-       correlation — the experiment's internal asserts are the pass/fail
-       criteria *)
-    ignore (Exp_flight.e41_flight ());
-    flush_trace ();
-    print_endline "flight-recorder experiment completed."
-  end
-  else if Array.exists (( = ) "--lifecycle") Sys.argv then begin
-    (* E42 alone: the SIGKILL/restart crash loop through the real
-       [hlpower supervise] processes — the experiment's internal asserts
-       (availability floor, zero corruption, byte-identical warm keys,
-       the 10x warm-hit floor, clean drain) are the pass/fail criteria *)
-    ignore (Exp_lifecycle.e42_lifecycle ());
-    flush_trace ();
-    print_endline "lifecycle experiment completed."
-  end
-  else if Array.exists (( = ) "--regression-gate") Sys.argv then begin
-    (* CI gate: fresh engine numbers vs the committed BENCH_engines.json;
-       a > 25% bit-parallel throughput regression fails the build *)
-    let ok = Exp_engines.regression_gate () in
-    flush_trace ();
-    if not ok then exit 1;
-    print_endline "regression gate passed."
-  end
-  else begin
-    experiments ();
-    run_bechamel ();
-    flush_trace ();
-    print_endline "\nall experiments completed."
-  end
+  (* each run measures its experiments, then the one gate evaluates its
+     table against what they measured (see Gate) *)
+  match
+    List.find_opt
+      (fun run -> Array.mem ("--" ^ Gate.run_name run) Sys.argv)
+      Gate.every
+  with
+  | Some run ->
+      let ok = Gate.check run (Exp_engines.measure run) in
+      flush_trace ();
+      if not ok then exit 1
+  | None ->
+      experiments ();
+      run_bechamel ();
+      flush_trace ();
+      print_endline "\nall experiments completed."

@@ -93,6 +93,20 @@ let require_at_least ~flag lower v =
            (Printf.sprintf "must be >= %d" lower))
   | _ -> v
 
+(* An output path's directory must be writable when its command starts:
+   a run must not do its work and then die on the write. *)
+let require_output_dir ~flag path =
+  Option.iter
+    (fun path ->
+      let dir = Filename.dirname path in
+      match Unix.access dir [ Unix.W_OK ] with
+      | () when Sys.is_directory dir -> ()
+      | () | (exception Unix.Unix_error _) ->
+          raise
+            (Hlp_util.Err.invalid_input ~what:flag
+               (dir ^ " is not a writable directory")))
+    path
+
 (* --- flags shared by several subcommands --- *)
 
 (* --circuit over the daemon's table; the name stays with the generator
@@ -142,6 +156,8 @@ let outputs =
    file is atomic like every other JSON artifact: a reader or a crash
    never sees a torn file. *)
 let with_outputs ~telemetry (telemetry_json, trace_out) run =
+  require_output_dir ~flag:"--telemetry-json" telemetry_json;
+  require_output_dir ~flag:"--trace" trace_out;
   if telemetry || telemetry_json <> None then Hlp_util.Telemetry.enable ();
   if trace_out <> None then Hlp_util.Trace.enable ();
   let code = run () in
@@ -166,6 +182,7 @@ let estimate (_, circuit) width cycles stream seed engine profile outputs
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
   let max_retries = require_at_least ~flag:"--max-retries" 1 max_retries in
+  require_output_dir ~flag:"--run-report" run_report;
   with_outputs ~telemetry:(profile || run_report <> None) outputs @@ fun () ->
   let guard = Hlp_util.Guard.create ?deadline_s:deadline () in
   let net = circuit width in
@@ -427,6 +444,8 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
   let max_retries = require_at_least ~flag:"--max-retries" 1 max_retries in
   let max_inflight = require_at_least ~flag:"--max-inflight" 1 max_inflight in
   let queue_budget = require_at_least ~flag:"--queue-budget" 1 queue_budget in
+  require_output_dir ~flag:"--report" report;
+  require_output_dir ~flag:"--checkpoint-dir" checkpoint_dir;
   with_outputs ~telemetry:(report <> None) outputs @@ fun () ->
   let jobs = parse_jobs_file jobs_file in
   (match checkpoint_dir with
@@ -751,9 +770,12 @@ let daemon =
     $ mem_hard_mb $ config)
 
 (* serve's starting knobs: the flags, then --config over them, then
-   Server.validate_knobs. supervise runs it too, so a bad forwarded value
-   is a typed invalid-input before any child starts. *)
+   Server.validate_knobs; the state dir and pid file must be writable.
+   supervise runs it too, so a bad forwarded value is a typed
+   invalid-input before any child starts. *)
 let serve_knobs ?slow_threshold d =
+  require_output_dir ~flag:"--state-dir" d.state_dir;
+  require_output_dir ~flag:"--pid-file" d.pid_file;
   let mib flag v =
     Option.map (fun m -> m * 1024 * 1024) (require_at_least ~flag 1 v)
   in
@@ -786,6 +808,7 @@ let serve d max_inflight outputs access_log access_log_max_bytes
   let access_log_max_bytes =
     require_at_least ~flag:"--access-log-max-bytes" 1 access_log_max_bytes
   in
+  require_output_dir ~flag:"--access-log" access_log;
   let snapshot_interval =
     Option.value ~default:5.0
       (require_positive_float ~flag:"--snapshot-interval" snapshot_interval)
@@ -940,6 +963,7 @@ let supervise d journal probe_interval probe_misses backoff_base backoff_cap
     Option.value ~default:5.0 (require_positive_float ~flag:"--grace" grace)
   in
   ignore (serve_knobs d);
+  require_output_dir ~flag:"--journal" journal;
   Hlp_util.Telemetry.enable ();
   (* the supervision journal: one JSONL line per lifecycle event *)
   let lines = Option.map (fun p -> Hlp_util.Journal.Lines.open_ p) journal in

@@ -189,13 +189,14 @@ let ci_half_width means =
   in
   (hi -. lo) /. 2.0
 
-(* the Burch-et-al. stopping criterion, shared by all engines *)
+(* the Burch-et-al. stopping criterion, shared by all engines; the cycle
+   budget stops a run only once two unit means give an interval *)
 let ci_stop ~relative_precision ~max_cycles ~means ~cycles =
   if Array.length means >= 2 && Hlp_util.Telemetry.enabled () then begin
     Hlp_util.Telemetry.observe tel_running_mean (Hlp_util.Stats.mean means);
     Hlp_util.Telemetry.observe tel_half_width (ci_half_width means)
   end;
-  cycles >= max_cycles
+  (cycles >= max_cycles && Array.length means >= 2)
   || Array.length means >= 3
      &&
      let m = Hlp_util.Stats.mean means in
@@ -216,24 +217,17 @@ let ci_stop ~relative_precision ~max_cycles ~means ~cycles =
 
 type checkpoint = {
   ck_path : string;
-  ck_every : int;
   ck_sync_every : int;
   ck_resume : bool;
   ck_on_batch : (int -> unit) option;
 }
 
-let checkpoint ?(every = 1) ?(sync_every = 16) ?(resume = false) ?on_batch path
-    =
-  if every < 1 then
-    raise
-      (Hlp_util.Err.invalid_input ~what:"Probprop.checkpoint: every"
-         "must be >= 1");
+let checkpoint ?(sync_every = 16) ?(resume = false) ?on_batch path =
   if sync_every < 1 then
     raise
       (Hlp_util.Err.invalid_input ~what:"Probprop.checkpoint: sync_every"
          "must be >= 1");
   { ck_path = path;
-    ck_every = every;
     ck_sync_every = sync_every;
     ck_resume = resume;
     ck_on_batch = on_batch }
@@ -314,13 +308,14 @@ let ck_open ck ~header =
 
 (* --- scalar-engine checkpoint records ---
 
-   One record per [every] batches:
+   One record per batch:
    {"k":last batch index,"means":[bits...],"prng":bits,"cap":bits,
     "cycles":n,"vec":"0101..."} — the batch means since the previous
-   record plus the complete simulator state at the batch boundary: PRNG
-   state, the exact switched-capacitance accumulator, and the last input
-   vector (node values are a pure function of it on a combinational
-   net, so replaying one uncounted step re-primes the simulator). *)
+   record (one; older journals that batched several still resume) plus
+   the complete simulator state at the batch boundary: PRNG state, the
+   exact switched-capacitance accumulator, and the last input vector
+   (node values are a pure function of it on a combinational net, so
+   replaying one uncounted step re-primes the simulator). *)
 
 type scalar_resume = {
   sr_k : int;  (* batches completed *)
@@ -550,19 +545,14 @@ let monte_carlo ?(batch = 30) ?(relative_precision = 0.05) ?(max_cycles = 100_00
   let batch_means = ref means0 in
   let cycles = ref cycles0 in
   let prev_cap = ref cap0 in
-  let pending = ref [] in (* means since the last journal record, newest-first *)
   let last_vec = ref [||] in
-  let journal_batch k =
+  let journal_batch k mean =
     match writer with
     | None -> ()
     | Some w ->
-        if k mod w.ckw.ck_every = 0 && !pending <> [] then begin
-          ck_append w
-            (scalar_record ~k ~means:(List.rev !pending)
-               ~prng:(Hlp_util.Prng.state rng) ~cap:!prev_cap ~cycles:!cycles
-               ~vec:!last_vec);
-          pending := []
-        end;
+        ck_append w
+          (scalar_record ~k ~means:[ mean ] ~prng:(Hlp_util.Prng.state rng)
+             ~cap:!prev_cap ~cycles:!cycles ~vec:!last_vec);
         ck_notify w k
   in
   (* evaluate the stopping rule on the means so far; also the resume
@@ -584,16 +574,7 @@ let monte_carlo ?(batch = 30) ?(relative_precision = 0.05) ?(max_cycles = 100_00
     else None
   in
   let finish (m, half) k =
-    (match writer with
-    | None -> ()
-    | Some w ->
-        (* flush means journaled on no record yet (every > 1), then seal *)
-        if !pending <> [] then
-          ck_append w
-            (scalar_record ~k ~means:(List.rev !pending)
-               ~prng:(Hlp_util.Prng.state rng) ~cap:!prev_cap ~cycles:!cycles
-               ~vec:!last_vec);
-        Hlp_util.Journal.close w.j);
+    (match writer with None -> () | Some w -> Hlp_util.Journal.close w.j);
     Hlp_util.Telemetry.add tel_batches k;
     Hlp_util.Telemetry.add tel_mc_cycles !cycles;
     { estimate = m;
@@ -620,9 +601,8 @@ let monte_carlo ?(batch = 30) ?(relative_precision = 0.05) ?(max_cycles = 100_00
     let cap = Hlp_sim.Funcsim.switched_capacitance sim in
     let mean = (cap -. !prev_cap) /. float_of_int batch in
     batch_means := mean :: !batch_means;
-    pending := mean :: !pending;
     prev_cap := cap;
-    journal_batch k;
+    journal_batch k mean;
     match stop_now () with Some mh -> finish mh k | None -> go (k + 1)
   in
   (* Journal.close is idempotent: finish seals on the success path, and

@@ -104,24 +104,21 @@ type monte_carlo = {
 type checkpoint
 
 val checkpoint :
-  ?every:int ->
   ?sync_every:int ->
   ?resume:bool ->
   ?on_batch:(int -> unit) ->
   string ->
   checkpoint
 (** [checkpoint path] configures checkpointing into the journal at
-    [path]. [every] (default 1) journals one record per that many batches
-    (scalar engine only; the bit engines journal every unit — their
-    records are self-contained). [sync_every] (default 16) is the
+    [path], one record per batch or unit. [sync_every] (default 16) is the
     group-commit cadence: one [fsync] per that many records, plus one at
     close, trading at most [sync_every] records of power-loss durability
-    for the sub-2% overhead pinned by bench E36 (a SIGKILL loses nothing
+    for the journaling overhead bench E36 measures (a SIGKILL loses nothing
     either way — appends reach the kernel immediately). [resume] replays
     an existing journal instead of truncating it. [on_batch] is called
     after every batch/unit boundary, {e after} the journal has been
     fsynced — the hook crash-recovery tests use to die at exact points.
-    Raises [Invalid_input] on non-positive [every]/[sync_every]. *)
+    Raises [Invalid_input] on a non-positive [sync_every]. *)
 
 val monte_carlo :
   ?batch:int ->

@@ -118,22 +118,7 @@ let prepare ?(engine = Hlp_sim.Engine.Scalar) model dut traces =
      estimate downstream *)
   of_arrays ~macro_values ~gate_values
 
-(* --- durable replay cache ---
-
-   [prepare] is the expensive half of cosimulation (a full gate-level
-   replay); the cache journals its per-transition value streams so a
-   restarted campaign reloads them instead of re-simulating. Layout:
-   a header binding the cache to (circuit fingerprint, engine, trace
-   digest), chunked records of float bits, and a terminal done-marker —
-   so a torn or incomplete cache is detected structurally and treated as
-   a miss, never half-believed. *)
-
-let tel_cache_hits = Hlp_util.Telemetry.counter "sampling.cache_hits"
-let tel_cache_misses = Hlp_util.Telemetry.counter "sampling.cache_misses"
-
-let bits_hex f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
-let bits_of_hex s = Int64.float_of_bits (Int64.of_string ("0x" ^ s))
-
+(* a digest of the input traces, for cache keys *)
 let traces_digest traces =
   let b = Buffer.create 1024 in
   List.iter
@@ -153,109 +138,11 @@ let traces_digest traces =
     traces;
   Printf.sprintf "%lx" (Hlp_util.Journal.crc32 (Buffer.contents b))
 
-let cache_header ~engine ~digest dut =
-  Hlp_util.Json.to_string ~compact:true
-    (Hlp_util.Json.Obj
-       [ ("v", Hlp_util.Json.Int 1);
-         ("kind", Hlp_util.Json.Str "sampling-cache");
-         ("net",
-          Hlp_util.Json.Str
-            (Printf.sprintf "%Lx"
-               (Hlp_logic.Netlist.fingerprint dut.Macromodel.net)));
-         ("engine", Hlp_util.Json.Str (Hlp_sim.Engine.to_string engine));
-         ("traces", Hlp_util.Json.Str digest) ])
-
-let cache_chunk = 256
-
-(* body records into (macro, gate) arrays; [None] on any structural flaw *)
-let load_cache records =
-  let open Hlp_util.Json in
-  let rec go count macc gacc = function
-    | [] -> None (* no done-marker: the writer died mid-cache *)
-    | [ last ] -> (
-        match parse last with
-        | Ok v -> (
-            match member "done" v with
-            | Some d when to_int_opt d = Some count && count > 0 ->
-                let cat l = Array.concat (List.rev l) in
-                Some (cat macc, cat gacc)
-            | _ -> None)
-        | Error _ -> None)
-    | r :: rest -> (
-        match parse r with
-        | Error _ -> None
-        | Ok v -> (
-            try
-              let i = Option.get (to_int_opt (Option.get (member "i" v))) in
-              let arr name =
-                Array.of_list
-                  (List.map
-                     (fun x -> bits_of_hex (Option.get (to_str_opt x)))
-                     (Option.get (to_list_opt (Option.get (member name v)))))
-              in
-              let m = arr "m" and g = arr "g" in
-              if i <> count || Array.length m <> Array.length g then None
-              else go (count + Array.length m) (m :: macc) (g :: gacc) rest
-            with _ -> None))
-  in
-  go 0 [] [] records
-
-let prepare_journaled ?(engine = Hlp_sim.Engine.Scalar) ~path model dut traces =
-  let digest = traces_digest traces in
-  let header = cache_header ~engine ~digest dut in
-  let recompute () =
-    Hlp_util.Telemetry.incr tel_cache_misses;
-    let t = prepare ~engine model dut traces in
-    let j, _ = Hlp_util.Journal.open_ ~resume:false path in
-    Fun.protect
-      ~finally:(fun () -> Hlp_util.Journal.close j)
-      (fun () ->
-        Hlp_util.Journal.append j header;
-        let n = Array.length t.macro_values in
-        let k = ref 0 in
-        while !k < n do
-          let len = min cache_chunk (n - !k) in
-          let slice name a =
-            ( name,
-              Hlp_util.Json.List
-                (List.init len (fun d ->
-                     Hlp_util.Json.Str (bits_hex a.(!k + d)))) )
-          in
-          Hlp_util.Journal.append j
-            (Hlp_util.Json.to_string ~compact:true
-               (Hlp_util.Json.Obj
-                  [ ("i", Hlp_util.Json.Int !k);
-                    slice "m" t.macro_values;
-                    slice "g" t.gate_values ]));
-          k := !k + len
-        done;
-        Hlp_util.Journal.append j
-          (Hlp_util.Json.to_string ~compact:true
-             (Hlp_util.Json.Obj [ ("done", Hlp_util.Json.Int n) ])));
-    t
-  in
-  let r = Hlp_util.Journal.recover path in
-  match r.Hlp_util.Journal.records with
-  | h :: rest when String.equal h header -> (
-      match load_cache rest with
-      | Some (macro_values, gate_values) -> (
-          (* revalidate through the checked assembler: a corrupt-but-CRC-
-             valid cache degrades to a recompute, never to a bad stream *)
-          match of_arrays_checked ~macro_values ~gate_values with
-          | Ok t ->
-              Hlp_util.Telemetry.incr tel_cache_hits;
-              Hlp_util.Trace.instant "sampling.cache_hit";
-              t
-          | Error _ -> recompute ())
-      | None -> recompute ())
-  | _ -> recompute ()
-
-(* In-memory prepared-sampler cache for the serve daemon: same artifact
-   as the journaled cache, but process-local and keyed on the exact
-   model too (fingerprint + engine + trace digest + model kind/coeffs),
-   so a refitted model can never serve a stale stream. Prepared values
-   are read-only after construction, satisfying Netcache's sharing
-   contract. *)
+(* In-memory prepared-sampler cache for the serve daemon, process-local
+   and keyed on the exact model too (fingerprint + engine + trace digest
+   + model kind/coeffs), so a refitted model can never serve a stale
+   stream. Prepared values are read-only after construction, satisfying
+   Netcache's sharing contract. *)
 let prepare_cache : t Hlp_logic.Netcache.t =
   Hlp_logic.Netcache.create ~capacity:32 ~name:"sampling.mem" ()
 

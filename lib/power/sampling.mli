@@ -56,25 +56,6 @@ val prepare :
     words raise [Hlp_util.Err.Error (Invalid_input _)], as do poisoned
     (non-finite) per-transition values detected at assembly. *)
 
-val prepare_journaled :
-  ?engine:Hlp_sim.Engine.t ->
-  path:string ->
-  Macromodel.model ->
-  Macromodel.dut ->
-  int array list ->
-  t
-(** {!prepare} behind a durable replay cache at [path] (a
-    {!Hlp_util.Journal}). A complete cache whose header matches the
-    circuit fingerprint, engine, and a digest of the input traces is
-    loaded instead of re-simulating (counted in ["sampling.cache_hits"]);
-    anything else — missing file, torn tail, parameter mismatch, a cache
-    without its terminal done-marker because the writer was killed
-    mid-write, or corrupt values — is treated as a miss: the streams are
-    recomputed with {!prepare} and the cache rewritten (counted in
-    ["sampling.cache_misses"]). Loaded values are revalidated through
-    {!of_arrays_checked}, so a bad cache can cost time, never
-    correctness. *)
-
 val prepare_cached :
   ?engine:Hlp_sim.Engine.t ->
   Macromodel.model ->

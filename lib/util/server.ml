@@ -551,11 +551,16 @@ let serve ?max_inflight ?token ?on_ready ?access_log ?access_log_max_bytes
         (Err.invalid_input ~what:"Server.serve: access_log_max_bytes"
            "must be >= 1")
   | _ -> ());
-  let fd = listen ~backlog:((Atomic.get knobs).queue_budget + workers) path in
-  (* the access log outlives every worker: closed after the pool drains *)
+  (* the access log opens before the socket binds, so a bad path leaves no
+     socket behind; it outlives every worker: closed after the pool drains *)
   let log =
     Option.map
-      (fun p -> Journal.Lines.open_ ?max_bytes:access_log_max_bytes p)
+      (fun p ->
+        try Journal.Lines.open_ ?max_bytes:access_log_max_bytes p
+        with Unix.Unix_error (e, _, _) ->
+          raise
+            (Err.invalid_input ~what:"Server.serve: access_log"
+               (Printf.sprintf "cannot open %s: %s" p (Unix.error_message e))))
       access_log
   in
   let memory, sample_memory = memory_sampler ~knobs on_memory_soft in
@@ -570,6 +575,7 @@ let serve ?max_inflight ?token ?on_ready ?access_log ?access_log_max_bytes
     ~finally:(fun () ->
       Option.iter (fun l -> try Journal.Lines.close l with _ -> ()) log)
     (fun () ->
+      let fd = listen ~backlog:((Atomic.get knobs).queue_budget + workers) path in
       pool ?on_ready ~on_tick
         ~budget:(fun () -> (Atomic.get knobs).queue_budget)
         ~workers ~accepted:tel_connections ~stop ~path fd

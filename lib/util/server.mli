@@ -264,7 +264,9 @@ val serve :
     [access_log] names a {!Journal.Lines} JSONL file recording one line
     per served request (see the module comment; rotation keeps it under
     ~2×[access_log_max_bytes], default 16 MiB). The recorder only fires
-    while {!Telemetry} is enabled.
+    while {!Telemetry} is enabled. The log opens before the socket
+    binds: a log that cannot be opened is a typed [Invalid_input] and
+    leaves no socket file behind.
 
     [on_tick] runs on the accept loop roughly every 50 ms (exceptions
     swallowed) — the hook for snapshot spills and reload-flag polls.

@@ -205,27 +205,6 @@ let test_scalar_resume_after_interrupt () =
       Sys.remove path)
     [ 1; 5; 12 ]
 
-let test_scalar_resume_every_n () =
-  (* sparser records (every 3 batches) resume just as exactly *)
-  let plain = scalar_mc () in
-  let path = temp "scalar_every" in
-  let count = ref 0 in
-  let ck =
-    P.checkpoint ~every:3
-      ~on_batch:(fun _ ->
-        incr count;
-        if !count = 3 then raise Crash)
-      path
-  in
-  (match scalar_mc ~checkpoint:ck () with
-  | _ -> Alcotest.fail "expected the interruption to fire"
-  | exception Crash -> ());
-  let resumed =
-    scalar_mc ~checkpoint:(P.checkpoint ~every:3 ~resume:true path) ()
-  in
-  check_mc_identical "every=3 resume" plain resumed;
-  Sys.remove path
-
 (* truncate the journal at ANY byte offset: the resumed run still produces
    the byte-identical estimate — a cut mid-record just resumes from the
    previous record (or starts fresh if the cut lands in the header) *)
@@ -277,11 +256,6 @@ let test_scalar_header_mismatch_self_heals () =
   Sys.remove path
 
 let test_checkpoint_validation () =
-  Alcotest.check_raises "every = 0 rejected"
-    (Err.Error
-       (Err.Invalid_input
-          { what = "Probprop.checkpoint: every"; why = "must be >= 1" }))
-    (fun () -> ignore (P.checkpoint ~every:0 "x"));
   (* sequential netlists cannot be restored from one input vector *)
   let b = Hlp_logic.Netlist.Builder.create () in
   ignore
@@ -637,68 +611,6 @@ let test_with_graceful_stop () =
   Alcotest.(check bool) "token cancelled by handler" true v;
   Alcotest.(check (option int)) "signal reported" (Some Sys.sigterm) signal
 
-(* --- Sampling: the durable replay cache --- *)
-
-let sampling_workload () =
-  let dut =
-    { Hlp_power.Macromodel.net = Hlp_logic.Generators.adder_circuit 6;
-      widths = [ 6; 6 ] }
-  in
-  let rng = Prng.create 11 in
-  let training =
-    [ [ Hlp_sim.Streams.uniform rng ~width:6 ~n:120;
-        Hlp_sim.Streams.uniform rng ~width:6 ~n:120 ] ]
-  in
-  let obs = List.map (Hlp_power.Macromodel.observe dut) training in
-  let model = Hlp_power.Macromodel.fit Hlp_power.Macromodel.Bitwise dut obs in
-  let traces =
-    [ Hlp_sim.Streams.uniform rng ~width:6 ~n:300;
-      Hlp_sim.Streams.uniform rng ~width:6 ~n:300 ]
-  in
-  (model, dut, traces)
-
-let test_sampling_cache () =
-  with_telemetry @@ fun () ->
-  let model, dut, traces = sampling_workload () in
-  let plain = Hlp_power.Sampling.prepare model dut traces in
-  let path = temp "cache" in
-  Sys.remove path;
-  let hits () = Telemetry.count (Telemetry.counter "sampling.cache_hits") in
-  let misses () = Telemetry.count (Telemetry.counter "sampling.cache_misses") in
-  let same what t =
-    Alcotest.(check int64) (what ^ ": gate reference bits")
-      (bits (Hlp_power.Sampling.gate_reference plain))
-      (bits (Hlp_power.Sampling.gate_reference t));
-    Alcotest.(check int64) (what ^ ": census bits")
-      (bits (Hlp_power.Sampling.census plain).Hlp_power.Sampling.value)
-      (bits (Hlp_power.Sampling.census t).Hlp_power.Sampling.value)
-  in
-  (* cold: miss, recompute, write *)
-  same "cold" (Hlp_power.Sampling.prepare_journaled ~path model dut traces);
-  Alcotest.(check int) "one miss" 1 (misses ());
-  (* warm: served from the journal *)
-  same "warm" (Hlp_power.Sampling.prepare_journaled ~path model dut traces);
-  Alcotest.(check int) "one hit" 1 (hits ());
-  (* torn cache (killed writer): treated as a miss, rewritten, correct *)
-  let raw = read_file path in
-  write_file path (String.sub raw 0 (String.length raw / 2));
-  same "torn" (Hlp_power.Sampling.prepare_journaled ~path model dut traces);
-  Alcotest.(check int) "torn counts as a miss" 2 (misses ());
-  same "rewritten" (Hlp_power.Sampling.prepare_journaled ~path model dut traces);
-  Alcotest.(check int) "rewritten cache hits again" 2 (hits ());
-  (* different engine: header mismatch, never serves the wrong data.
-     Census is bit-identical across engines; gate reference only agrees to
-     round-off, so it is not compared here. *)
-  let other =
-    Hlp_power.Sampling.prepare_journaled ~engine:Hlp_sim.Engine.Bitparallel
-      ~path model dut traces
-  in
-  Alcotest.(check int64) "other engine: census bits"
-    (bits (Hlp_power.Sampling.census plain).Hlp_power.Sampling.value)
-    (bits (Hlp_power.Sampling.census other).Hlp_power.Sampling.value);
-  Alcotest.(check int) "engine change misses" 3 (misses ());
-  Sys.remove path
-
 let suite =
   [
     Alcotest.test_case "journal append/recover roundtrip" `Quick
@@ -714,8 +626,6 @@ let suite =
       test_scalar_checkpoint_passive;
     Alcotest.test_case "scalar resume after interrupt is byte-identical" `Quick
       test_scalar_resume_after_interrupt;
-    Alcotest.test_case "scalar resume with every=3 records" `Quick
-      test_scalar_resume_every_n;
     QCheck_alcotest.to_alcotest qcheck_scalar_resume_any_truncation;
     Alcotest.test_case "header mismatch self-heals to a fresh run" `Quick
       test_scalar_header_mismatch_self_heals;
@@ -743,6 +653,4 @@ let suite =
     Alcotest.test_case "signal exit codes" `Quick test_signal_exit_codes;
     Alcotest.test_case "with_graceful_stop reports the signal" `Quick
       test_with_graceful_stop;
-    Alcotest.test_case "sampling replay cache: hit, torn, mismatch" `Quick
-      test_sampling_cache;
   ]

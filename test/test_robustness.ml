@@ -465,6 +465,40 @@ let test_estimate_guarded_falls_back_to_sampling () =
             (Float.abs (mc.Hlp_power.Probprop.estimate -. exact)
             <= 4.0 *. mc.Hlp_power.Probprop.half_interval))
 
+(* a cycle budget under one Monte Carlo unit still runs two units, so the
+   answer has an interval and comes from the requested engine *)
+let test_estimate_guarded_sub_unit_budget () =
+  let net = Hlp_logic.Generators.adder_circuit 4 in
+  let unit_cycles = 30 * Hlp_sim.Bitsim.lanes in
+  let run max_cycles =
+    match
+      Hlp_power.Probprop.estimate_guarded ~node_limit:10 ~seed:7
+        ~engine:Hlp_sim.Engine.Compiled ~max_cycles net
+    with
+    | Ok g -> g
+    | Error e -> Alcotest.fail ("unexpected error: " ^ Err.to_string e)
+  in
+  let two_units = run (2 * unit_cycles) in
+  List.iter
+    (fun max_cycles ->
+      let g = run max_cycles in
+      Alcotest.(check bool)
+        "answered on compiled" true
+        (g.Hlp_power.Probprop.engine_used = Some Hlp_sim.Engine.Compiled);
+      Alcotest.(check int) "no fallback" 0 g.Hlp_power.Probprop.engine_fallbacks;
+      match g.Hlp_power.Probprop.estimator with
+      | Hlp_power.Probprop.Symbolic -> Alcotest.fail "should have sampled"
+      | Hlp_power.Probprop.Monte_carlo mc ->
+          Alcotest.(check bool)
+            "finite half-interval" true
+            (Float.is_finite mc.Hlp_power.Probprop.half_interval);
+          Alcotest.(check int) "two units" 2 mc.Hlp_power.Probprop.batches;
+          Alcotest.(check bool)
+            "same bits as a two-unit budget" true
+            (Int64.bits_of_float g.Hlp_power.Probprop.capacitance
+            = Int64.bits_of_float two_units.Hlp_power.Probprop.capacitance))
+    [ 1; unit_cycles ]
+
 let test_estimate_guarded_deadline () =
   let net = Hlp_logic.Generators.multiplier_circuit 8 in
   match
@@ -653,6 +687,8 @@ let suite =
     Alcotest.test_case "estimate_guarded falls back to sampling" `Quick
       test_estimate_guarded_falls_back_to_sampling;
     Alcotest.test_case "estimate_guarded deadline" `Quick test_estimate_guarded_deadline;
+    Alcotest.test_case "estimate_guarded: a budget under one unit runs two"
+      `Quick test_estimate_guarded_sub_unit_budget;
     Alcotest.test_case "monte carlo validation" `Quick test_monte_carlo_validation;
     Alcotest.test_case "sampling validation" `Quick test_sampling_validation;
     Alcotest.test_case "sampling prepare validation" `Quick
