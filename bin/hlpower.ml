@@ -122,15 +122,6 @@ let width =
   Arg.(value & opt (int_at_least 1 "--width") 8
        & info [ "width" ] ~doc:"operand bit width")
 
-let max_retries =
-  (* validated in the command body (typed Invalid_input, exit 65), not by
-     the converter, so zero/negative behaves like every bad value *)
-  Arg.(value & opt (some int) None
-       & info [ "max-retries" ] ~docv:"N"
-           ~doc:
-             "retries per failed Monte Carlo unit before the engine \
-              degrades (default 2, exponential backoff); must be >= 1")
-
 (* --telemetry-json FILE and --trace FILE, for estimate, batch and serve *)
 let outputs =
   let telemetry_json =
@@ -178,10 +169,9 @@ let with_outputs ~telemetry (telemetry_json, trace_out) run =
 (* --- estimate --- *)
 
 let estimate (_, circuit) width cycles stream seed engine profile outputs
-    deadline node_limit max_retries attribution run_report =
+    deadline node_limit attribution run_report =
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
-  let max_retries = require_at_least ~flag:"--max-retries" 1 max_retries in
   require_output_dir ~flag:"--run-report" run_report;
   with_outputs ~telemetry:(profile || run_report <> None) outputs @@ fun () ->
   let guard = Hlp_util.Guard.create ?deadline_s:deadline () in
@@ -220,7 +210,7 @@ let estimate (_, circuit) width cycles stream seed engine profile outputs
     Hlp_power.Complexity.ces_switched_capacitance_estimate Hlp_power.Complexity.ces_default net
   in
   Printf.printf "%-22s %10.1f cap units/cycle\n" "gate-equivalents (CES):" ces;
-  let mc = Hlp_power.Probprop.monte_carlo ~seed ~engine ?max_retries ~guard net in
+  let mc = Hlp_power.Probprop.monte_carlo ~seed ~engine ~guard net in
   Printf.printf
     "monte carlo (t-CI):     %10.1f cap units/cycle  (+/- %.1f, %d batches, %d cycles)\n"
     mc.Hlp_power.Probprop.estimate mc.Hlp_power.Probprop.half_interval
@@ -228,8 +218,7 @@ let estimate (_, circuit) width cycles stream seed engine profile outputs
   (* the guarded path: exact symbolic under the node budget, Monte Carlo
      sampling as the degradation target on blowup *)
   (match
-     Hlp_power.Probprop.estimate_guarded ~guard ?node_limit ~seed ~engine
-       ?max_retries net
+     Hlp_power.Probprop.estimate_guarded ~guard ?node_limit ~seed ~engine net
    with
   | Ok g ->
       let how =
@@ -297,7 +286,7 @@ let estimate_cmd =
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed") in
   let engine =
-    Arg.(value & opt engine_conv Hlp_sim.Engine.Bitparallel
+    Arg.(value & opt engine_conv Hlp_sim.Engine.Compiled
          & info [ "engine" ]
              ~docv:"ENGINE"
              ~doc:
@@ -339,14 +328,14 @@ let estimate_cmd =
     Arg.(value & opt (some string) None
          & info [ "run-report" ] ~docv:"FILE"
              ~doc:
-               "write a JSON run-provenance record (engine used, fallback \
-                hops, guard trips, fault counters, seed, convergence tail, \
-                wall time) to $(docv); implies telemetry")
+               "write a JSON run-provenance record (estimator, engine used, \
+                fallback hops, seed, convergence tail, wall time) and the \
+                telemetry registry to $(docv); implies telemetry")
   in
   Cmd.v (Cmd.info "estimate" ~doc:"Power-estimate a generated RT module")
     Term.(const estimate $ circuit ~default:"multiplier" $ width $ cycles
           $ stream $ seed $ engine $ profile $ outputs $ deadline $ node_limit
-          $ max_retries $ attribution $ run_report)
+          $ attribution $ run_report)
 
 (* --- batch: supervised estimation campaigns --- *)
 
@@ -438,10 +427,9 @@ let parse_jobs_file path =
        jobs)
 
 let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
-    max_retries outputs report =
+    outputs report =
   with_typed_errors @@ fun () ->
   let deadline = require_positive_float ~flag:"--deadline" deadline in
-  let max_retries = require_at_least ~flag:"--max-retries" 1 max_retries in
   let max_inflight = require_at_least ~flag:"--max-inflight" 1 max_inflight in
   let queue_budget = require_at_least ~flag:"--queue-budget" 1 queue_budget in
   require_output_dir ~flag:"--report" report;
@@ -469,7 +457,7 @@ let batch jobs_file checkpoint_dir resume max_inflight queue_budget deadline
       Hlp_power.Probprop.estimate_guarded ~guard ?checkpoint:ck
         ?node_limit:job.bj_node_limit ?batch:job.bj_batch
         ?relative_precision:job.bj_rp ?max_cycles:job.bj_max_cycles
-        ~seed:job.bj_seed ~engine:job.bj_engine ?max_retries job.bj_net
+        ~seed:job.bj_seed ~engine:job.bj_engine job.bj_net
     with
     | Error e -> raise (Hlp_util.Err.Error e)
     | Ok g ->
@@ -619,7 +607,9 @@ let batch_cmd =
          & info [ "deadline" ] ~docv:"SECONDS"
              ~doc:
                "wall-clock budget for the whole batch; jobs not started in \
-                time are shed with the deadline-exceeded error")
+                time are shed with the deadline-exceeded error, and a job \
+                still running when it passes ends with that error, \
+                symbolic or sampled")
   in
   let report =
     Arg.(value & opt (some string) None
@@ -631,7 +621,7 @@ let batch_cmd =
        ~doc:
          "Run a supervised campaign of estimate jobs with checkpoint/resume")
     Term.(const batch $ jobs_file $ checkpoint_dir $ resume $ max_inflight
-          $ queue_budget $ deadline $ max_retries $ outputs $ report)
+          $ queue_budget $ deadline $ outputs $ report)
 
 (* --- serve and supervise --- *)
 

@@ -434,7 +434,7 @@ let parse_unit_records records =
   end
 
 let monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
-    ?max_retries ?checkpoint:ck ~guard net =
+    ?checkpoint:ck ~guard net =
   let writer, resume_means =
     match ck with
     | None -> (None, None)
@@ -477,8 +477,8 @@ let monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
   in
   let r =
     Fun.protect ~finally (fun () ->
-        Hlp_sim.Parsim.monte_carlo_units ?max_retries ?resume_means ?on_unit
-          ~engine net ~batch ~seed ~stop)
+        Hlp_sim.Parsim.monte_carlo_units ?resume_means ?on_unit ~engine net
+          ~batch ~seed ~stop)
   in
   let means = r.Hlp_sim.Parsim.unit_means in
   Hlp_util.Telemetry.add tel_batches (Array.length means);
@@ -492,7 +492,7 @@ let monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
   }
 
 let monte_carlo ?(batch = 30) ?(relative_precision = 0.05) ?(max_cycles = 100_000)
-    ?(seed = 47) ?(engine = Hlp_sim.Engine.Scalar) ?max_retries ?checkpoint:ck
+    ?(seed = 47) ?(engine = Hlp_sim.Engine.Scalar) ?checkpoint:ck
     ?(guard = Hlp_util.Guard.unlimited) net =
   if batch < 2 then
     raise
@@ -501,7 +501,7 @@ let monte_carlo ?(batch = 30) ?(relative_precision = 0.05) ?(max_cycles = 100_00
   match engine with
   | Hlp_sim.Engine.Bitparallel | Hlp_sim.Engine.Compiled ->
       monte_carlo_bitparallel ~batch ~relative_precision ~max_cycles ~seed ~engine
-        ?max_retries ?checkpoint:ck ~guard net
+        ?checkpoint:ck ~guard net
   | Hlp_sim.Engine.Scalar ->
   let nin = Array.length net.Netlist.inputs in
   let writer, resume =
@@ -629,12 +629,6 @@ type provenance = {
   cycles_used : int;
   half_interval : float option;
   convergence_tail : float array;
-  guard_deadline_trips : int;
-  guard_cancel_trips : int;
-  worker_failures : int;
-  shard_retries : int;
-  faults_injected : (string * int) list;
-  counters_live : bool;
   wall_time_s : float;
 }
 
@@ -661,15 +655,6 @@ let provenance_json p =
        match p.half_interval with Some h -> Float h | None -> Null);
       ("convergence_tail",
        List (Array.to_list (Array.map (fun x -> Float x) p.convergence_tail)));
-      ("guard_trips",
-       Obj
-         [ ("deadline", Int p.guard_deadline_trips);
-           ("cancel", Int p.guard_cancel_trips) ]);
-      ("worker_failures", Int p.worker_failures);
-      ("shard_retries", Int p.shard_retries);
-      ("faults_injected",
-       Obj (List.map (fun (n, c) -> (n, Int c)) p.faults_injected));
-      ("counters_live", Bool p.counters_live);
       ("wall_time_s", Float p.wall_time_s) ]
 
 let default_node_limit = 200_000
@@ -681,24 +666,9 @@ let tail_len = 8
 
 let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
     ?(node_limit = default_node_limit) ?batch ?relative_precision ?max_cycles
-    ?(seed = 47) ?(engine = Hlp_sim.Engine.Bitparallel) ?max_retries
-    ?(try_symbolic = true) ?checkpoint:ck net =
-  (* provenance baselines: counter deltas isolate this estimate's share of
-     the process-wide counters. Telemetry counters only move while the
-     telemetry switch is on, so the record carries [counters_live] to say
-     whether the deltas are meaningful; fault-injection counters are
-     independent of that switch. *)
+    ?(seed = 47) ?(engine = Hlp_sim.Engine.Compiled) ?(try_symbolic = true)
+    ?checkpoint:ck net =
   let t0 = Hlp_util.Clock.now_s () in
-  let read name = Hlp_util.Telemetry.count (Hlp_util.Telemetry.counter name) in
-  let deadline0 = read "guard.deadline_trips"
-  and cancel0 = read "guard.cancel_trips"
-  and failures0 = read "parsim.worker_failures"
-  and retries0 = read "parsim.shard_retries" in
-  let fired0 =
-    List.map
-      (fun p -> (p, Hlp_util.Faultinject.fired p))
-      Hlp_util.Faultinject.all_points
-  in
   let finish ~capacitance ~estimator ~engine_used ~symbolic_fallback
       ~engine_fallbacks =
     let batches, cycles_used, half_interval, convergence_tail =
@@ -725,18 +695,6 @@ let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
         cycles_used;
         half_interval;
         convergence_tail;
-        guard_deadline_trips = read "guard.deadline_trips" - deadline0;
-        guard_cancel_trips = read "guard.cancel_trips" - cancel0;
-        worker_failures = read "parsim.worker_failures" - failures0;
-        shard_retries = read "parsim.shard_retries" - retries0;
-        faults_injected =
-          List.filter_map
-            (fun (p, n0) ->
-              let d = Hlp_util.Faultinject.fired p - n0 in
-              if d > 0 then Some (Hlp_util.Faultinject.point_name p, d)
-              else None)
-            fired0;
-        counters_live = Hlp_util.Telemetry.enabled ();
         wall_time_s = Hlp_util.Clock.now_s () -. t0 }
     in
     { capacitance; estimator; engine_used; symbolic_fallback; engine_fallbacks;
@@ -764,6 +722,10 @@ let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
   in
   match symbolic_cap with
   | Some cap ->
+      (* a late answer is worse than a typed error: a build that ran past
+         the deadline trips here, as a sampled estimate trips in its
+         stopping rule *)
+      Hlp_util.Guard.check ~where:"probprop.symbolic" guard;
       finish ~capacitance:cap ~estimator:Symbolic ~engine_used:None
         ~symbolic_fallback:false ~engine_fallbacks:0
   | None -> (
@@ -774,7 +736,7 @@ let estimate_guarded ?(guard = Hlp_util.Guard.unlimited)
         Hlp_sim.Parsim.with_degradation ~what:"probprop.monte_carlo" ~guard
           ~engine (fun e ->
             monte_carlo ?batch ?relative_precision ?max_cycles ~seed ~engine:e
-              ?max_retries ?checkpoint:ck ~guard net)
+              ?checkpoint:ck ~guard net)
       with
       | Ok d ->
           finish ~capacitance:d.Hlp_sim.Parsim.value.estimate

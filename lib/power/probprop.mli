@@ -126,7 +126,6 @@ val monte_carlo :
   ?max_cycles:int ->
   ?seed:int ->
   ?engine:Hlp_sim.Engine.t ->
-  ?max_retries:int ->
   ?checkpoint:checkpoint ->
   ?guard:Hlp_util.Guard.t ->
   Hlp_logic.Netlist.t ->
@@ -156,8 +155,8 @@ val monte_carlo :
     confidence interval), not bit-exactly.
 
     [guard] is checked at every stopping-rule evaluation; a trip raises the
-    typed [Deadline_exceeded] / [Cancelled]. [max_retries] bounds the
-    retries of a failing batch on the bit engines (see
+    typed [Deadline_exceeded] / [Cancelled]. A failing unit on the bit
+    engines ends the run unretried (see
     {!Hlp_sim.Parsim.monte_carlo_units}). [batch < 2] raises the typed
     [Invalid_input]. *)
 
@@ -168,7 +167,7 @@ val monte_carlo :
     is approximate but robust. [estimate_guarded] encodes it as a
     degradation chain — try exact symbolic propagation under a node
     budget, fall back to sampling on blowup, and degrade the sampling
-    engine [Compiled -> Bitparallel -> Scalar] on worker faults — so no
+    engine [Compiled -> Bitparallel -> Scalar] on engine faults — so no
     input, fault, or resource exhaustion produces an uncaught exception:
     the result is an estimate or a typed {!Hlp_util.Err.t}, always. *)
 
@@ -185,21 +184,18 @@ type provenance = {
   half_interval : float option;
   convergence_tail : float array;
       (** the last (up to 8) batch means, chronological *)
-  guard_deadline_trips : int;
-      (** deltas of the process-wide telemetry counters over this estimate;
-          meaningful only when [counters_live] *)
-  guard_cancel_trips : int;
-  worker_failures : int;
-  shard_retries : int;
-  faults_injected : (string * int) list;
-      (** injection points that fired during this estimate, with counts
-          (tracked independently of the telemetry switch) *)
-  counters_live : bool;  (** telemetry was enabled, so deltas are real *)
   wall_time_s : float;  (** monotonic wall time of the whole estimate *)
 }
+(** How one estimate was produced, from what the estimate itself returned.
+    It holds no process-wide counter: a guard trip never returns an
+    estimate, and under concurrency a counter's delta counts other
+    estimates' events. *)
 
 val provenance_json : provenance -> Hlp_util.Json.t
-(** The record as a JSON object — the CLI's [--run-report] payload. *)
+(** The record as a JSON object of exactly ten keys — [estimator],
+    [engine], [symbolic_fallback], [engine_fallbacks], [seed], [batches],
+    [cycles_used], [half_interval], [convergence_tail], [wall_time_s] —
+    the CLI's [--run-report] payload. *)
 
 type guarded = {
   capacitance : float;  (** estimated switched capacitance per cycle *)
@@ -209,8 +205,8 @@ type guarded = {
       (** the symbolic stage was attempted and tripped its node budget *)
   engine_fallbacks : int;  (** engine-degradation hops inside sampling *)
   provenance : provenance;
-      (** how this number was produced: engine, fallback hops, guard trips,
-          fault counters, seed, convergence tail, wall time *)
+      (** how this number was produced: estimator, engine, fallback hops,
+          seed, convergence tail, wall time *)
 }
 
 val default_node_limit : int
@@ -226,7 +222,6 @@ val estimate_guarded :
   ?max_cycles:int ->
   ?seed:int ->
   ?engine:Hlp_sim.Engine.t ->
-  ?max_retries:int ->
   ?try_symbolic:bool ->
   ?checkpoint:checkpoint ->
   Hlp_logic.Netlist.t ->
@@ -238,7 +233,10 @@ val estimate_guarded :
     {!Hlp_util.Supervisor.breaker}'s verdict there); a [Budget_exceeded]
     trip is counted in ["probprop.symbolic_fallbacks"] and degrades to
     stage 2, Monte Carlo sampling starting at [engine] (default
-    [Bitparallel]) behind {!Hlp_sim.Parsim.with_degradation}.
+    [Compiled]) behind {!Hlp_sim.Parsim.with_degradation}. The guard is
+    checked after either stage, so a symbolic build that ends past the
+    deadline is [Deadline_exceeded], like a sampled one; the memo keeps
+    what the build proved, so a retry with a fresh guard answers at once.
     [checkpoint] makes the sampling stage resumable (an engine-degradation
     hop rewrites the journal header, so the journal self-heals rather
     than resuming across engines). Guard trips and invalid input

@@ -1,7 +1,5 @@
 open Hlp_logic
 
-let tel_worker_failures = Hlp_util.Telemetry.counter "parsim.worker_failures"
-let tel_shard_retries = Hlp_util.Telemetry.counter "parsim.shard_retries"
 let tel_engine_fallbacks = Hlp_util.Telemetry.counter "parsim.engine_fallbacks"
 let tel_replays = Hlp_util.Telemetry.counter "parsim.replays"
 let tel_replay_cycles = Hlp_util.Telemetry.counter "parsim.replay_cycles"
@@ -12,8 +10,6 @@ let tel_mc_passes = Hlp_util.Telemetry.counter "parsim.mc_passes"
 let tel_mc_dropped = Hlp_util.Telemetry.counter "parsim.mc_units_dropped"
 let tel_replay_time = Hlp_util.Telemetry.timer "parsim.replay"
 let tel_mc_time = Hlp_util.Telemetry.timer "parsim.monte_carlo"
-
-let backoff_base_s = 0.001
 
 type replay = {
   out_words : int array;
@@ -223,8 +219,8 @@ let degradation_chain = function
 (* Guard trips and input errors must propagate: degrading an estimate past
    its deadline (or past bad input) would return a wrong answer late
    instead of a typed error on time. Everything else — injected faults,
-   worker failures that survived their retries, engine-capability
-   mismatches — degrades to the next engine. *)
+   a raising Monte Carlo unit or pass, engine-capability mismatches —
+   degrades to the next engine. *)
 let propagates = function
   | Hlp_util.Err.Error
       (Hlp_util.Err.Deadline_exceeded _ | Hlp_util.Err.Cancelled _
@@ -299,7 +295,7 @@ type mc = {
 }
 
 (* Each unit is an independent 63-lane batch whose PRNG stream depends only
-   on (seed, unit index), so a unit's mean is the same whichever attempt or
+   on (seed, unit index), so a unit's mean is the same whichever run or
    engine computed it. *)
 let unit_rng ~seed u =
   Hlp_util.Prng.create (seed + ((u + 1) * 0x2545F4914F6CDD1D))
@@ -320,7 +316,7 @@ let mc_unit net ~caps ~batch ~seed u =
    toggle counts, so the returned mean has the same float bits. The unit
    runs on a caller-owned state and input buffer: [Kernel.reset] returns
    the state to exactly what [Kernel.create] leaves, whatever an earlier
-   (or failed) unit did to it, and [Kernel.step] only reads [words]. *)
+   unit did to it, and [Kernel.step] only reads [words]. *)
 let mc_unit_kernel sim words ~batch ~seed u =
   let rng = unit_rng ~seed u in
   Kernel.reset sim;
@@ -372,124 +368,47 @@ let wide_state plan ~nin =
       Domain.DLS.set wide_slot (Some ws);
       ws
 
-(* A raising unit is retried with bounded exponential backoff. Its mean is
-   deterministic per index, so a retry that succeeds yields exactly the
-   value a clean run would have; a unit still failing after [max_retries]
-   retries surfaces as the typed worker failure naming it. *)
-let contained ~max_retries f u =
-  let rec attempt k =
-    match
-      (* span per attempt: a retried unit appears again with attempt > 1 *)
-      Hlp_util.Trace.span
-        ~args:(fun () ->
-          [ ("shard", Hlp_util.Json.Int u); ("attempt", Hlp_util.Json.Int k) ])
-        "parsim.shard"
-        (fun () ->
-          (* fault-injection point: the unit dying at pickup *)
-          Hlp_util.Faultinject.trip Hlp_util.Faultinject.Domain_kill;
-          f u)
-    with
-    | v -> v
-    | exception e ->
-        Hlp_util.Telemetry.incr tel_worker_failures;
-        Hlp_util.Trace.instant
-          ~args:(fun () ->
-            [ ("shard", Hlp_util.Json.Int u);
-              ("why", Hlp_util.Json.Str (Printexc.to_string e)) ])
-          "parsim.shard_failed";
-        if k > max_retries then
-          raise
-            (Hlp_util.Err.Error
-               (Hlp_util.Err.Worker_failure
-                  { shard = u; attempts = k; why = Printexc.to_string e }))
-        else begin
-          Hlp_util.Telemetry.incr tel_shard_retries;
-          Hlp_util.Trace.span
-            ~args:(fun () -> [ ("attempt", Hlp_util.Json.Int k) ])
-            "parsim.retry_backoff"
-            (fun () ->
-              Unix.sleepf (backoff_base_s *. float_of_int (1 lsl (k - 1))));
-          attempt (k + 1)
-        end
-  in
-  attempt 1
-
 (* The compiled units in passes of [Kernel.Wide.width]. [next u] is unit
    [u]'s mean: from the current pass when [u] lies in it, else from a new
    pass starting at [u]. Units are asked for in order, so a pass covers
-   the next [width] units. A pass that raises (the ["domain-kill"] point
-   trips as it starts) is abandoned and its units run one at a time under
-   [contained], so retries and [Worker_failure] still name a unit.
-   [ahead u] counts the units the current pass computed past [u]. *)
-let wide_units ~max_retries ~single pass =
-  (* units [lo, hi) belong to the current pass; [means] holds them, or is
-     [None] when the pass failed *)
-  let lo = ref 0 and hi = ref 0 and means = ref None in
-  let try_pass u =
-    match
-      Hlp_util.Trace.span
-        ~args:(fun () -> [ ("first_unit", Hlp_util.Json.Int u) ])
-        "parsim.pass"
-        (fun () ->
-          Hlp_util.Faultinject.trip Hlp_util.Faultinject.Domain_kill;
-          pass u)
-    with
-    | ms ->
-        Hlp_util.Telemetry.incr tel_mc_passes;
-        Some ms
-    | exception e ->
-        Hlp_util.Telemetry.incr tel_worker_failures;
-        Hlp_util.Trace.instant
-          ~args:(fun () ->
-            [ ("first_unit", Hlp_util.Json.Int u);
-              ("why", Hlp_util.Json.Str (Printexc.to_string e)) ])
-          "parsim.pass_failed";
-        None
-  in
+   the next [width] units. A pass that raises leaves the run. [ahead u]
+   counts the units the current pass computed past [u]. *)
+let wide_units pass =
+  (* units [lo, lo + width) belong to the current pass, [means] holds them *)
+  let lo = ref 0 and means = ref [||] in
   let next u =
-    if u < !lo || u >= !hi then begin
+    if u < !lo || u >= !lo + Array.length !means then begin
+      means :=
+        Hlp_util.Trace.span
+          ~args:(fun () -> [ ("first_unit", Hlp_util.Json.Int u) ])
+          "parsim.pass"
+          (fun () -> pass u);
       lo := u;
-      hi := u + Kernel.Wide.width;
-      means := try_pass u
+      Hlp_util.Telemetry.incr tel_mc_passes
     end;
-    match !means with
-    | Some ms -> ms.(u - !lo)
-    | None -> contained ~max_retries single u
+    !means.(u - !lo)
   in
-  let ahead u =
-    match !means with
-    | Some _ when u >= !lo && u < !hi -> !hi - 1 - u
-    | _ -> 0
-  in
+  let ahead u = !lo + Array.length !means - 1 - u in
   (next, ahead)
 
-let monte_carlo_units ?(max_retries = 2) ?resume_means ?on_unit ~engine net
-    ~batch ~seed ~stop =
-  if max_retries < 0 then
-    raise
-      (Hlp_util.Err.invalid_input ~what:"Parsim.monte_carlo_units: max_retries"
-         "must be non-negative");
+let monte_carlo_units ?resume_means ?on_unit ~engine net ~batch ~seed ~stop =
   Hlp_util.Telemetry.time tel_mc_time @@ fun () ->
   let next, ahead =
     match (engine : Engine.t) with
     | Engine.Compiled ->
         let plan = Kernel.of_netlist net in
         let nin = Array.length net.Netlist.inputs in
-        (* the one-unit state: every unit without AVX2, and the units of a
-           failed pass; arrays this size go straight to the major heap,
-           so one per run, made on first use *)
-        let one = lazy (Kernel.create plan, Array.make nin 0) in
-        let single u =
-          let sim, words = Lazy.force one in
-          mc_unit_kernel sim words ~batch ~seed u
-        in
         if Kernel.Wide.available then
           let w, words = wide_state plan ~nin in
-          wide_units ~max_retries ~single (mc_pass w words ~batch ~seed)
-        else (contained ~max_retries single, fun _ -> 0)
+          wide_units (mc_pass w words ~batch ~seed)
+        else
+          (* one state for every unit; arrays this size go straight to
+             the major heap, so one per run *)
+          let sim = Kernel.create plan and words = Array.make nin 0 in
+          (mc_unit_kernel sim words ~batch ~seed, fun _ -> 0)
     | _ ->
         let caps = Netlist.node_capacitance net in
-        (contained ~max_retries (mc_unit net ~caps ~batch ~seed), fun _ -> 0)
+        (mc_unit net ~caps ~batch ~seed, fun _ -> 0)
   in
   let result means cycles =
     { mean = Hlp_util.Stats.mean means; unit_means = means; cycles }

@@ -8,16 +8,12 @@
     from the seed and the unit index, so [Bitparallel] and [Compiled] units
     carry the same bits and a resumed run equals a crash-free one.
 
-    Faults are {e contained}, not propagated: a Monte Carlo unit whose
-    computation raises is retried with bounded exponential backoff
-    ([max_retries] times, 1 ms base). Because units are deterministic per
-    index, a retry that succeeds yields exactly the value a clean run
-    would have — containment does not weaken the determinism contract.
-    Units that keep failing surface as the typed error
-    [Hlp_util.Err.Error (Worker_failure _)]. Failure, retry, and
-    degradation counts are visible in the ["parsim.worker_failures"],
-    ["parsim.shard_retries"], and ["parsim.engine_fallbacks"] telemetry
-    counters. *)
+    {!with_degradation} is the one containment layer: a replay or a
+    Monte Carlo run that raises is run again, whole, on the next engine
+    of the chain, and each hop is counted in ["parsim.engine_fallbacks"].
+    Within a run nothing is retried: a unit is a pure function of
+    [(seed, unit index)] on the caller's domain, so running it again
+    could only repeat the failure. *)
 
 (** {1 Serial-trace replay} *)
 
@@ -129,7 +125,6 @@ type mc = {
 }
 
 val monte_carlo_units :
-  ?max_retries:int ->
   ?resume_means:float array ->
   ?on_unit:(int -> float -> unit) ->
   engine:Engine.t ->
@@ -160,16 +155,12 @@ val monte_carlo_units :
     keeps one wide state, reused across runs of the same cached plan and
     reset at the start of every pass, so no earlier run reaches an answer.
 
-    A raising unit (including the ["domain-kill"] fault point, tripped as
-    each attempt picks its unit up) is retried up to [max_retries]
-    (default 2) times with exponential backoff; a unit still failing
-    afterwards raises [Hlp_util.Err.Error (Worker_failure {shard; _})]
-    with [shard] the unit index. A pass that raises (the ["domain-kill"]
-    point also trips as a pass starts, and ["gate-eval"] once per wide
-    step) is abandoned, counted in ["parsim.worker_failures"], and its
-    units run one at a time under that containment, so retries and
-    [shard] still name a unit. A negative [max_retries] raises the typed
-    [Invalid_input].
+    {b Failures.} A unit or a pass that raises (the ["gate-eval"] fault
+    point trips in every unit step and every wide step) ends the run with
+    that exception, unretried. Behind {!with_degradation}, as
+    {!Hlp_power.Probprop.estimate_guarded} runs it, the next engine then
+    runs the whole estimate again: [Bitparallel] after [Compiled] returns
+    the same bits.
 
     {b Deadline granularity.} A guard checked inside [stop] is seen at
     every unit's stop evaluation, but a pass computes four units before

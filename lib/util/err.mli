@@ -25,8 +25,12 @@ type t =
   | Cancelled of { where : string }
       (** A {!Guard} cancellation token was triggered. *)
   | Worker_failure of { shard : int; attempts : int; why : string }
-      (** A parallel shard kept failing after bounded retries
-          ({!Hlp_sim.Parsim}); [why] is the printed original exception. *)
+      (** Work raised an untyped exception with nothing left to fall back
+          on: the last engine of {!Hlp_sim.Parsim.with_degradation}'s
+          chain ([shard = -1], [attempts] the engines tried), a
+          {!Supervisor.run_jobs} job ([shard] its index), or a supervised
+          daemon restarting too often. [why] is the printed original
+          exception. *)
   | Overloaded of { queue : string; budget : int; pending : int }
       (** Admission control shed the work: accepting it would have pushed
           [queue] past its [budget] ({!Supervisor}'s load shedding). The

@@ -1,20 +1,16 @@
-type point = Gate_eval | Trace_sample | Domain_kill | Bdd_blowup
-
-let all_points = [ Gate_eval; Trace_sample; Domain_kill; Bdd_blowup ]
+type point = Gate_eval | Trace_sample | Bdd_blowup
 
 let point_name = function
   | Gate_eval -> "gate-eval"
   | Trace_sample -> "trace-sample"
-  | Domain_kill -> "domain-kill"
   | Bdd_blowup -> "bdd-blowup"
 
 let index = function
   | Gate_eval -> 0
   | Trace_sample -> 1
-  | Domain_kill -> 2
-  | Bdd_blowup -> 3
+  | Bdd_blowup -> 2
 
-let npoints = 4
+let npoints = 3
 
 type config = { mask : int; rate : float; seed : int }
 

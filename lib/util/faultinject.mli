@@ -7,28 +7,24 @@
     hashed (splitmix64) with the configured seed, and the point fires if
     the resulting uniform deviate falls under the configured rate. The
     multiset of fired draws therefore depends only on
-    [(seed, rate, #draws)] — worker-domain scheduling can permute {e which
-    unit} absorbs a fault, but not {e how many} fire, and any single
-    unit's retry draws fresh sequence numbers (transient-fault model).
+    [(seed, rate, #draws)] — callers on several domains can permute
+    {e which} of them absorbs a fault, but not {e how many} fire. Nothing
+    retries a fired draw: a fault ends the engine attempt it hit, and
+    {!Hlp_sim.Parsim.with_degradation} moves on to the next engine.
 
     Injection points and what a firing simulates:
-    - [Gate_eval]: a gate-evaluation raise inside {!Hlp_sim.Funcsim} /
-      {!Hlp_sim.Bitsim} steps (bad netlist memory, cosmic ray — an
-      arbitrary exception on the innermost path);
+    - [Gate_eval]: a gate-evaluation raise inside {!Hlp_sim.Funcsim},
+      {!Hlp_sim.Bitsim} and {!Hlp_sim.Kernel} steps, one-unit and
+      four-unit alike (bad netlist memory, cosmic ray — an arbitrary
+      exception on the innermost path);
     - [Trace_sample]: a poisoned (non-finite) per-transition macro-model
       value inside {!Hlp_power.Sampling.prepare};
-    - [Domain_kill]: a Monte Carlo unit dying at pickup (each attempt
-      of a {!Hlp_sim.Parsim.monte_carlo_units} unit, and each four-unit
-      pass, draws once);
     - [Bdd_blowup]: artificial BDD node-budget exhaustion — {!Bdd} raises
       the same typed [Budget_exceeded] as a real blowup, exercising the
       symbolic-to-sampling degradation chain without building a large
       diagram. *)
 
-type point = Gate_eval | Trace_sample | Domain_kill | Bdd_blowup
-
-val all_points : point list
-val point_name : point -> string
+type point = Gate_eval | Trace_sample | Bdd_blowup
 
 val configure : ?seed:int -> ?rate:float -> point list -> unit
 (** Arm the given points at the given firing probability (default 0.05)

@@ -10,12 +10,11 @@
     so an NTP step cannot trip a deadline) and sit inside per-batch
     loops without measurable cost; they are {e cooperative} — a deadline
     fires at the next check, not preemptively, so granularity is one batch
-    or shard, never mid-gate.
+    or Monte Carlo unit, never mid-gate.
 
-    Resource budgets that are not time-shaped (BDD node counts, retry
-    counts) live with the resource owner ({!Bdd.manager}'s [node_limit],
-    {!Hlp_sim.Parsim}'s [max_retries]) and report through the same
-    {!Err.t} taxonomy. *)
+    Resource budgets that are not time-shaped (BDD node counts) live with
+    the resource owner ({!Bdd.manager}'s [node_limit]) and report through
+    the same {!Err.t} taxonomy. *)
 
 type token
 (** A cancellation token: a named atomic flag, safe to {!cancel} from any

@@ -746,7 +746,7 @@ module Client = struct
         why = "server closed the connection without responding";
       }
 
-  let request ?(idempotent = true) t payload =
+  let request t payload =
     t.logical <- t.logical + 1;
     (* A supervised daemon restart shows up here as connect attempts
        exhausting their wait (the socket is gone or refusing while the
@@ -765,26 +765,24 @@ module Client = struct
           Float.max 0.01 (Float.min t.connect_wait_s (d -. Clock.now_s ())))
         ride_deadline
     in
-    (* [sent]: whether the server may already have executed this request.
-       Connect and write failures happen before the request could have
-       been processed (a torn write is dropped by the server's CRC wall),
-       so they are retried even for non-idempotent requests; once the
-       frame is fully written, only idempotent requests may be retried. *)
-    let retry_or ~attempt ~sleep_s ~retryable (e : Err.t) k =
-      if attempt >= t.max_retries || not retryable then begin
-        Telemetry.incr tel_exhausted;
-        raise (Err.Error e)
-      end
-      else begin
-        Telemetry.incr tel_retries;
-        Unix.sleepf sleep_s;
-        k (next_backoff t.rng ~base_s:t.backoff_base_s ~cap_s:t.backoff_cap_s sleep_s)
-      end
+    let exhausted (e : Err.t) =
+      Telemetry.incr tel_exhausted;
+      raise (Err.Error e)
     in
+    (* Every failure is retried, after the frame was fully written too:
+       every protocol op is pure, so a replay is the identity (a torn
+       write is dropped by the server's CRC wall). *)
     let rec attempt n sleep_s =
-      let retry ~retryable e =
+      let retry e =
         disconnect t;
-        retry_or ~attempt:n ~sleep_s ~retryable e (fun s -> attempt (n + 1) s)
+        if n >= t.max_retries then exhausted e
+        else begin
+          Telemetry.incr tel_retries;
+          Unix.sleepf sleep_s;
+          attempt (n + 1)
+            (next_backoff t.rng ~base_s:t.backoff_base_s
+               ~cap_s:t.backoff_cap_s sleep_s)
+        end
       in
       match conn ?wait_s:(connect_budget ()) t with
       | exception
@@ -797,21 +795,24 @@ module Client = struct
               Telemetry.incr tel_restart_rides;
               disconnect t;
               attempt n sleep_s
-          | _ -> retry ~retryable:true e)
-      | exception Err.Error e -> retry ~retryable:true e
+          | _ -> retry e)
+      | exception Err.Error e -> retry e
       | c -> (
           match
             write_frame c.fd payload;
             t.wire <- t.wire + 1
           with
           | exception Unix.Unix_error (e, _, _) ->
-              retry ~retryable:true
+              retry
                 (Err.Invalid_input
                    {
                      what = "Server.Client.request";
                      why = "write failed: " ^ Unix.error_message e;
                    })
-          | exception Err.Error e -> retry ~retryable:false e
+          | exception Err.Error e ->
+              (* the writer refused the frame: sending it again cannot help *)
+              disconnect t;
+              exhausted e
           | () -> (
               match read_frame ?timeout_s:t.request_timeout_s c.fd with
               | Some resp -> (
@@ -826,10 +827,10 @@ module Client = struct
                       (* retries exhausted on overload: the shed frame is
                          itself a typed answer — return it *)
                       resp)
-              | None -> retry ~retryable:idempotent no_response
-              | exception Err.Error e -> retry ~retryable:idempotent e
+              | None -> retry no_response
+              | exception Err.Error e -> retry e
               | exception Unix.Unix_error (e, _, _) ->
-                  retry ~retryable:idempotent
+                  retry
                     (Err.Invalid_input
                        {
                          what = "Server.Client.request";

@@ -31,16 +31,14 @@
     degrade or stop mid-estimate.
 
     {b Retry semantics.} The transport cannot tell "the server never saw
-    the frame" from "the response was lost" — only the caller knows
-    whether replaying a request is safe. {!Client.request} therefore
-    splits failures: connect and write failures are always retried (a
-    torn write is rejected by the server's CRC wall before any handler
-    runs), while failures {e after} the frame was fully written are
-    retried only for requests declared idempotent. Every operation of
-    the estimation protocol ([estimate], [sampler], [ping], [stats]) is
-    pure by construction — estimates are deterministic in (netlist,
-    engine, seed, precision) and served from a shared cache — so the
-    service client retries them freely; see [Hlp_power.Service].
+    the frame" from "the response was lost", so a request is only safe to
+    replay if it is idempotent. Every operation of the estimation
+    protocol ([estimate], [sampler], [ping], [stats]) is pure by
+    construction — estimates are deterministic in (netlist, engine, seed,
+    precision) and served from a shared cache — so {!Client.request}
+    retries every failure, before or after the frame was fully written;
+    see [Hlp_power.Service]. A torn write is rejected by the server's CRC
+    wall before any handler runs.
 
     {b Drain.} Cancelling [token] (e.g. from a
     {!Supervisor.with_graceful_stop} signal handler) stops the accept
@@ -349,15 +347,15 @@ module Client : sig
       [seed] fixes the jitter stream for tests. Raises the typed
       [Invalid_input] on out-of-range parameters. *)
 
-  val request : ?idempotent:bool -> t -> string -> string
+  val request : t -> string -> string
   (** [request t payload] performs one logical round trip, transparently
       reconnecting and retrying up to [max_retries] times. Connect and
-      write failures are always retried (the server's CRC wall rejects a
-      torn request before any handler runs). Failures after the request
-      frame was fully written — connection closed without a response, a
-      torn or corrupt response frame, a response timeout — are retried
-      only when [idempotent] (default [true], matching the estimation
-      protocol; pass [false] for requests whose replay is unsafe).
+      write failures are retried (the server's CRC wall rejects a torn
+      request before any handler runs), and so are failures after the
+      request frame was fully written — connection closed without a
+      response, a torn or corrupt response frame, a response timeout —
+      because every protocol op is pure. A frame the writer itself
+      refuses (a typed error from {!write_frame}) is not retried.
       A typed overload response makes the client sleep the frame's
       [retry_after_s] hint, reconnect, and retry; when retries are
       exhausted on overload the shed frame itself is returned (it is a

@@ -1,11 +1,12 @@
 (** Hierarchical span tracing with Chrome trace-event export.
 
-    Where {!Telemetry} aggregates (how many shard retries, how long in
+    Where {!Telemetry} aggregates (how many engine fallbacks, how long in
     replay total), [Trace] records {e structure}: which engine attempt
-    contained which shard, where the backoff sat inside the retry, which
-    Monte Carlo batch tripped the deadline. The export is the Chrome
-    trace-event JSON format, loadable in Perfetto ([ui.perfetto.dev]) or
-    [chrome://tracing] for a flame-graph view of one run.
+    ran which Monte Carlo pass, where a fallback hop sat between two
+    attempts, which Monte Carlo batch tripped the deadline. The export
+    is the Chrome trace-event JSON format, loadable in Perfetto
+    ([ui.perfetto.dev]) or [chrome://tracing] for a flame-graph view of
+    one run.
 
     Discipline matches {!Telemetry}: the global switch is off by default
     and every instrumented site costs exactly one predictable branch when
@@ -14,13 +15,13 @@
     steps.
 
     Concurrency: each domain appends to its own bounded buffer (created
-    on first use, registered globally), so {!Hlp_sim.Parsim} worker
-    domains trace without locking; buffers are merged and time-sorted at
-    flush. When a domain's buffer fills, the {e newest} events are
-    dropped (and counted in {!dropped}) in a nesting-preserving way: a
-    dropped begin swallows its matching end, so the exported stream stays
-    well-formed — every [E] event matches an earlier [B] on the same
-    thread. *)
+    on first use, registered globally), so worker domains (the daemon's,
+    {!Supervisor.run_jobs}') trace without locking; buffers are merged
+    and time-sorted at flush. When a domain's buffer fills, the
+    {e newest} events are dropped (and counted in {!dropped}) in a
+    nesting-preserving way: a dropped begin swallows its matching end, so
+    the exported stream stays well-formed — every [E] event matches an
+    earlier [B] on the same thread. *)
 
 val enabled : unit -> bool
 (** Current state of the global switch (off at program start). *)
@@ -52,8 +53,8 @@ val begin_span : ?args:(string * Json.t) list -> string -> unit
 val end_span : unit -> unit
 
 val instant : ?args:(unit -> (string * Json.t) list) -> string -> unit
-(** A zero-duration marker (Chrome ["i"] event), e.g. a budget trip or a
-    retry backoff. No-op while disabled. *)
+(** A zero-duration marker (Chrome ["i"] event), e.g. a budget trip or an
+    engine-fallback hop. No-op while disabled. *)
 
 (** {1 Inspection & export} *)
 

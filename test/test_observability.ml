@@ -605,7 +605,6 @@ let test_provenance_symbolic () =
       Alcotest.(check int) "empty tail" 0
         (Array.length p.Probprop.convergence_tail);
       Alcotest.(check bool) "wall time recorded" true (p.Probprop.wall_time_s >= 0.0);
-      Alcotest.(check bool) "telemetry was off" false p.Probprop.counters_live;
       (match Json.parse (Json.to_string (Probprop.provenance_json p)) with
       | Ok v ->
           Alcotest.(check (option string)) "json estimator" (Some "symbolic")
@@ -634,6 +633,28 @@ let test_provenance_fallback () =
         (tail > 0 && tail <= 8);
       Alcotest.(check bool) "confidence interval present" true
         (p.Probprop.half_interval <> None)
+
+(* the record carries only what the estimate returned, under both
+   estimators: no process-wide counter deltas *)
+let test_provenance_keys () =
+  let open Hlp_power in
+  let net = Hlp_logic.Generators.adder_circuit 4 in
+  let keys node_limit =
+    match Probprop.estimate_guarded ~node_limit ~seed:5 ~max_cycles:600 net with
+    | Error e -> Alcotest.failf "guarded estimate failed: %s" (Err.to_string e)
+    | Ok g -> (
+        match Probprop.provenance_json g.Probprop.provenance with
+        | Json.Obj fields -> List.map fst fields
+        | _ -> Alcotest.fail "provenance is not a JSON object")
+  in
+  let expected =
+    [ "estimator"; "engine"; "symbolic_fallback"; "engine_fallbacks"; "seed";
+      "batches"; "cycles_used"; "half_interval"; "convergence_tail";
+      "wall_time_s" ]
+  in
+  Alcotest.(check (list string)) "symbolic: ten keys" expected
+    (keys Probprop.default_node_limit);
+  Alcotest.(check (list string)) "sampled: ten keys" expected (keys 4)
 
 let suite =
   [
@@ -678,4 +699,6 @@ let suite =
       test_provenance_symbolic;
     Alcotest.test_case "provenance: budget trip degrades to sampling" `Quick
       test_provenance_fallback;
+    Alcotest.test_case "provenance: exactly the estimate's ten keys" `Quick
+      test_provenance_keys;
   ]

@@ -134,7 +134,7 @@ let test_faultinject_rates () =
         (Faultinject.fired Faultinject.Gate_eval);
       (* unarmed points are unaffected *)
       Alcotest.(check bool) "unarmed point silent" false
-        (Faultinject.fire Faultinject.Domain_kill))
+        (Faultinject.fire Faultinject.Bdd_blowup))
 
 let test_faultinject_determinism () =
   let run () =
@@ -160,55 +160,29 @@ let test_faultinject_disarm () =
    with Exit -> ());
   Alcotest.(check bool) "disarmed after exception" false (Faultinject.enabled ())
 
-(* --- Parsim: containment, retries, degradation --- *)
+(* --- Parsim: failures and degradation --- *)
 
 (* [n] compiled Monte Carlo units of a small adder: the stop rule fires on
-   the unit count alone, so a run's unit means are comparable bit for bit *)
-let mc_units ?max_retries n =
-  Hlp_sim.Parsim.monte_carlo_units ?max_retries ~engine:Hlp_sim.Engine.Compiled
+   the unit count alone *)
+let mc_units n =
+  Hlp_sim.Parsim.monte_carlo_units ~engine:Hlp_sim.Engine.Compiled
     (Hlp_logic.Generators.adder_circuit 4) ~batch:4 ~seed:7
     ~stop:(fun ~means ~cycles:_ -> Array.length means >= n)
 
-let unit_bits (r : Hlp_sim.Parsim.mc) =
-  Array.map Int64.bits_of_float r.Hlp_sim.Parsim.unit_means
-
-let test_mc_units_validation () =
-  check_err "invalid-input" "negative retries" (fun () ->
-      mc_units ~max_retries:(-1) 4)
-
-let test_parsim_retry_recovers () =
-  (* transient faults: each retry draws a fresh fault decision, so at a
-     moderate rate the retried units succeed and the run completes with
-     the exact unit means a clean run produces *)
-  with_telemetry @@ fun () ->
-  let clean = unit_bits (mc_units 40) in
-  let r =
-    Faultinject.with_faults ~seed:(5 + seed_offset) ~rate:0.2
-      [ Faultinject.Domain_kill ]
-      (fun () -> mc_units ~max_retries:8 40)
-  in
-  Alcotest.(check (array int64)) "unit means bit-identical despite faults" clean
-    (unit_bits r);
-  Alcotest.(check bool)
-    "failures counted" true
-    (Telemetry.count (Telemetry.counter "parsim.worker_failures") >= 1);
-  Alcotest.(check bool)
-    "retries counted" true
-    (Telemetry.count (Telemetry.counter "parsim.shard_retries") >= 1)
-
-let test_parsim_persistent_failure () =
-  (* a unit that keeps failing exhausts its retries and surfaces as the
-     typed worker failure naming the unit *)
-  match
-    Faultinject.with_faults ~rate:1.0 [ Faultinject.Domain_kill ] (fun () ->
-        mc_units ~max_retries:1 8)
-  with
-  | _ -> Alcotest.fail "expected Worker_failure"
-  | exception Err.Error (Err.Worker_failure { shard; attempts; why }) ->
-      Alcotest.(check int) "failing unit named" 0 shard;
-      Alcotest.(check int) "attempts = max_retries + 1" 2 attempts;
-      Alcotest.(check bool) "original exception kept" true
-        (String.length why > 0)
+let test_raising_unit_not_retried () =
+  (* a unit is a pure function of (seed, unit index) on the caller's
+     domain, so running it again could only repeat the failure: the first
+     fault leaves the run as it was raised, for the engine chain above *)
+  Faultinject.with_faults ~rate:1.0 [ Faultinject.Gate_eval ] (fun () ->
+      match mc_units 8 with
+      | _ -> Alcotest.fail "expected the injected fault to leave the run"
+      | exception e ->
+          Alcotest.(check string) "the injected exception, unwrapped"
+            (Printexc.to_string
+               (Faultinject.injected_exn Faultinject.Gate_eval))
+            (Printexc.to_string e);
+          Alcotest.(check int) "one fired draw: nothing ran again" 1
+            (Faultinject.fired Faultinject.Gate_eval))
 
 let adder_trace ~width ~n seed =
   let net = Hlp_logic.Generators.adder_circuit width in
@@ -511,6 +485,27 @@ let test_estimate_guarded_deadline () =
       Alcotest.(check string) "deadline surfaces" "deadline-exceeded"
         (Err.class_name e)
 
+(* a symbolic answer is held to the deadline like a sampled one: a build
+   that ends late is a typed error, and what it proved stays in the memo *)
+let test_estimate_guarded_late_symbolic () =
+  let net = Hlp_logic.Generators.multiplier_circuit 8 in
+  let run () =
+    Hlp_power.Probprop.estimate_guarded
+      ~guard:(Guard.create ~deadline_s:0.02 ())
+      ~node_limit:2_000_000 net
+  in
+  ignore (Hlp_logic.Netcache.clear Hlp_power.Probprop.symbolic_memo);
+  (match run () with
+  | Ok _ -> Alcotest.fail "a build past the deadline answered"
+  | Error (Err.Deadline_exceeded _) -> ()
+  | Error e ->
+      Alcotest.fail ("expected deadline-exceeded: " ^ Err.to_string e));
+  match run () with
+  | Ok g ->
+      Alcotest.(check bool) "answered symbolically from the memo" true
+        (g.Hlp_power.Probprop.estimator = Hlp_power.Probprop.Symbolic)
+  | Error e -> Alcotest.fail ("memo answer failed: " ^ Err.to_string e)
+
 let test_monte_carlo_validation () =
   let net = Hlp_logic.Generators.adder_circuit 4 in
   check_err "invalid-input" "batch < 2" (fun () ->
@@ -583,7 +578,7 @@ let test_sampling_poisoned_trace () =
 let qcheck_pipeline_never_crashes =
   (* Under any injected fault mix, [estimate_guarded] returns a typed error
      or the answer the same request gives without faults, bit for bit:
-     faults cost retries and engine hops, never bits. When the BDD stage
+     faults cost engine hops, never bits. When the BDD stage
      ran that is the symbolic answer; when an injected blowup tripped it,
      the Monte Carlo answer of the request with the symbolic stage
      skipped, on the engine that answered (the unit engines share bits; a
@@ -593,17 +588,16 @@ let qcheck_pipeline_never_crashes =
   let net = Hlp_logic.Generators.adder_circuit 4 in
   let request ?try_symbolic ~engine seed =
     Hlp_power.Probprop.estimate_guarded ?try_symbolic ~seed ~node_limit:5000
-      ~engine ~max_retries:3 net
+      ~engine net
   in
   QCheck.Test.make ~name:"faulted pipeline: typed error or consistent estimate"
     ~count:25
-    QCheck.(pair (int_bound 10_000) (int_bound 7))
+    QCheck.(pair (int_bound 10_000) (int_bound 3))
     (fun (seed, mask) ->
       let points =
         List.filteri
           (fun i _ -> mask land (1 lsl i) <> 0)
-          [ Faultinject.Gate_eval; Faultinject.Domain_kill;
-            Faultinject.Bdd_blowup ]
+          [ Faultinject.Gate_eval; Faultinject.Bdd_blowup ]
       in
       (* an empty symbolic memo, so an injected trip can reach the BDD *)
       ignore (Hlp_logic.Netcache.clear Hlp_power.Probprop.symbolic_memo);
@@ -636,23 +630,6 @@ let qcheck_pipeline_never_crashes =
                   && c.cycles_used = mc.cycles_used
               | _ -> false)))
 
-let qcheck_units_deterministic_under_faults =
-  (* a unit's mean depends only on its index, so a clean 30-unit run's
-     prefix is the expected answer for any shorter run *)
-  let clean = lazy (unit_bits (mc_units 30)) in
-  QCheck.Test.make
-    ~name:"Parsim.map under domain kills: correct values or typed error"
-    ~count:25
-    QCheck.(pair (int_bound 10_000) (int_range 1 30))
-    (fun (seed, n) ->
-      match
-        Faultinject.with_faults ~seed:(seed + seed_offset) ~rate:0.3
-          [ Faultinject.Domain_kill ]
-          (fun () -> mc_units ~max_retries:4 n)
-      with
-      | r -> unit_bits r = Array.sub (Lazy.force clean) 0 n
-      | exception Err.Error (Err.Worker_failure _) -> true)
-
 let suite =
   [
     Alcotest.test_case "err exit codes" `Quick test_err_exit_codes;
@@ -665,9 +642,8 @@ let suite =
     Alcotest.test_case "faultinject rates" `Quick test_faultinject_rates;
     Alcotest.test_case "faultinject determinism" `Quick test_faultinject_determinism;
     Alcotest.test_case "faultinject disarm" `Quick test_faultinject_disarm;
-    Alcotest.test_case "parsim map validation" `Quick test_mc_units_validation;
-    Alcotest.test_case "parsim retry recovers" `Quick test_parsim_retry_recovers;
-    Alcotest.test_case "parsim persistent failure" `Quick test_parsim_persistent_failure;
+    Alcotest.test_case "parsim: a raising unit is not retried" `Quick
+      test_raising_unit_not_retried;
     Alcotest.test_case "replay_guarded degrades" `Quick test_replay_guarded_degrades;
     Alcotest.test_case "replay_guarded propagates guard trips" `Quick
       test_replay_guarded_propagates_guard_trips;
@@ -687,6 +663,8 @@ let suite =
     Alcotest.test_case "estimate_guarded falls back to sampling" `Quick
       test_estimate_guarded_falls_back_to_sampling;
     Alcotest.test_case "estimate_guarded deadline" `Quick test_estimate_guarded_deadline;
+    Alcotest.test_case "estimate_guarded: a late symbolic answer is a deadline"
+      `Quick test_estimate_guarded_late_symbolic;
     Alcotest.test_case "estimate_guarded: a budget under one unit runs two"
       `Quick test_estimate_guarded_sub_unit_budget;
     Alcotest.test_case "monte carlo validation" `Quick test_monte_carlo_validation;
@@ -695,5 +673,4 @@ let suite =
       test_sampling_prepare_validation;
     Alcotest.test_case "sampling poisoned trace" `Quick test_sampling_poisoned_trace;
     QCheck_alcotest.to_alcotest qcheck_pipeline_never_crashes;
-    QCheck_alcotest.to_alcotest qcheck_units_deterministic_under_faults;
   ]
