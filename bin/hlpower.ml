@@ -210,16 +210,28 @@ let estimate (_, circuit) width cycles stream seed engine profile outputs
     Hlp_power.Complexity.ces_switched_capacitance_estimate Hlp_power.Complexity.ces_default net
   in
   Printf.printf "%-22s %10.1f cap units/cycle\n" "gate-equivalents (CES):" ces;
-  let mc = Hlp_power.Probprop.monte_carlo ~seed ~engine ~guard net in
+  (* the guarded path: exact symbolic under the node budget, Monte Carlo
+     sampling as the degradation target on blowup. A sampled answer on
+     the requested engine is the run the Monte Carlo line reports (same
+     seed, engine, precision and cycle budget), so it is not run twice. *)
+  let guarded =
+    Hlp_power.Probprop.estimate_guarded ~guard ?node_limit ~seed ~engine net
+  in
+  let mc =
+    match guarded with
+    | Ok
+        { Hlp_power.Probprop.estimator = Hlp_power.Probprop.Monte_carlo mc;
+          engine_used = Some e;
+          _ }
+      when e = engine ->
+        mc
+    | _ -> Hlp_power.Probprop.monte_carlo ~seed ~engine ~guard net
+  in
   Printf.printf
     "monte carlo (t-CI):     %10.1f cap units/cycle  (+/- %.1f, %d batches, %d cycles)\n"
     mc.Hlp_power.Probprop.estimate mc.Hlp_power.Probprop.half_interval
     mc.Hlp_power.Probprop.batches mc.Hlp_power.Probprop.cycles_used;
-  (* the guarded path: exact symbolic under the node budget, Monte Carlo
-     sampling as the degradation target on blowup *)
-  (match
-     Hlp_power.Probprop.estimate_guarded ~guard ?node_limit ~seed ~engine net
-   with
+  (match guarded with
   | Ok g ->
       let how =
         match g.Hlp_power.Probprop.estimator with
@@ -1024,7 +1036,7 @@ let supervise d journal probe_interval probe_misses backoff_base backoff_cap
         (Hlp_util.Err.Error
            (Hlp_util.Err.Worker_failure
               {
-                shard = 0;
+                worker = "supervised daemon";
                 attempts = n;
                 why =
                   Printf.sprintf

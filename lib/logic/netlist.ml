@@ -9,6 +9,7 @@ type t = {
   dffs : wire array;
   dff_init : bool array;
   input_names : string array;
+  fingerprint : int64;
 }
 
 let num_nodes t = Array.length t.nodes
@@ -20,6 +21,79 @@ let num_gates t =
     0 t.nodes
 
 let num_dffs t = Array.length t.dffs
+
+(* FNV-1a over the full structure. Order matters everywhere it is fed, so
+   any change to a gate, a wire, or a port name changes the fingerprint.
+   The value is persisted (checkpoint, replay-cache and snapshot headers),
+   so it must never change: an int is fed as the 8 little-endian bytes of
+   [Int64.of_int i], a string byte by byte, a bool as one byte 0 or 1.
+
+   [Builder.finish] walks once and stores the result in the netlist
+   (netlists are immutable after construction), so [fingerprint] is a
+   field read. The helpers are closed and inlined and the hash lives in a
+   local ref, so the compiler keeps it unboxed and the walk allocates
+   only its result. Mixing a zero byte is a multiply by the prime (xor
+   with 0 changes nothing), so an int's high zero bytes cost one multiply
+   by a power of the prime, the same value mod 2^64. *)
+let fnv_prime = 0x100000001b3L
+
+(* [prime_pow.(k)] is the prime to the [k]: [k] zero bytes mixed at once *)
+let prime_pow =
+  let p = Array.make 9 1L in
+  for k = 1 to 8 do
+    p.(k) <- Int64.mul p.(k - 1) fnv_prime
+  done;
+  p
+
+let[@inline] mix_byte h b =
+  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
+
+(* [asr] keeps the sign bits [Int64.of_int] extends with, so a negative
+   int never reaches 0 and mixes all eight bytes *)
+let[@inline] mix_int h i =
+  let h = ref h and v = ref i and left = ref 8 in
+  while !v <> 0 && !left > 0 do
+    h := mix_byte !h !v;
+    v := !v asr 8;
+    decr left
+  done;
+  Int64.mul !h prime_pow.(!left)
+
+let[@inline] mix_string h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := mix_byte !h (Char.code (String.unsafe_get s i))
+  done;
+  !h
+
+let fingerprint_walk ~nodes ~inputs ~input_names ~outputs ~dffs ~dff_init =
+  let h = ref 0xcbf29ce484222325L in
+  for i = 0 to Array.length nodes - 1 do
+    let n = nodes.(i) in
+    h := mix_string !h (Gate.name n.kind);
+    let fanin = n.fanin in
+    h := mix_int !h (Array.length fanin);
+    for k = 0 to Array.length fanin - 1 do
+      h := mix_int !h fanin.(k)
+    done
+  done;
+  for k = 0 to Array.length inputs - 1 do
+    h := mix_int !h inputs.(k)
+  done;
+  for k = 0 to Array.length input_names - 1 do
+    h := mix_string !h input_names.(k)
+  done;
+  for k = 0 to Array.length outputs - 1 do
+    let name, w = outputs.(k) in
+    h := mix_int (mix_string !h name) w
+  done;
+  for k = 0 to Array.length dffs - 1 do
+    h := mix_int !h dffs.(k)
+  done;
+  for k = 0 to Array.length dff_init - 1 do
+    h := mix_byte !h (Bool.to_int dff_init.(k))
+  done;
+  !h
 
 module Builder = struct
   type b = {
@@ -120,14 +194,21 @@ module Builder = struct
       failwith "Netlist.Builder.finish: unconnected dff data pin";
     let nodes = Array.sub b.arr 0 b.count in
     let ins = List.rev b.rev_inputs in
-    let dffs = List.rev b.rev_dffs in
+    let regs = List.rev b.rev_dffs in
+    let inputs = Array.of_list (List.map fst ins)
+    and input_names = Array.of_list (List.map snd ins)
+    and outputs = Array.of_list (List.rev b.rev_outputs)
+    and dffs = Array.of_list (List.map fst regs)
+    and dff_init = Array.of_list (List.map snd regs) in
     {
       nodes;
-      inputs = Array.of_list (List.map fst ins);
-      input_names = Array.of_list (List.map snd ins);
-      outputs = Array.of_list (List.rev b.rev_outputs);
-      dffs = Array.of_list (List.map fst dffs);
-      dff_init = Array.of_list (List.map snd dffs);
+      inputs;
+      input_names;
+      outputs;
+      dffs;
+      dff_init;
+      fingerprint =
+        fingerprint_walk ~nodes ~inputs ~input_names ~outputs ~dffs ~dff_init;
     }
 end
 
@@ -214,93 +295,7 @@ let logic_depth t =
     t.nodes;
   !deepest
 
-(* FNV-1a over the full structure. Order matters everywhere it is fed, so
-   any change to a gate, a wire, or a port name changes the fingerprint.
-   The value is persisted (checkpoint, replay-cache and snapshot headers),
-   so it must never change: an int is fed as the 8 little-endian bytes of
-   [Int64.of_int i], a string byte by byte, a bool as one byte 0 or 1.
-
-   The helpers are closed and inlined and the hash lives in a local ref,
-   so the compiler keeps it unboxed and the walk allocates only its
-   result. Mixing a zero byte is a multiply by the prime (xor with 0
-   changes nothing), so an int's high zero bytes cost one multiply by a
-   power of the prime, the same value mod 2^64. *)
-let fnv_prime = 0x100000001b3L
-
-(* [prime_pow.(k)] is the prime to the [k]: [k] zero bytes mixed at once *)
-let prime_pow =
-  let p = Array.make 9 1L in
-  for k = 1 to 8 do
-    p.(k) <- Int64.mul p.(k - 1) fnv_prime
-  done;
-  p
-
-let[@inline] mix_byte h b =
-  Int64.mul (Int64.logxor h (Int64.of_int (b land 0xff))) fnv_prime
-
-(* [asr] keeps the sign bits [Int64.of_int] extends with, so a negative
-   int never reaches 0 and mixes all eight bytes *)
-let[@inline] mix_int h i =
-  let h = ref h and v = ref i and left = ref 8 in
-  while !v <> 0 && !left > 0 do
-    h := mix_byte !h !v;
-    v := !v asr 8;
-    decr left
-  done;
-  Int64.mul !h prime_pow.(!left)
-
-let[@inline] mix_string h s =
-  let h = ref h in
-  for i = 0 to String.length s - 1 do
-    h := mix_byte !h (Char.code (String.unsafe_get s i))
-  done;
-  !h
-
-let fingerprint_walk t =
-  let h = ref 0xcbf29ce484222325L in
-  let nodes = t.nodes in
-  for i = 0 to Array.length nodes - 1 do
-    let n = nodes.(i) in
-    h := mix_string !h (Gate.name n.kind);
-    let fanin = n.fanin in
-    h := mix_int !h (Array.length fanin);
-    for k = 0 to Array.length fanin - 1 do
-      h := mix_int !h fanin.(k)
-    done
-  done;
-  for k = 0 to Array.length t.inputs - 1 do
-    h := mix_int !h t.inputs.(k)
-  done;
-  for k = 0 to Array.length t.input_names - 1 do
-    h := mix_string !h t.input_names.(k)
-  done;
-  for k = 0 to Array.length t.outputs - 1 do
-    let name, w = t.outputs.(k) in
-    h := mix_int (mix_string !h name) w
-  done;
-  for k = 0 to Array.length t.dffs - 1 do
-    h := mix_int !h t.dffs.(k)
-  done;
-  for k = 0 to Array.length t.dff_init - 1 do
-    h := mix_byte !h (Bool.to_int t.dff_init.(k))
-  done;
-  !h
-
-(* The walk touches every byte of the structure, so repeated cache lookups
-   against one circuit (the hot pattern: fingerprint-keyed kernel and BDD
-   caches re-key per request) would pay it each time. Netlists are
-   immutable after construction — the Netcache sharing contract — so the
-   last result can be memoized by physical identity. A racing domain at
-   worst recomputes and stores the same pair. *)
-let fp_memo : (t * int64) option ref = ref None
-
-let fingerprint t =
-  match !fp_memo with
-  | Some (t', fp) when t' == t -> fp
-  | _ ->
-      let fp = fingerprint_walk t in
-      fp_memo := Some (t, fp);
-      fp
+let fingerprint t = t.fingerprint
 
 let validate t =
   let n = num_nodes t in

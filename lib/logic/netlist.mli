@@ -23,6 +23,7 @@ type t = private {
   dffs : wire array;  (** flip-flop nodes, in declaration order *)
   dff_init : bool array;  (** initial state, parallel to [dffs] *)
   input_names : string array;  (** parallel to [inputs] *)
+  fingerprint : int64;  (** {!val-fingerprint}, computed by {!Builder.finish} *)
 }
 
 val num_nodes : t -> int
@@ -114,7 +115,13 @@ val fingerprint : t -> int64
     and register init). A checkpoint journal records it in its header so
     a resume against a {e different} circuit is detected instead of
     silently producing a garbage estimate. Stable across processes —
-    depends only on the structure, never on addresses or hash seeds. *)
+    depends only on the structure, never on addresses or hash seeds.
+
+    {!Builder.finish} walks the structure once and stores the result, so
+    this is a field read: every key built from it (the daemon's estimate
+    cache, the kernel plan cache, the symbolic memo, checkpoint headers)
+    costs nothing per request, whichever circuit the last one named. The
+    price is one walk per build, whether or not anything keys on it. *)
 
 val validate : t -> unit
 (** Asserts structural invariants: arities match, combinational fanins

@@ -584,17 +584,22 @@ let handle t (ctx : Srv.ctx) payload =
       let rid = ctx.Srv.rid in
       try
         let op = req_str req "op" in
+        let run =
+          match op with
+          | "ping" -> fun () -> op_ping req ~rid id
+          | "estimate" -> fun () -> op_estimate t ctx.Srv.guard ctx req ~rid id
+          | "sampler" -> fun () -> op_sampler t req ~rid id
+          | "stats" -> fun () -> op_stats t ~rid id
+          | "metrics" -> fun () -> op_metrics t ~rid id
+          | other -> bad "op" ("unknown op " ^ other)
+        in
+        (* the op names the request's histograms and span only once it is
+           recognised: a peer's made-up names record as "unknown" and
+           cannot grow the telemetry registry *)
         ctx.Srv.op <- op;
         Hlp_util.Trace.span ("service." ^ op)
           ~args:(fun () -> [ ("rid", J.Str rid) ])
-          (fun () ->
-            match op with
-            | "ping" -> op_ping req ~rid id
-            | "estimate" -> op_estimate t ctx.Srv.guard ctx req ~rid id
-            | "sampler" -> op_sampler t req ~rid id
-            | "stats" -> op_stats t ~rid id
-            | "metrics" -> op_metrics t ~rid id
-            | other -> bad "op" ("unknown op " ^ other))
+          run
       with
       | Err.Error e ->
           ctx.Srv.status <- Err.class_name e;

@@ -270,7 +270,7 @@ let with_degradation ~what ~guard ~engine f =
                   raise
                     (Hlp_util.Err.Error
                        (Hlp_util.Err.Worker_failure
-                          { shard = -1;
+                          { worker = "engine chain";
                             attempts = fallbacks + 1;
                             why = what ^ ": " ^ Printexc.to_string exn }))
             end)

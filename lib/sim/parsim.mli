@@ -114,7 +114,7 @@ val replay_guarded :
     degrading past a deadline would return a late answer instead of a
     typed error, and no engine can replay bad input. When the whole
     chain fails the result is the last typed error (a raw last exception
-    is wrapped as [Worker_failure {shard = -1; _}]). *)
+    is wrapped as [Worker_failure {worker = "engine chain"; _}]). *)
 
 (** {1 Monte Carlo batches} *)
 

@@ -3,7 +3,7 @@ type t =
   | Budget_exceeded of { budget : string; limit : int; used : int }
   | Deadline_exceeded of { limit_s : float; elapsed_s : float }
   | Cancelled of { where : string }
-  | Worker_failure of { shard : int; attempts : int; why : string }
+  | Worker_failure of { worker : string; attempts : int; why : string }
   | Overloaded of { queue : string; budget : int; pending : int }
 
 exception Error of t
@@ -18,8 +18,8 @@ let to_string = function
   | Deadline_exceeded { limit_s; elapsed_s } ->
       Printf.sprintf "deadline exceeded: %.3fs elapsed of %.3fs allowed" elapsed_s limit_s
   | Cancelled { where } -> Printf.sprintf "cancelled: %s" where
-  | Worker_failure { shard; attempts; why } ->
-      Printf.sprintf "worker failure: shard %d failed after %d attempt%s: %s" shard
+  | Worker_failure { worker; attempts; why } ->
+      Printf.sprintf "worker failure: %s failed after %d attempt%s: %s" worker
         attempts (if attempts = 1 then "" else "s") why
   | Overloaded { queue; budget; pending } ->
       Printf.sprintf "overloaded: %s: %d pending exceeds budget %d" queue pending

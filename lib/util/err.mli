@@ -24,13 +24,14 @@ type t =
       (** A {!Guard} wall-clock deadline passed. *)
   | Cancelled of { where : string }
       (** A {!Guard} cancellation token was triggered. *)
-  | Worker_failure of { shard : int; attempts : int; why : string }
+  | Worker_failure of { worker : string; attempts : int; why : string }
       (** Work raised an untyped exception with nothing left to fall back
-          on: the last engine of {!Hlp_sim.Parsim.with_degradation}'s
-          chain ([shard = -1], [attempts] the engines tried), a
-          {!Supervisor.run_jobs} job ([shard] its index), or a supervised
-          daemon restarting too often. [why] is the printed original
-          exception. *)
+          on. [worker] names what failed: ["engine chain"] (the last
+          engine of {!Hlp_sim.Parsim.with_degradation}'s chain, with
+          [attempts] the engines tried), ["job <index>"] (a
+          {!Supervisor.run_jobs} job, one attempt), or ["supervised
+          daemon"] (restarting too often, [attempts] its restarts). [why]
+          is the printed original exception or the reason. *)
   | Overloaded of { queue : string; budget : int; pending : int }
       (** Admission control shed the work: accepting it would have pushed
           [queue] past its [budget] ({!Supervisor}'s load shedding). The

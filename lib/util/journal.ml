@@ -1,30 +1,53 @@
 (* Append-only write-ahead journal with length+CRC32 framing, torn-tail
    recovery, and atomic snapshot-via-rename files. *)
 
-(* --- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), table-driven --- *)
+(* --- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), slicing-by-8 ---
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           if Int32.logand !c 1l <> 0l then
-             c := Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-           else c := Int32.shift_right_logical !c 1
-         done;
-         !c))
+   [crc_tables] is eight 256-entry tables back to back. Table 0 is the
+   classic byte-at-a-time table; entry [n] of table [k] is the CRC
+   register after byte [n] and then [k] zero bytes, so one step folds
+   eight payload bytes with eight independent lookups. The register is a
+   plain int (63 bits hold its 32), so the loop allocates nothing: only
+   the int32 result is boxed. *)
+let crc_tables =
+  let t = Array.make 2048 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to 2047 do
+    let prev = t.(i - 256) in
+    t.(i) <- (prev lsr 8) lxor t.(prev land 0xff)
+  done;
+  t
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let idx =
-        Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl)
-      in
-      c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+  let t = crc_tables in
+  let len = String.length s in
+  let c = ref 0xFFFFFFFF and i = ref 0 in
+  while !i + 8 <= len do
+    let lo = !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF) in
+    let hi = Int32.to_int (String.get_int32_le s (!i + 4)) land 0xFFFFFFFF in
+    c :=
+      Array.unsafe_get t (1792 + (lo land 0xff))
+      lxor Array.unsafe_get t (1536 + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t (1280 + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t (1024 + (lo lsr 24))
+      lxor Array.unsafe_get t (768 + (hi land 0xff))
+      lxor Array.unsafe_get t (512 + ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < len do
+    let b = Char.code (String.unsafe_get s !i) in
+    c := Array.unsafe_get t ((!c lxor b) land 0xff) lxor (!c lsr 8);
+    incr i
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* --- frame format: [len32 LE][crc32 LE][payload] --- *)
 
@@ -35,25 +58,13 @@ let header_bytes = 8
    buffer *)
 let max_record_bytes = 1 lsl 26 (* 64 MiB *)
 
-let put_u32_le b v =
-  for i = 0 to 3 do
-    Buffer.add_char b
-      (Char.chr (Int32.to_int (Int32.logand (Int32.shift_right_logical v (8 * i)) 0xFFl)))
-  done
-
-let get_u32_le s off =
-  let byte i = Int32.of_int (Char.code s.[off + i]) in
-  Int32.logor (byte 0)
-    (Int32.logor
-       (Int32.shift_left (byte 1) 8)
-       (Int32.logor (Int32.shift_left (byte 2) 16) (Int32.shift_left (byte 3) 24)))
-
 let frame payload =
-  let b = Buffer.create (header_bytes + String.length payload) in
-  put_u32_le b (Int32.of_int (String.length payload));
-  put_u32_le b (crc32 payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let len = String.length payload in
+  let b = Bytes.create (header_bytes + len) in
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 4 (crc32 payload);
+  Bytes.blit_string payload 0 b header_bytes len;
+  Bytes.unsafe_to_string b
 
 (* --- recovery --- *)
 
@@ -74,12 +85,12 @@ let recover path =
     let pos = ref 0 in
     let ok = ref true in
     while !ok && !pos + header_bytes <= len do
-      let plen = Int32.to_int (get_u32_le s !pos) in
+      let plen = Int32.to_int (String.get_int32_le s !pos) in
       if plen < 0 || plen > max_record_bytes || !pos + header_bytes + plen > len then
         ok := false
       else begin
         let payload = String.sub s (!pos + header_bytes) plen in
-        if crc32 payload <> get_u32_le s (!pos + 4) then ok := false
+        if crc32 payload <> String.get_int32_le s (!pos + 4) then ok := false
         else begin
           records := payload :: !records;
           pos := !pos + header_bytes + plen

@@ -426,6 +426,32 @@ let memory_sampler ~knobs on_memory_soft =
 
 (* --- request path --- *)
 
+(* The three histograms of each op, resolved once and then found by a
+   string compare, without the registry lock. Handlers name a request
+   only once they recognise its op, so the list holds the protocol's ops
+   and "unknown". A domain that loses the race to add an op looks again;
+   the registry hands both the same histograms. *)
+type op_hists = {
+  service_ns : Telemetry.histogram;
+  bytes_in : Telemetry.histogram;
+  bytes_out : Telemetry.histogram;
+}
+
+let per_op : (string * op_hists) list Atomic.t = Atomic.make []
+
+let rec op_hists op =
+  let known = Atomic.get per_op in
+  match List.assoc_opt op known with
+  | Some hs -> hs
+  | None ->
+      let h part = Telemetry.histogram ("server.op." ^ op ^ "." ^ part) in
+      let hs =
+        { service_ns = h "service_ns"; bytes_in = h "bytes_in";
+          bytes_out = h "bytes_out" }
+      in
+      if Atomic.compare_and_set per_op known ((op, hs) :: known) then hs
+      else op_hists op
+
 (* One record per served request, written before the response frame so
    the log always ties out to [server.requests] even if the peer
    vanished mid-write. The whole recorder hangs off the Telemetry switch
@@ -433,16 +459,11 @@ let memory_sampler ~knobs on_memory_soft =
 let observe ~knobs ~log ctx ~queue_s ~service_s ~bytes_in ~bytes_out =
   if Telemetry.enabled () then begin
     let op = if ctx.op = "" then "unknown" else ctx.op in
+    let hs = op_hists op in
     Telemetry.record h_queue_wait (queue_s *. 1e9);
-    Telemetry.record
-      (Telemetry.histogram ("server.op." ^ op ^ ".service_ns"))
-      (service_s *. 1e9);
-    Telemetry.record
-      (Telemetry.histogram ("server.op." ^ op ^ ".bytes_in"))
-      (float_of_int bytes_in);
-    Telemetry.record
-      (Telemetry.histogram ("server.op." ^ op ^ ".bytes_out"))
-      (float_of_int bytes_out);
+    Telemetry.record hs.service_ns (service_s *. 1e9);
+    Telemetry.record hs.bytes_in (float_of_int bytes_in);
+    Telemetry.record hs.bytes_out (float_of_int bytes_out);
     (match (Atomic.get knobs).slow_s with
     | Some s when service_s >= s ->
         Telemetry.incr tel_slow;

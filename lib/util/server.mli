@@ -63,7 +63,9 @@
     request additionally feeds histograms — ["server.queue_wait_ns"]
     (accept-to-worker wait, charged to a connection's first request) and
     per-op ["server.op.<op>.service_ns"] / [".bytes_in"] / [".bytes_out"]
-    (frame sizes incl. the 8-byte header) — and, when [serve] was given
+    (frame sizes incl. the 8-byte header; [<op>] is the handler's
+    [ctx.op], ["unknown"] when it set none, and each op's three are
+    resolved once) — and, when [serve] was given
     [access_log], appends one JSON line per request: [ts] (epoch
     seconds), [rid], [op], [key], [cache], [queue_s], [service_s],
     [bytes_in], [bytes_out], [status]. Requests slower than [slow_s]
@@ -155,7 +157,10 @@ type ctx = {
       (** request id. The transport stamps a {!fresh_rid} fallback; the
           protocol layer overwrites it with the caller-supplied id so
           client-side and server-side records correlate. *)
-  mutable op : string;  (** protocol op; [""] records as ["unknown"] *)
+  mutable op : string;
+      (** protocol op; [""] records as ["unknown"]. Set it only to an op
+          the handler recognised: each distinct name registers three
+          histograms for the life of the process. *)
   mutable key : string;  (** cache/fingerprint key, if the op has one *)
   mutable cache : string;  (** ["hit"], ["miss"], ["coalesced"], or [""] *)
   mutable status : string;

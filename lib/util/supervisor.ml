@@ -207,7 +207,9 @@ let run_jobs ?max_inflight ?queue_budget ?deadline_s ?token f jobs =
            results.(i) <-
              Error
                (Err.Worker_failure
-                  { shard = i; attempts = 1; why = Printexc.to_string exn });
+                  { worker = Printf.sprintf "job %d" i;
+                    attempts = 1;
+                    why = Printexc.to_string exn });
            Atomic.incr failed;
            Telemetry.incr tel_jobs_failed);
         Atomic.incr completed;

@@ -98,7 +98,7 @@ val run_jobs :
     [f]'s typed errors ({!Err.Error}) are contained in the job's slot;
     any other exception — from the job body, a tracer args thunk, or the
     worker's own bookkeeping — is contained as
-    [Error (Worker_failure {shard = index; _})] carrying the printed
+    [Error (Worker_failure {worker = "job <index>"; _})] carrying the printed
     exception, and the pool keeps draining. (Letting it escape used to
     kill the worker domain silently and hang the runner's completion
     poll.)

@@ -109,6 +109,47 @@ let test_journal_crc_corruption () =
   Alcotest.(check bool) "torn tail reported" true (r.Journal.torn_bytes > 0);
   Sys.remove path
 
+(* --- CRC-32: on the wire and on disk, so its values never change --- *)
+
+(* The checksum bit at a time, straight from its definition: the
+   reference the slicing-by-8 table loop must equal. *)
+let reference_crc32 s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 1 to 8 do
+        c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+      done)
+    s;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let test_crc32_known_answers () =
+  List.iter
+    (fun (s, want) -> Alcotest.(check int32) (String.escaped s) want (Journal.crc32 s))
+    [ ("", 0l);
+      ("123456789", 0xCBF43926l);
+      ("a", 0xE8B7BE43l);
+      ("The quick brown fox jumps over the lazy dog", 0x414FA339l);
+      (String.init 256 Char.chr, 0x29058C73l) ]
+
+(* every length from 0 to 70 (the 8-byte steps, each tail length, and
+   both together) over bytes drawn from the whole 0..255 range, so half
+   of them have the top bit set *)
+let qcheck_crc32_matches_reference =
+  QCheck.Test.make ~count:100
+    ~name:"Journal.crc32 equals the bit-at-a-time reference at every length 0..70"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      List.for_all
+        (fun len ->
+          let s = String.init len (fun _ -> Char.chr (Prng.int rng 256)) in
+          let high = String.make len '\xff' in
+          Journal.crc32 s = reference_crc32 s
+          && Journal.crc32 high = reference_crc32 high)
+        (List.init 71 Fun.id))
+
 (* the WAL recovery rule as a property: cut the file at ANY byte offset and
    recovery succeeds, yielding exactly a prefix of the appended records *)
 let qcheck_recover_any_truncation =
@@ -494,8 +535,9 @@ let test_run_jobs_contains_untyped_exceptions () =
     (fun i r ->
       match (i mod 2, r) with
       | 0, Ok v -> Alcotest.(check int) "even ok" (i * 10) v
-      | 1, Error (Err.Worker_failure { shard; why; _ }) ->
-          Alcotest.(check int) "shard is the job index" i shard;
+      | 1, Error (Err.Worker_failure { worker; why; _ }) ->
+          Alcotest.(check string) "worker names the job" (Printf.sprintf "job %d" i)
+            worker;
           Alcotest.(check bool) "why carries the exception" true
             (String.length why > 0)
       | _ -> Alcotest.failf "slot %d has the wrong shape" i)
@@ -520,8 +562,8 @@ let test_run_jobs_contains_raising_tracer () =
   Array.iteri
     (fun i r ->
       match (i, r) with
-      | 2, Error (Err.Worker_failure { shard; _ }) ->
-          Alcotest.(check int) "shard is the job index" 2 shard
+      | 2, Error (Err.Worker_failure { worker; _ }) ->
+          Alcotest.(check string) "worker names the job" "job 2" worker
       | 2, _ -> Alcotest.fail "raising tracer must surface as Worker_failure"
       | _, Ok v -> Alcotest.(check int) "other jobs unaffected" (i + 100) v
       | _, Error e -> Alcotest.failf "slot %d failed: %s" i (Err.to_string e))
@@ -619,6 +661,8 @@ let suite =
       test_journal_missing_file;
     Alcotest.test_case "journal CRC corruption drops the tail" `Quick
       test_journal_crc_corruption;
+    Alcotest.test_case "crc32 known answers" `Quick test_crc32_known_answers;
+    QCheck_alcotest.to_alcotest qcheck_crc32_matches_reference;
     QCheck_alcotest.to_alcotest qcheck_recover_any_truncation;
     Alcotest.test_case "write_atomic replaces whole files" `Quick
       test_write_atomic;

@@ -43,7 +43,7 @@ let test_err_exit_codes () =
       (Err.Deadline_exceeded { limit_s = 1.0; elapsed_s = 2.0 },
        "deadline-exceeded", 67);
       (Err.Cancelled { where = "w" }, "cancelled", 68);
-      (Err.Worker_failure { shard = 3; attempts = 2; why = "boom" },
+      (Err.Worker_failure { worker = "job 3"; attempts = 2; why = "boom" },
        "worker-failure", 69);
       (Err.Overloaded { queue = "q"; budget = 4; pending = 9 },
        "overloaded", 70) ]
@@ -56,7 +56,11 @@ let test_err_exit_codes () =
         ("to_string non-empty for " ^ cls)
         true
         (String.length (Err.to_string e) > 0))
-    cases
+    cases;
+  Alcotest.(check string) "a worker failure names what failed"
+    "worker failure: engine chain failed after 3 attempts: boom"
+    (Err.to_string
+       (Err.Worker_failure { worker = "engine chain"; attempts = 3; why = "boom" }))
 
 let test_err_protect () =
   (match Err.protect (fun () -> 42) with
@@ -203,9 +207,15 @@ let test_replay_guarded_degrades () =
            ~vector ~n:100)
    with
   | Ok _ -> Alcotest.fail "all engines were killed; expected an error"
-  | Error e ->
+  | Error e -> (
       Alcotest.(check string) "typed worker failure" "worker-failure"
-        (Err.class_name e));
+        (Err.class_name e);
+      match e with
+      | Err.Worker_failure { worker; attempts; _ } ->
+          Alcotest.(check string) "the engine chain failed" "engine chain"
+            worker;
+          Alcotest.(check int) "after trying three engines" 3 attempts
+      | _ -> Alcotest.fail "expected a worker failure"));
   Alcotest.(check int)
     "two degradation hops counted" 2
     (Telemetry.count (Telemetry.counter "parsim.engine_fallbacks"))

@@ -88,6 +88,23 @@ let test_frame_oversized_and_torn () =
       | Some _ -> Alcotest.fail "torn frame accepted"
       | None -> Alcotest.fail "torn frame read as clean eof")
 
+(* One frame's exact bytes, from both writers of the format: the socket
+   codec (every request and response) and the journal (WAL records and
+   snapshots). A change to the layout or the checksum fails here. *)
+let test_frame_golden_bytes () =
+  let payload = {|{"id":1,"op":"ping"}|} in
+  let golden = "\x14\x00\x00\x00\xac\x3f\x7a\x3a" ^ payload in
+  Alcotest.(check string) "journal record" golden (Journal.frame payload);
+  with_socketpair (fun a b ->
+      Server.write_frame a payload;
+      let got = Bytes.create (String.length golden) in
+      let rec fill off =
+        if off < Bytes.length got then
+          fill (off + Unix.read b got off (Bytes.length got - off))
+      in
+      fill 0;
+      Alcotest.(check string) "socket frame" golden (Bytes.to_string got))
+
 let test_oversized_write_rejected () =
   with_socketpair (fun a _b ->
       match Server.write_frame a (String.make (Server.max_frame_bytes + 1) 'z')
@@ -212,6 +229,58 @@ let test_error_envelopes () =
               (Server.request conn (Service.ping_request ~id:10 ()))
           in
           Alcotest.(check bool) "still serving" true pong.Service.ok))
+
+let histogram_names () =
+  match Json.member "histograms" (Telemetry.json_value ()) with
+  | Some (Json.Obj kvs) -> List.map fst kvs
+  | _ -> []
+
+(* Only an op the service recognises names a request. Distinct unknown
+   ops each answer invalid-input and record under "unknown", so a peer
+   cannot grow the telemetry registry by inventing names. *)
+let test_unknown_ops_add_no_histograms () =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+  @@ fun () ->
+  with_server (fun path _service ->
+      let conn = Server.connect path in
+      Fun.protect
+        ~finally:(fun () -> Server.close conn)
+        (fun () ->
+          let ask op =
+            parse_ok op
+              (Server.request conn (Printf.sprintf {|{"id":1,"op":"%s"}|} op))
+          in
+          ignore (ask "ping");
+          ignore (ask "x0");
+          let before = histogram_names () in
+          let n = 200 in
+          for i = 1 to n do
+            let op = Printf.sprintf "x%d" i in
+            let r = ask op in
+            Alcotest.(check bool) (op ^ ": not ok") false r.Service.ok;
+            match r.Service.error with
+            | Some (cls, _, code) ->
+                Alcotest.(check string) (op ^ ": class") "invalid-input" cls;
+                Alcotest.(check int) (op ^ ": exit code") 65 code
+            | None -> Alcotest.failf "%s: error field missing" op
+          done;
+          Alcotest.(check (list string)) "no histogram added" before
+            (histogram_names ());
+          Alcotest.(check (list string)) "per-op histograms: protocol ops only"
+            [ "server.op.ping.bytes_in"; "server.op.ping.bytes_out";
+              "server.op.ping.service_ns"; "server.op.unknown.bytes_in";
+              "server.op.unknown.bytes_out"; "server.op.unknown.service_ns" ]
+            (List.filter
+               (fun k -> String.starts_with ~prefix:"server.op." k)
+               before);
+          Alcotest.(check int) "every unknown op recorded as unknown" (n + 1)
+            (Telemetry.hist_count
+               (Telemetry.histogram "server.op.unknown.service_ns"))))
 
 let result_str r name =
   Option.bind r.Service.result (fun j ->
@@ -458,6 +527,8 @@ let suite =
       test_frame_corruption;
     Alcotest.test_case "frame: oversized and torn frames rejected" `Quick
       test_frame_oversized_and_torn;
+    Alcotest.test_case "frame: golden bytes on the wire and on disk" `Quick
+      test_frame_golden_bytes;
     Alcotest.test_case "frame: oversized write rejected" `Quick
       test_oversized_write_rejected;
     Alcotest.test_case "serve: warm estimate is cached and byte-identical"
@@ -466,6 +537,8 @@ let suite =
       `Quick test_distinct_keys_not_conflated;
     Alcotest.test_case "serve: typed error envelopes, connection survives"
       `Quick test_error_envelopes;
+    Alcotest.test_case "serve: unknown ops add no histograms" `Quick
+      test_unknown_ops_add_no_histograms;
     Alcotest.test_case "serve: omitted engine is compiled, same bits" `Quick
       test_default_engine_is_compiled;
     Alcotest.test_case "serve: non-positive max_cycles/node_limit rejected"
