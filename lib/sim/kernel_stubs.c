@@ -3,17 +3,18 @@
    charge accumulation, and the wide settle of four Monte Carlo units.
 
    [Kernel.settle], [Kernel.gather_deltas] and [Kernel.settle_wide] are
-   documented at their definitions below. [Kernel.accumulate_lanes ls deltas caps n] folds
-   node [k]'s capacitance [caps[k]] into every lane accumulator [ls[l]]
-   whose bit is set in the delta word [deltas[k]], for k = 0 .. n-1 in
-   order. The contract that
-   makes this a C primitive worth having (see kernel.ml): each lane's
-   accumulator is a chronologically ordered IEEE-754 double sum, so the
-   adds cannot be reassociated — but the 63 lanes are independent chains
-   that can run interleaved, with the accumulators held in registers for
-   the whole sweep. OCaml (without flambda) spills float loop carries to
-   memory, which makes the scatter walk and this loop equally
-   memory-bound; in C the sweep is float-throughput-bound instead.
+   documented at their definitions below. [Kernel.accumulate_lanes ls
+   deltas caps n] folds node [k]'s capacitance [caps[k]] into every lane
+   accumulator [ls[l]] whose bit is set in the delta word [deltas[k]],
+   for k = 0 .. n-1 in order, and returns how many four-lane groups it
+   swept. The contract that makes this a C primitive worth having (see
+   kernel.ml): each lane's accumulator is a chronologically ordered
+   IEEE-754 double sum, so the adds cannot be reassociated — but the 63
+   lanes are independent chains that can run interleaved, with the
+   accumulators held in registers for the whole sweep. OCaml (without
+   flambda) spills float loop carries to memory, which makes the scatter
+   walk and this loop equally memory-bound; in C the sweep is
+   float-throughput-bound instead.
 
    Bit-identity with Bitsim.scan_lanes (the differential wall in
    test/test_kernel.ml asserts it): when bit l of the delta is set the
@@ -26,11 +27,23 @@
    which is the same per-lane order the scatter walk produces because the
    node order is the same for every lane.
 
+   Touched lanes only. The sweep first ORs the n delta words into a
+   touched-lane mask and sweeps only the lanes it needs: the four-lane
+   groups (lanes 0..59) with a touched lane, four accumulators at a time,
+   then lanes 60..62 when one of them is touched; the portable path skips
+   eight-lane blocks with no touched lane. An untouched lane has a clear
+   bit in every delta, so its sweep would add only +0.0 terms — the
+   argument above leaves it unchanged bit for bit. The returned count is
+   the touched groups, with the tail as one group, on either path. With
+   every lane touched the AVX2 sweep runs 4+4+4+3 groups and the tail,
+   as a sweep of all 63 lanes would.
+
    The AVX2 path is runtime-dispatched (__builtin_cpu_supports), so the
    library builds and runs on any x86-64 without special flags; other
-   architectures and non-GNU compilers take the portable scalar path.
-   Packed vaddpd is per-lane IEEE double addition, so the SIMD path
-   computes the same bits as the scalar one. */
+   architectures and non-GNU compilers take the portable scalar path,
+   which [hlp_kernel_accumulate_lanes_portable] exposes to the tests on
+   every CPU. Packed vaddpd is per-lane IEEE double addition, so the SIMD
+   path computes the same bits as the scalar one. */
 
 #include <caml/mlvalues.h>
 #include <stdint.h>
@@ -38,6 +51,12 @@
 #include <string.h>
 
 #define LANES 63 /* Bitsim.lanes: one OCaml int of payload per node */
+
+#if defined(__GNUC__)
+#define ALWAYS_INLINE inline __attribute__((always_inline))
+#else
+#define ALWAYS_INLINE inline
+#endif
 
 /* c when bit = 1, +0.0 when bit = 0: mask the payload bits, no branch,
    no int-to-float conversion, no multiply */
@@ -51,10 +70,33 @@ static inline double mask_sel(double c, long bit)
   return r;
 }
 
-static void scalar_accumulate(double *ls, value *deltas, double *caps, long n)
+/* bit l set when lane l is set in some delta word: the OR of the tagged
+   words with the tag shifted out */
+static inline uint64_t touched_lanes(const value *deltas, long n)
 {
-  long t = 0;
-  while (t < LANES) {
+  uintnat m = 0;
+  for (long k = 0; k < n; k++) m |= (uintnat)deltas[k];
+  return (uint64_t)(m >> 1);
+}
+
+/* the sweep's count: four-lane groups 0..14 (lanes 0..59) holding a
+   touched lane, plus one for the tail (lanes 60..62) when touched */
+static long touched_groups(uint64_t touched)
+{
+  long g = (touched >> 60) != 0;
+  for (int t = 0; t < 60; t += 4) g += ((touched >> t) & 0xf) != 0;
+  return g;
+}
+
+/* The portable sweep: blocks of eight lanes (seven for the last), one
+   interleaved chain per lane, and a block with no touched lane is
+   skipped. */
+static long scalar_accumulate(double *ls, const value *deltas,
+                              const double *caps, long n)
+{
+  uint64_t touched = touched_lanes(deltas, n);
+  for (long t = 0; t < LANES; t += 8) {
+    if (((touched >> t) & 0xff) == 0) continue;
     if (t + 8 <= LANES) {
       double a0 = ls[t], a1 = ls[t + 1], a2 = ls[t + 2], a3 = ls[t + 3];
       double a4 = ls[t + 4], a5 = ls[t + 5], a6 = ls[t + 6], a7 = ls[t + 7];
@@ -78,7 +120,6 @@ static void scalar_accumulate(double *ls, value *deltas, double *caps, long n)
       ls[t + 5] = a5;
       ls[t + 6] = a6;
       ls[t + 7] = a7;
-      t += 8;
     } else {
       /* the last 7 lanes, one interleaved chain each */
       double a0 = ls[t], a1 = ls[t + 1], a2 = ls[t + 2], a3 = ls[t + 3];
@@ -101,80 +142,75 @@ static void scalar_accumulate(double *ls, value *deltas, double *caps, long n)
       ls[t + 4] = a4;
       ls[t + 5] = a5;
       ls[t + 6] = a6;
-      t += 7;
     }
   }
+  return touched_groups(touched);
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
 
-/* 63 lanes = three 16-lane sweeps + one 12-lane sweep + 3 scalar lanes.
-   Per node and ymm group: broadcast the delta word, AND with the group's
-   bit masks, compare-equal to build an all-ones/zero lane mask, AND with
-   the broadcast capacitance, packed add. Four accumulator registers per
-   sweep hide the 4-cycle add latency. */
-__attribute__((target("avx2"))) static void
-avx2_accumulate(double *ls, value *deltas, double *caps, long n)
+/* the bit of each lane of the four-lane group starting at lane t */
+__attribute__((target("avx2"))) static ALWAYS_INLINE __m256i
+group_bits(long t)
 {
-  for (long t = 0; t + 16 <= LANES; t += 16) {
-    __m256d a0 = _mm256_loadu_pd(ls + t);
-    __m256d a1 = _mm256_loadu_pd(ls + t + 4);
-    __m256d a2 = _mm256_loadu_pd(ls + t + 8);
-    __m256d a3 = _mm256_loadu_pd(ls + t + 12);
-    __m256i b0 = _mm256_set_epi64x(1L << (t + 3), 1L << (t + 2),
-                                   1L << (t + 1), 1L << t);
-    __m256i b1 = _mm256_slli_epi64(b0, 4);
-    __m256i b2 = _mm256_slli_epi64(b0, 8);
-    __m256i b3 = _mm256_slli_epi64(b0, 12);
-    for (long k = 0; k < n; k++) {
-      __m256i d = _mm256_set1_epi64x(Long_val(deltas[k]));
-      __m256d c = _mm256_broadcast_sd(caps + k);
-      __m256d m0 = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(_mm256_and_si256(d, b0), b0));
-      __m256d m1 = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(_mm256_and_si256(d, b1), b1));
-      __m256d m2 = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(_mm256_and_si256(d, b2), b2));
-      __m256d m3 = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(_mm256_and_si256(d, b3), b3));
-      a0 = _mm256_add_pd(a0, _mm256_and_pd(m0, c));
-      a1 = _mm256_add_pd(a1, _mm256_and_pd(m1, c));
-      a2 = _mm256_add_pd(a2, _mm256_and_pd(m2, c));
-      a3 = _mm256_add_pd(a3, _mm256_and_pd(m3, c));
-    }
-    _mm256_storeu_pd(ls + t, a0);
-    _mm256_storeu_pd(ls + t + 4, a1);
-    _mm256_storeu_pd(ls + t + 8, a2);
-    _mm256_storeu_pd(ls + t + 12, a3);
+  return _mm256_set_epi64x(1L << (t + 3), 1L << (t + 2), 1L << (t + 1),
+                           1L << t);
+}
+
+/* [k] four-lane groups (1 <= k <= 4, a constant at every call site, so
+   each call is its own loop with no dead accumulator) starting at lanes
+   t[0..k), one ymm accumulator each. Per node: broadcast the delta word,
+   AND with each group's bit masks, compare-equal to build an all-ones or
+   zero lane mask, AND with the broadcast capacitance, packed add. Four
+   accumulators hide the 4-cycle add latency. */
+__attribute__((target("avx2"))) static ALWAYS_INLINE void
+avx2_groups(double *ls, const value *deltas, const double *caps, long n,
+            const long *t, int k)
+{
+  __m256d a0 = _mm256_loadu_pd(ls + t[0]), a1 = a0, a2 = a0, a3 = a0;
+  __m256i b0 = group_bits(t[0]), b1 = b0, b2 = b0, b3 = b0;
+  if (k > 1) a1 = _mm256_loadu_pd(ls + t[1]), b1 = group_bits(t[1]);
+  if (k > 2) a2 = _mm256_loadu_pd(ls + t[2]), b2 = group_bits(t[2]);
+  if (k > 3) a3 = _mm256_loadu_pd(ls + t[3]), b3 = group_bits(t[3]);
+#define ADD(a, b)                                                        \
+  a = _mm256_add_pd(                                                     \
+      a, _mm256_and_pd(_mm256_castsi256_pd(_mm256_cmpeq_epi64(           \
+                           _mm256_and_si256(d, b), b)),                  \
+                       c))
+  for (long j = 0; j < n; j++) {
+    __m256i d = _mm256_set1_epi64x(Long_val(deltas[j]));
+    __m256d c = _mm256_broadcast_sd(caps + j);
+    ADD(a0, b0);
+    if (k > 1) ADD(a1, b1);
+    if (k > 2) ADD(a2, b2);
+    if (k > 3) ADD(a3, b3);
   }
-  {
-    const long t = 48;
-    __m256d a0 = _mm256_loadu_pd(ls + t);
-    __m256d a1 = _mm256_loadu_pd(ls + t + 4);
-    __m256d a2 = _mm256_loadu_pd(ls + t + 8);
-    __m256i b0 = _mm256_set_epi64x(1L << (t + 3), 1L << (t + 2),
-                                   1L << (t + 1), 1L << t);
-    __m256i b1 = _mm256_slli_epi64(b0, 4);
-    __m256i b2 = _mm256_slli_epi64(b0, 8);
-    for (long k = 0; k < n; k++) {
-      __m256i d = _mm256_set1_epi64x(Long_val(deltas[k]));
-      __m256d c = _mm256_broadcast_sd(caps + k);
-      __m256d m0 = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(_mm256_and_si256(d, b0), b0));
-      __m256d m1 = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(_mm256_and_si256(d, b1), b1));
-      __m256d m2 = _mm256_castsi256_pd(
-          _mm256_cmpeq_epi64(_mm256_and_si256(d, b2), b2));
-      a0 = _mm256_add_pd(a0, _mm256_and_pd(m0, c));
-      a1 = _mm256_add_pd(a1, _mm256_and_pd(m1, c));
-      a2 = _mm256_add_pd(a2, _mm256_and_pd(m2, c));
-    }
-    _mm256_storeu_pd(ls + t, a0);
-    _mm256_storeu_pd(ls + t + 4, a1);
-    _mm256_storeu_pd(ls + t + 8, a2);
+#undef ADD
+  _mm256_storeu_pd(ls + t[0], a0);
+  if (k > 1) _mm256_storeu_pd(ls + t[1], a1);
+  if (k > 2) _mm256_storeu_pd(ls + t[2], a2);
+  if (k > 3) _mm256_storeu_pd(ls + t[3], a3);
+}
+
+/* The touched four-lane groups of lanes 0..59 in batches of four, the
+   last batch one to four; then lanes 60..62 as three scalar chains when
+   any of them is touched. With every lane touched that is 4+4+4+3
+   groups and the tail. */
+__attribute__((target("avx2"))) static long
+avx2_accumulate(double *ls, const value *deltas, const double *caps, long n)
+{
+  uint64_t touched = touched_lanes(deltas, n);
+  long t[15], ng = 0, i = 0;
+  for (long g = 0; g < 60; g += 4)
+    if ((touched >> g) & 0xf) t[ng++] = g;
+  for (; ng - i >= 4; i += 4) avx2_groups(ls, deltas, caps, n, t + i, 4);
+  switch (ng - i) {
+  case 3: avx2_groups(ls, deltas, caps, n, t + i, 3); break;
+  case 2: avx2_groups(ls, deltas, caps, n, t + i, 2); break;
+  case 1: avx2_groups(ls, deltas, caps, n, t + i, 1); break;
   }
-  {
+  if (touched >> 60) {
     double a0 = ls[60], a1 = ls[61], a2 = ls[62];
     for (long k = 0; k < n; k++) {
       long d = Long_val(deltas[k]);
@@ -186,7 +222,9 @@ avx2_accumulate(double *ls, value *deltas, double *caps, long n)
     ls[60] = a0;
     ls[61] = a1;
     ls[62] = a2;
+    ng++;
   }
+  return ng;
 }
 
 CAMLprim value hlp_kernel_accumulate_lanes(value vls, value vdeltas,
@@ -195,22 +233,28 @@ CAMLprim value hlp_kernel_accumulate_lanes(value vls, value vdeltas,
   static int have_avx2 = -1;
   if (have_avx2 < 0) have_avx2 = __builtin_cpu_supports("avx2");
   if (have_avx2)
-    avx2_accumulate((double *)vls, Op_val(vdeltas), (double *)vcaps,
-                    Long_val(vn));
-  else
-    scalar_accumulate((double *)vls, Op_val(vdeltas), (double *)vcaps,
-                      Long_val(vn));
-  return Val_unit;
+    return Val_long(avx2_accumulate((double *)vls, Op_val(vdeltas),
+                                    (double *)vcaps, Long_val(vn)));
+  return Val_long(scalar_accumulate((double *)vls, Op_val(vdeltas),
+                                    (double *)vcaps, Long_val(vn)));
 }
 #else
 CAMLprim value hlp_kernel_accumulate_lanes(value vls, value vdeltas,
                                            value vcaps, value vn)
 {
-  scalar_accumulate((double *)vls, Op_val(vdeltas), (double *)vcaps,
-                    Long_val(vn));
-  return Val_unit;
+  return Val_long(scalar_accumulate((double *)vls, Op_val(vdeltas),
+                                    (double *)vcaps, Long_val(vn)));
 }
 #endif
+
+/* the portable sweep on every CPU, for the tests: no CI host takes it
+   through [hlp_kernel_accumulate_lanes] */
+CAMLprim value hlp_kernel_accumulate_lanes_portable(value vls, value vdeltas,
+                                                    value vcaps, value vn)
+{
+  return Val_long(scalar_accumulate((double *)vls, Op_val(vdeltas),
+                                    (double *)vcaps, Long_val(vn)));
+}
 
 /* Settling the compiled schedule, counting toggles as it goes.
 
@@ -246,12 +290,6 @@ CAMLprim value hlp_kernel_accumulate_lanes(value vls, value vdeltas,
    own count elsewhere (native on aarch64). Other compilers get a SWAR
    count. The primitive allocates nothing and never calls back into the
    runtime, which makes the [@@noalloc] mark sound. */
-
-#if defined(__GNUC__)
-#define ALWAYS_INLINE inline __attribute__((always_inline))
-#else
-#define ALWAYS_INLINE inline
-#endif
 
 static ALWAYS_INLINE uintnat pop(uint64_t x)
 {

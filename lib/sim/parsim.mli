@@ -25,6 +25,7 @@ type replay = {
 }
 
 val replay :
+  ?guard:Hlp_util.Guard.t ->
   engine:Engine.t ->
   Hlp_logic.Netlist.t ->
   vector:(int -> bool array) ->
@@ -62,6 +63,22 @@ val replay :
     cycles (a 1% change rate) about half the chunks are idle. Uniform
     random vectors all but never make one, except a last chunk of one
     cycle ([n mod 63 = 1]), whose lanes all repeat it.
+
+    {b Quiet lanes.} Within a busy chunk, [Compiled] does work in
+    proportion to the lanes that change. The counted step's lane sweep
+    visits only the lanes some node toggled in ({!Kernel}'s accounting
+    contract, ["kernel.lane_groups"]), and the outputs are transposed
+    only for lanes whose vector differs from the lane below; a lane that
+    repeats its neighbour's vector repeats its output word, which is
+    exact on a combinational netlist. An idle chunk reads lane 62 alone.
+
+    {b Guard.} The replay polls [guard] (default
+    {!Hlp_util.Guard.unlimited}) before its first cycle and then every
+    4,096 cycles under [Scalar] and every 64 chunks (4,032 cycles) under
+    the bit engines, and raises its [Deadline_exceeded] or [Cancelled]
+    there: a deadline stops a long trace partway through, late by at
+    most one interval's work (on multiplier 8, ~1.3 ms compiled and
+    ~120 ms scalar).
 
     {b Errors.} Bit-parallel engines raise [Invalid_argument] on netlists
     with flip-flops (sequential state cannot be chunked). [n < 1], and a
@@ -108,7 +125,9 @@ val replay_guarded :
     conservative engine is tried, with each hop counted in
     ["parsim.engine_fallbacks"]. [Compiled] and [Bitparallel] are
     bit-identical, and [Scalar] differs only by summation round-off, so
-    degradation never changes the answer beyond float noise. Guard trips
+    degradation never changes the answer beyond float noise. The guard
+    is checked before each engine attempt and polled inside the replay
+    (see {!replay}). Guard trips
     ([Deadline_exceeded]/[Cancelled]) and [Invalid_input], such as a
     wrong-length vector, are returned at once with no fallback —
     degrading past a deadline would return a late answer instead of a

@@ -9,8 +9,9 @@
     with a deadline, one monotonic {!Clock} read — never [gettimeofday],
     so an NTP step cannot trip a deadline) and sit inside per-batch
     loops without measurable cost; they are {e cooperative} — a deadline
-    fires at the next check, not preemptively, so granularity is one batch
-    or Monte Carlo unit, never mid-gate.
+    fires at the next check, not preemptively, so granularity is one batch,
+    one Monte Carlo unit or ~4,000 cycles of a trace replay
+    ([Hlp_sim.Parsim.replay]), never mid-gate.
 
     Resource budgets that are not time-shaped (BDD node counts) live with
     the resource owner ({!Bdd.manager}'s [node_limit]) and report through
